@@ -10,16 +10,15 @@ import argparse
 import json
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from typing import List, Optional, Tuple
 
 from .errors import DerivkitError, DerivSyntaxError
-from .formula import DivergesLeftAt, Theory
+from .formula import ApplyLemma, DivergesLeftAt, Theory
 from .kernel import (CheckResult, LemmaEntry, LemmaPool, NUMERIC_CERTIFIED,
                      check_theory)
 from .numcheck import NumericReport, SamplePlan, divergence_table, run_suite
 from .parser import parse_theories
-from .theories import build_pool, dependency_order, registry
+from .theories import build_pool, dependency_order, load_theory, registry
 
 Outcome = Tuple[Theory, CheckResult, Optional[NumericReport], int]
 
@@ -38,10 +37,9 @@ def _run_numeric(theory: Theory, plan: SamplePlan) -> Optional[NumericReport]:
 
 
 def _outcome(theory: Theory, pool: LemmaPool, plan: SamplePlan,
-             seed: int, res: Optional[CheckResult] = None) -> Outcome:
+             seed: int) -> Outcome:
     t0 = time.perf_counter()
-    if res is None:
-        res = check_theory(theory, pool, seed=seed)
+    res = check_theory(theory, pool, seed=seed)
     numeric = _run_numeric(theory, plan) if res.accepted else None
     ms = int((time.perf_counter() - t0) * 1000)
     return theory, res, numeric, ms
@@ -129,34 +127,29 @@ def cmd_check(args) -> int:
     except DerivkitError as e:
         print(f"invalid input: {e}", file=sys.stderr)
         return 2
-    base_pool, _ = build_pool(args.seed)
-    if args.jobs > 1:
-        with ThreadPoolExecutor(max_workers=args.jobs) as ex:
-            futs = [ex.submit(_check_batch, b, base_pool, plan, args.seed)
-                    for b in batches]
-            per_file = [f.result() for f in futs]
-    else:
-        per_file = [_check_batch(b, base_pool, plan, args.seed)
-                    for b in batches]
-    return _emit([o for chunk in per_file for o in chunk], args)
+    # a name a file also defines still counts: an `apply` before that
+    # definition resolves to the builtin
+    base_pool, _ = build_pool(args.seed, {
+        s.name for b in batches for th in b for s in th.steps
+        if isinstance(s, ApplyLemma)})
+    return _emit([o for b in batches
+                  for o in _check_batch(b, base_pool, plan, args.seed)], args)
 
 
 def cmd_builtin(args) -> int:
     plan = _plan(args)
-    known = {e.name for e in registry()}
-    if not args.all and args.name not in known:
+    entries = registry()
+    deps = {e.name: e.depends_on for e in entries}
+    if not args.all and args.name not in deps:
         print(f"error: no builtin theory named {args.name!r}", file=sys.stderr)
         return 2
-    pool, results = build_pool(args.seed)
     if args.all:
-        names = [e.name for e in dependency_order(registry())]
+        # in dependency order, each theory sees those before it as lemmas
+        names, pool = [e.name for e in dependency_order(entries)], {}
     else:
-        names = [args.name]
-    outcomes = []
-    for n in names:
-        res = results[n]
-        outcomes.append(_outcome(pool[n].theory, pool, plan, args.seed, res=res))
-    return _emit(outcomes, args)
+        names, (pool, _) = [args.name], build_pool(args.seed, deps[args.name])
+    theories = [load_theory(n) for n in names]
+    return _emit(_check_batch(theories, pool, plan, args.seed), args)
 
 
 def cmd_list(args) -> int:
@@ -187,8 +180,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     pc = sub.add_parser("check", help="check theory script files")
     pc.add_argument("paths", nargs="+", metavar="PATH")
-    pc.add_argument("--jobs", type=int, default=1,
-                    help="check files concurrently; output keeps input order")
     common(pc)
     pc.set_defaults(fn=cmd_check)
 
@@ -211,8 +202,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         parser.error("--samples must be at least 1")
     if getattr(args, "series_cutoff", 1) < 1:
         parser.error("--series-cutoff must be at least 1")
-    if getattr(args, "jobs", 1) < 1:
-        parser.error("--jobs must be at least 1")
     return args.fn(args)
 
 

@@ -308,27 +308,6 @@ def series_truncation_check(s: SeriesSum, closed: Expr, env: Dict[str, float],
     return errors
 
 
-@dataclass
-class FDReport:
-    passed: bool
-    worst_residual: float
-
-
-def finite_difference_check(fn: Callable[[float], float],
-                            claimed_deriv: Callable[[float], float],
-                            plan: SamplePlan, check_name: str = "fd",
-                            lo: float = -5.0, hi: float = 5.0) -> FDReport:
-    rng = _rng(plan.seed, check_name)
-    h = 1e-5
-    worst = 0.0
-    for _ in range(plan.count):
-        t = rng.uniform(lo, hi)
-        fd = (fn(t + h) - fn(t - h)) / (2.0 * h)
-        d = claimed_deriv(t)
-        worst = max(worst, abs(fd - d) / max(1.0, abs(fd), abs(d)))
-    return FDReport(worst <= 1e-5, worst)
-
-
 Vec3 = Tuple[float, float, float]
 
 
@@ -374,7 +353,7 @@ class VecFn3:
 
 def vector_kinematics_check(a: Vec3, v0: Vec3, x0: Vec3,
                             plan: SamplePlan,
-                            check_name: str = "vector_kinematics") -> FDReport:
+                            check_name: str = "vector_kinematics") -> NumericReport:
     position = VecFn3.from_constant_acceleration(a, v0, x0)
     velocity = position.deriv()
     rng = _rng(plan.seed, check_name)
@@ -394,7 +373,8 @@ def vector_kinematics_check(a: Vec3, v0: Vec3, x0: Vec3,
         left = dot(_vadd(_vscale(s1, u), _vscale(s2, w)), z)
         right = s1 * dot(u, z) + s2 * dot(w, z)
         worst = max(worst, abs(left - right) / max(1.0, abs(left), abs(right)))
-    return FDReport(worst <= plan.rel_tol, worst)
+    return NumericReport(plan.seed, plan.count, worst, worst <= plan.rel_tol,
+                         check_name)
 
 
 @dataclass

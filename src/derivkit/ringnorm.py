@@ -220,12 +220,3 @@ class Normalizer:
         if coeff == 1:
             return prod
         return Mul(Const(coeff), prod)
-
-
-def ring_normalize(e: Expr) -> RatPair:
-    """Canonical num/den pair of a plain arithmetic expression.
-
-    Series and application nodes are outside the ring fragment and
-    raise UnsupportedNode.
-    """
-    return Normalizer(rational=True, strict=True).norm(e)

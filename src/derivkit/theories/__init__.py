@@ -15,7 +15,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from importlib import resources
-from typing import Dict, List, Optional, Tuple
+from typing import Collection, Dict, List, Optional, Tuple
 
 from ..errors import CyclicDependency
 from ..formula import Theory
@@ -105,8 +105,13 @@ def load_theory(name: str) -> Theory:
     return parse_theory(load_script(name))
 
 
-def dependency_order(entries: List[TheoryEntry]) -> List[TheoryEntry]:
-    """Entries reordered so dependencies precede dependents."""
+def dependency_order(entries: List[TheoryEntry],
+                     roots: Optional[Collection[str]] = None) -> List[TheoryEntry]:
+    """Entries reordered so dependencies precede dependents.
+
+    With `roots`, only the entries named there and what they depend on,
+    transitively.
+    """
     by_name = {e.name: e for e in entries}
     done: Dict[str, bool] = {}
     out: List[TheoryEntry] = []
@@ -125,19 +130,22 @@ def dependency_order(entries: List[TheoryEntry]) -> List[TheoryEntry]:
         out.append(entry)
 
     for e in entries:
-        visit(e.name, ())
+        if roots is None or e.name in roots:
+            visit(e.name, ())
     return out
 
 
-def build_pool(seed: int = 0) -> Tuple[LemmaPool, Dict[str, CheckResult]]:
-    """Check the whole registry in dependency order.
+def build_pool(seed: int = 0, names: Optional[Collection[str]] = None
+               ) -> Tuple[LemmaPool, Dict[str, CheckResult]]:
+    """Check registry entries in dependency order.
 
-    Returns the lemma pool (for checking user scripts against) and the
-    per-theory results.
+    By default the whole registry; with `names`, only those entries and
+    their dependencies. Returns the lemma pool (for checking user
+    scripts against) and the per-theory results.
     """
     pool: LemmaPool = {}
     results: Dict[str, CheckResult] = {}
-    for entry in dependency_order(registry()):
+    for entry in dependency_order(registry(), names):
         theory = parse_theory(entry.script)
         res = check_theory(theory, pool, seed)
         pool[theory.name] = LemmaEntry(theory, res.accepted)

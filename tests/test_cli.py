@@ -3,11 +3,16 @@
 import json
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
+from derivkit import cli, theories
 from derivkit.cli import main
+from derivkit.formula import ApplyLemma
+from derivkit.parser import parse_theory
+from derivkit.theories import registry
 
 OK_SCRIPT = """\
 theory square_expand
@@ -27,6 +32,24 @@ theory will_fail
   proof
     unfold theta
     field_normalize
+    ring
+  qed
+"""
+
+# applies const_accel', which itself applies const_accel
+POSITION_SCRIPT = """\
+theory position_law
+  fns position velocity acceleration : State->Real
+  const A : Real
+  hyp hacc : forall u, deriv(velocity)(u) = acceleration(u)
+  hyp haccconst : forall u, acceleration(u) = A
+  hyp hvel : forall u, deriv(position)(u) = velocity(u)
+  goal forall t, position(t) = t^2 / 2 * A + t * velocity(0) + position(0)
+  proof
+    apply const_accel'
+    intro t
+    specialize const_accel' t
+    rw const_accel'_1
     ring
   qed
 """
@@ -115,16 +138,15 @@ def test_check_json_shape(tmp_path, capsys):
     assert [s["step"] for s in bad["steps"]] == ["unfold theta"]
 
 
-def test_check_jobs_keep_input_order(tmp_path, capsys):
+def test_check_keeps_input_order(tmp_path, capsys):
     paths = []
-    for i in range(3):
+    for i in (2, 0, 1):
         src = OK_SCRIPT.replace("square_expand", f"square_{i}")
         paths.append(write(tmp_path, f"s{i}.deriv", src))
-    code, out, _ = run_cli(["check", *paths, "--jobs", "3", "--samples", "5"],
-                           capsys)
+    code, out, _ = run_cli(["check", *paths, "--samples", "5"], capsys)
     assert code == 0
     names = [l.split(":")[0] for l in out.strip().splitlines()]
-    assert names == ["square_0", "square_1", "square_2"]
+    assert names == ["square_2", "square_0", "square_1"]
 
 
 def test_check_theories_in_one_file_can_chain(tmp_path, capsys):
@@ -195,8 +217,78 @@ def test_builtin_requires_target(capsys):
 
 def test_flag_validation(capsys):
     for argv in (["builtin", "--all", "--samples", "0"],
-                 ["builtin", "--all", "--series-cutoff", "0"],
-                 ["check", "x.deriv", "--jobs", "0"]):
+                 ["builtin", "--all", "--series-cutoff", "0"]):
         with pytest.raises(SystemExit) as ei:
             main(argv)
         assert ei.value.code == 2
+
+
+# -- what a run checks ------------------------------------------------------
+
+
+@pytest.fixture
+def checked(monkeypatch, results):
+    """Names of the theories the kernel checks, in order.
+
+    A builtin gets the session's corpus result instead of a second check,
+    so these tests count checks without paying for them.
+    """
+    names = []
+    real = cli.check_theory
+
+    def record(theory, *args, **kwargs):
+        names.append(theory.name)
+        return results.get(theory.name) or real(theory, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "check_theory", record)
+    monkeypatch.setattr(theories, "check_theory", record)
+    return names
+
+
+def test_lemma_free_check_checks_only_its_theory(tmp_path, capsys, checked):
+    p = write(tmp_path, "ok.deriv", OK_SCRIPT)
+    code, _, _ = run_cli(["check", p, "--samples", "5"], capsys)
+    assert code == 0
+    assert checked == ["square_expand"]
+
+
+def test_check_checks_the_closure_of_applied_lemmas(tmp_path, capsys, checked):
+    p = write(tmp_path, "pos.deriv", POSITION_SCRIPT)
+    code, out, _ = run_cli(["check", p, "--samples", "5"], capsys)
+    assert code == 0, out
+    assert checked == ["const_accel", "const_accel'", "position_law"]
+
+
+def test_builtin_name_checks_only_its_closure(capsys, checked):
+    code, _, _ = run_cli(["builtin", "torricelli_scalar", "--samples", "5"],
+                         capsys)
+    assert code == 0
+    assert sorted(checked) == ["const_accel", "const_accel'", "torricelli_scalar"]
+
+
+def test_builtin_all_checks_each_theory_once(capsys, checked):
+    code, _, _ = run_cli(["builtin", "--all", "--samples", "5"], capsys)
+    assert code == 0
+    assert sorted(checked) == sorted(e.name for e in registry())
+
+
+def test_builtin_ms_covers_the_kernel(monkeypatch, capsys):
+    real = cli.check_theory
+
+    def slow(*args, **kwargs):
+        time.sleep(0.2)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "check_theory", slow)
+    code, out, _ = run_cli(["builtin", "boyles_law_relation", "--json"], capsys)
+    assert code == 0
+    assert json.loads(out)[0]["ms"] >= 200
+
+
+def test_depends_on_lists_every_applied_lemma():
+    # build_pool checks only a builtin's depends_on closure, so every
+    # lemma its script applies must be listed there
+    for e in registry():
+        applied = {s.name for s in parse_theory(e.script).steps
+                   if isinstance(s, ApplyLemma)}
+        assert applied <= set(e.depends_on), e.name

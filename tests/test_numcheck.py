@@ -8,8 +8,7 @@ from derivkit.errors import NonConvergent, RejectionStarvation
 from derivkit.expr import (Add, Const, Div, Mul, Pow, SeriesSum, Sub, Var)
 from derivkit.formula import EqF, Lt
 from derivkit.numcheck import (SamplePlan, VecFn3, divergence_table,
-                               divergence_witness, dot,
-                               finite_difference_check, identity_check,
+                               divergence_witness, dot, identity_check,
                                run_suite, sample_envs,
                                series_truncation_check,
                                vector_kinematics_check)
@@ -109,18 +108,6 @@ def test_series_truncation_detects_divergence():
 
 
 # -- derivatives and kinematics --------------------------------------------------
-
-
-def test_finite_difference_accepts_linear_rate():
-    f = lambda t: 5.0 * t + 2.0
-    rep = finite_difference_check(f, lambda t: 5.0, plan())
-    assert rep.passed
-    assert f(3.0) == 17.0
-
-
-def test_finite_difference_rejects_wrong_rate():
-    rep = finite_difference_check(lambda t: 5.0 * t + 2.0, lambda t: 4.9, plan())
-    assert not rep.passed
 
 
 def test_vecfn3_evaluation_and_derivative():

@@ -51,6 +51,12 @@ def test_dependency_order_is_topological():
     assert seen == {e.name for e in registry()}
 
 
+def test_dependency_order_from_roots_is_their_closure():
+    ordered = dependency_order(registry(), {"torricelli_scalar", "nope"})
+    assert [e.name for e in ordered] == [
+        "const_accel", "const_accel'", "torricelli_scalar"]
+
+
 def test_dependency_order_detects_cycles():
     a = TheoryEntry("a", "", ("b",), "x")
     b = TheoryEntry("b", "", ("a",), "x")
