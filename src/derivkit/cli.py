@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from typing import List, Optional, Tuple
@@ -89,11 +90,17 @@ def _print_human(out: Outcome, plan: SamplePlan) -> None:
 
 def _emit(outcomes: List[Outcome], args) -> int:
     plan = _plan(args)
-    if args.json:
-        print(json.dumps([_to_json(o) for o in outcomes], indent=2))
-    else:
-        for o in outcomes:
-            _print_human(o, plan)
+    try:
+        if args.json:
+            print(json.dumps([_to_json(o) for o in outcomes], indent=2))
+        else:
+            for o in outcomes:
+                _print_human(o, plan)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader left early; the verdicts stand, and the flush at
+        # exit must not hit the closed pipe again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return 0 if all(_verdict(r, n) for _, r, n, _ in outcomes) else 1
 
 

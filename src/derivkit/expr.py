@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Dict, Union
+from typing import Callable, Dict, Sequence, Tuple, Union
 
 from .errors import NonIntegerPow, UnboundSymbol
 
@@ -124,26 +124,55 @@ class Env:
     derivs: Dict[str, Callable[[float], float]] = field(default_factory=dict)
 
 
+def children(e: Expr) -> tuple:
+    """The child expressions of e, left to right; none for a leaf."""
+    if isinstance(e, (Add, Sub, Mul, Div)):
+        return (e.left, e.right)
+    if isinstance(e, Neg):
+        return (e.arg,)
+    if isinstance(e, Pow):
+        return (e.base,)
+    if isinstance(e, SeriesSum):
+        return (e.body,)
+    if isinstance(e, App):
+        return (e.arg,)
+    if isinstance(e, (Var, Const)):
+        return ()
+    raise TypeError(f"not an expression: {e!r}")
+
+
+def map_children(e: Expr, fn: Callable[[Expr], Expr]) -> Expr:
+    """e rebuilt with fn applied to each child; a leaf comes back as is.
+
+    Everything that is not a child (a series index and start, an
+    exponent, a function head) is kept. Walkers handle the nodes they
+    care about and pass the rest through here.
+    """
+    if isinstance(e, (Add, Sub, Mul, Div)):
+        return type(e)(fn(e.left), fn(e.right))
+    if isinstance(e, Neg):
+        return Neg(fn(e.arg))
+    if isinstance(e, Pow):
+        return Pow(fn(e.base), e.exp)
+    if isinstance(e, SeriesSum):
+        return SeriesSum(e.index, e.start, fn(e.body))
+    if isinstance(e, App):
+        return App(e.fn, fn(e.arg))
+    if isinstance(e, (Var, Const)):
+        return e
+    raise TypeError(f"not an expression: {e!r}")
+
+
 def free_vars(e: Expr) -> set:
     """Free variable names of e, respecting the SeriesSum binder."""
     if isinstance(e, Var):
         return {e.name}
-    if isinstance(e, Const):
-        return set()
-    if isinstance(e, (Add, Sub, Mul, Div)):
-        return free_vars(e.left) | free_vars(e.right)
-    if isinstance(e, Neg):
-        return free_vars(e.arg)
-    if isinstance(e, Pow):
-        fv = free_vars(e.base)
-        if isinstance(e.exp, str):
-            fv = fv | {e.exp}
-        return fv
-    if isinstance(e, SeriesSum):
-        return free_vars(e.body) - {e.index}
-    if isinstance(e, App):
-        return free_vars(e.arg)
-    raise TypeError(f"not an expression: {e!r}")
+    fv = set().union(*map(free_vars, children(e)))
+    if isinstance(e, Pow) and isinstance(e.exp, str):
+        fv.add(e.exp)
+    elif isinstance(e, SeriesSum):
+        fv.discard(e.index)
+    return fv
 
 
 def substitute(e: Expr, name: str, value: Expr) -> Expr:
@@ -154,34 +183,38 @@ def substitute(e: Expr, name: str, value: Expr) -> Expr:
     """
     if isinstance(e, Var):
         return value if e.name == name else e
-    if isinstance(e, Const):
+    if isinstance(e, SeriesSum) and e.index == name:
         return e
-    if isinstance(e, Add):
-        return Add(substitute(e.left, name, value), substitute(e.right, name, value))
-    if isinstance(e, Sub):
-        return Sub(substitute(e.left, name, value), substitute(e.right, name, value))
-    if isinstance(e, Mul):
-        return Mul(substitute(e.left, name, value), substitute(e.right, name, value))
-    if isinstance(e, Div):
-        return Div(substitute(e.left, name, value), substitute(e.right, name, value))
-    if isinstance(e, Neg):
-        return Neg(substitute(e.arg, name, value))
-    if isinstance(e, Pow):
-        base = substitute(e.base, name, value)
-        exp = e.exp
-        if isinstance(exp, str) and exp == name:
-            if isinstance(value, Const) and value.value.denominator == 1:
-                exp = int(value.value)
-            else:
-                raise NonIntegerPow(f"cannot substitute {value!r} for exponent {name}")
-        return Pow(base, exp)
-    if isinstance(e, SeriesSum):
-        if e.index == name:
-            return e
-        return SeriesSum(e.index, e.start, substitute(e.body, name, value))
-    if isinstance(e, App):
-        return App(e.fn, substitute(e.arg, name, value))
-    raise TypeError(f"not an expression: {e!r}")
+    out = map_children(e, lambda c: substitute(c, name, value))
+    if isinstance(e, Pow) and e.exp == name:
+        if isinstance(value, Const) and value.value.denominator == 1:
+            return Pow(out.base, int(value.value))
+        raise NonIntegerPow(f"cannot substitute {value!r} for exponent {name}")
+    return out
+
+
+def subst_vars(e: Expr, mapping: Dict[str, Expr]) -> Expr:
+    """Replace every free Var named in mapping, all at once.
+
+    Exponents are left alone, and a SeriesSum hides its own index
+    from the mapping.
+    """
+    if not mapping:
+        return e
+    if isinstance(e, Var):
+        return mapping.get(e.name, e)
+    if isinstance(e, SeriesSum) and e.index in mapping:
+        inner = {k: v for k, v in mapping.items() if k != e.index}
+        return SeriesSum(e.index, e.start, subst_vars(e.body, inner))
+    return map_children(e, lambda c: subst_vars(c, mapping))
+
+
+def unfold_lets(lets: Sequence[Tuple[str, Expr]]) -> Dict[str, Expr]:
+    """Each let name mapped to its body with earlier lets expanded."""
+    expanded: Dict[str, Expr] = {}
+    for name, body in lets:
+        expanded[name] = subst_vars(body, expanded)
+    return expanded
 
 
 def _pow_val(b: float, n: int) -> float:

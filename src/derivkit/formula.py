@@ -9,7 +9,7 @@ needs private knowledge of the others.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Tuple, Union
+from typing import Callable, Tuple
 
 from .errors import ArityMismatch
 from .expr import Expr, Var, free_vars, substitute
@@ -72,25 +72,58 @@ class DivergesLeftAt(Formula):
     point: Expr
 
 
-def formula_free_vars(f: Formula) -> set:
-    if isinstance(f, EqF):
-        return free_vars(f.left) | free_vars(f.right)
+def formula_children(f: Formula) -> tuple:
+    """The direct parts of f, expressions and subformulas, left to right."""
+    if isinstance(f, (EqF, Lt, And)):
+        return (f.left, f.right)
     if isinstance(f, Ne0):
-        return free_vars(f.arg)
-    if isinstance(f, Lt):
-        return free_vars(f.left) | free_vars(f.right)
-    if isinstance(f, Forall):
-        bound = {n for n, _ in f.binders}
-        return formula_free_vars(f.body) - bound
-    if isinstance(f, Exists):
-        return formula_free_vars(f.body) - {f.binder[0]}
+        return (f.arg,)
+    if isinstance(f, (Forall, Exists)):
+        return (f.body,)
     if isinstance(f, Implies):
-        return formula_free_vars(f.ante) | formula_free_vars(f.cons)
-    if isinstance(f, And):
-        return formula_free_vars(f.left) | formula_free_vars(f.right)
+        return (f.ante, f.cons)
     if isinstance(f, DivergesLeftAt):
-        return free_vars(f.point)
+        return (f.point,)
     raise TypeError(f"not a formula: {f!r}")
+
+
+def map_formula_children(f: Formula, fn: Callable) -> Formula:
+    """f rebuilt with fn applied to each direct part; binders are kept."""
+    if isinstance(f, (EqF, Lt, And)):
+        return type(f)(fn(f.left), fn(f.right))
+    if isinstance(f, Ne0):
+        return Ne0(fn(f.arg))
+    if isinstance(f, Forall):
+        return Forall(f.binders, fn(f.body))
+    if isinstance(f, Exists):
+        return Exists(f.binder, fn(f.body))
+    if isinstance(f, Implies):
+        return Implies(fn(f.ante), fn(f.cons))
+    if isinstance(f, DivergesLeftAt):
+        return DivergesLeftAt(f.fn_name, fn(f.point))
+    raise TypeError(f"not a formula: {f!r}")
+
+
+def bound_names(f: Formula) -> set:
+    """The names f itself binds: its quantifier's binders, if any."""
+    if isinstance(f, Forall):
+        return {b for b, _ in f.binders}
+    if isinstance(f, Exists):
+        return {f.binder[0]}
+    return set()
+
+
+def map_formula(f: Formula, fn: Callable[[Expr], Expr]) -> Formula:
+    """f with fn applied to every expression in it, blind to binders."""
+    return map_formula_children(
+        f, lambda p: fn(p) if isinstance(p, Expr) else map_formula(p, fn))
+
+
+def formula_free_vars(f: Formula) -> set:
+    fv = set()
+    for p in formula_children(f):
+        fv |= free_vars(p) if isinstance(p, Expr) else formula_free_vars(p)
+    return fv - bound_names(f)
 
 
 def _fresh(base: str, avoid: set) -> str:
@@ -102,18 +135,6 @@ def _fresh(base: str, avoid: set) -> str:
 
 def subst_formula(f: Formula, name: str, value: Expr) -> Formula:
     """Capture-avoiding substitution of value for the free variable name."""
-    if isinstance(f, EqF):
-        return EqF(substitute(f.left, name, value), substitute(f.right, name, value))
-    if isinstance(f, Ne0):
-        return Ne0(substitute(f.arg, name, value))
-    if isinstance(f, Lt):
-        return Lt(substitute(f.left, name, value), substitute(f.right, name, value))
-    if isinstance(f, Implies):
-        return Implies(subst_formula(f.ante, name, value), subst_formula(f.cons, name, value))
-    if isinstance(f, And):
-        return And(subst_formula(f.left, name, value), subst_formula(f.right, name, value))
-    if isinstance(f, DivergesLeftAt):
-        return DivergesLeftAt(f.fn_name, substitute(f.point, name, value))
     if isinstance(f, Forall):
         if any(b == name for b, _ in f.binders):
             return f
@@ -137,7 +158,9 @@ def subst_formula(f: Formula, name: str, value: Expr) -> Formula:
             body = subst_formula(body, b, Var(nb))
             b = nb
         return Exists((b, sort), subst_formula(body, name, value))
-    raise TypeError(f"not a formula: {f!r}")
+    return map_formula_children(
+        f, lambda p: substitute(p, name, value) if isinstance(p, Expr)
+        else subst_formula(p, name, value))
 
 
 def instantiate_forall(f: Formula, terms) -> Formula:

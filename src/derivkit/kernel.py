@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
@@ -26,16 +26,18 @@ from .discharge import discharge
 from .errors import (ArityMismatch, DerivkitError, DuplicateName,
                      GoalNotClosed, NotDerivable, ObligationFailed,
                      StepFailed, UnboundSymbol)
-from .expr import (Add, App, Const, Deriv, Div, Env, Expr, Mul, Neg, Pow,
-                   SeriesSum, Sub, Var, eval_expr, free_vars, substitute)
+from .expr import (Add, App, Const, Deriv, Div, Env, Expr, Mul, Pow,
+                   SeriesSum, Sub, Var, children, eval_expr, free_vars,
+                   map_children, subst_vars, substitute, unfold_lets)
 from .formula import (And, Antideriv, AntiderivConst, ApplyLemma,
                       DivergesLeftAt, DerivRule, EqF, Exists, ExistsIntro,
                       FieldNormalize, Forall, Formula, Implies, IndexShift,
                       Intro, LimitDivergenceWitness, Lt, Ne0, REAL,
                       RewriteWith, RingClose, SeriesGeom, SeriesGeomWeighted,
-                      Specialize, STATE, Theory, Unfold, instantiate_forall,
-                      subst_formula)
-from .parser import print_expr, print_formula, print_step
+                      Specialize, STATE, Theory, Unfold, bound_names,
+                      formula_children, formula_free_vars, instantiate_forall,
+                      map_formula, subst_formula)
+from .parser import print_formula, print_step
 from .poly import Poly, derivative, divexact
 from .ringnorm import Normalizer
 
@@ -68,53 +70,6 @@ class LemmaEntry:
 LemmaPool = Dict[str, LemmaEntry]
 
 
-def _subst_vars(e: Expr, mapping: Dict[str, Expr]) -> Expr:
-    if not mapping:
-        return e
-    if isinstance(e, Var):
-        return mapping.get(e.name, e)
-    if isinstance(e, Const):
-        return e
-    if isinstance(e, Add):
-        return Add(_subst_vars(e.left, mapping), _subst_vars(e.right, mapping))
-    if isinstance(e, Sub):
-        return Sub(_subst_vars(e.left, mapping), _subst_vars(e.right, mapping))
-    if isinstance(e, Mul):
-        return Mul(_subst_vars(e.left, mapping), _subst_vars(e.right, mapping))
-    if isinstance(e, Div):
-        return Div(_subst_vars(e.left, mapping), _subst_vars(e.right, mapping))
-    if isinstance(e, Neg):
-        return Neg(_subst_vars(e.arg, mapping))
-    if isinstance(e, Pow):
-        return Pow(_subst_vars(e.base, mapping), e.exp)
-    if isinstance(e, SeriesSum):
-        inner = {k: v for k, v in mapping.items() if k != e.index}
-        return SeriesSum(e.index, e.start, _subst_vars(e.body, inner))
-    if isinstance(e, App):
-        return App(e.fn, _subst_vars(e.arg, mapping))
-    raise TypeError(f"not an expression: {e!r}")
-
-
-def _map_formula(f: Formula, fn) -> Formula:
-    if isinstance(f, EqF):
-        return EqF(fn(f.left), fn(f.right))
-    if isinstance(f, Ne0):
-        return Ne0(fn(f.arg))
-    if isinstance(f, Lt):
-        return Lt(fn(f.left), fn(f.right))
-    if isinstance(f, Forall):
-        return Forall(f.binders, _map_formula(f.body, fn))
-    if isinstance(f, Exists):
-        return Exists(f.binder, _map_formula(f.body, fn))
-    if isinstance(f, Implies):
-        return Implies(_map_formula(f.ante, fn), _map_formula(f.cons, fn))
-    if isinstance(f, And):
-        return And(_map_formula(f.left, fn), _map_formula(f.right, fn))
-    if isinstance(f, DivergesLeftAt):
-        return DivergesLeftAt(f.fn_name, fn(f.point))
-    raise TypeError(f"not a formula: {f!r}")
-
-
 class _Ctx:
     """Mutable checking context for one theory."""
 
@@ -136,9 +91,7 @@ class _Ctx:
                     self.vars[extra] = STATE
         for n, f in theory.hyps:
             self.hyps[n] = f
-        self.unfolded: Dict[str, Expr] = {}
-        for n, body in theory.lets:
-            self.unfolded[n] = _subst_vars(body, self.unfolded)
+        self.unfolded: Dict[str, Expr] = unfold_lets(theory.lets)
 
     def all_names(self) -> set:
         return (set(self.vars) | set(self.fns) | set(self.consts)
@@ -151,36 +104,37 @@ class _Ctx:
         return name
 
     def unfold_expr(self, e: Expr) -> Expr:
-        return _subst_vars(e, self.unfolded)
+        return subst_vars(e, self.unfolded)
 
     def unfold_formula(self, f: Formula) -> Formula:
         # binder names can never collide with let names (the parser
         # holds all declarations in one namespace), so a plain map works
-        return _map_formula(f, self.unfold_expr)
+        return map_formula(f, self.unfold_expr)
 
     def facts(self) -> List[Tuple[str, Formula]]:
         return [(n, self.unfold_formula(f)) for n, f in self.hyps.items()]
 
-    def check_term(self, e: Expr):
-        """Every symbol of a script-supplied term must be in scope."""
-        if isinstance(e, Var):
-            if e.name not in self.vars and e.name not in self.consts \
-                    and e.name not in self.lets:
-                raise UnboundSymbol(e.name)
-        elif isinstance(e, (Add, Sub, Mul, Div)):
-            self.check_term(e.left)
-            self.check_term(e.right)
-        elif isinstance(e, Neg):
-            self.check_term(e.arg)
-        elif isinstance(e, Pow):
-            self.check_term(e.base)
-        elif isinstance(e, SeriesSum):
-            self.check_term(e.body)
-        elif isinstance(e, App):
-            fn = e.fn.fn if isinstance(e.fn, Deriv) else e.fn
+    def check_symbols(self, x, bound: frozenset = frozenset()):
+        """Every symbol of a script-supplied term or formula must be in
+        scope; series indices and quantified names bind in their bodies."""
+        if isinstance(x, Var):
+            if x.name not in bound and x.name not in self.vars \
+                    and x.name not in self.consts and x.name not in self.lets:
+                raise UnboundSymbol(x.name)
+            return
+        if isinstance(x, App):
+            fn = x.fn.fn if isinstance(x.fn, Deriv) else x.fn
             if fn not in self.fns:
                 raise UnboundSymbol(fn)
-            self.check_term(e.arg)
+        if isinstance(x, Expr):
+            parts = children(x)
+            if isinstance(x, SeriesSum):
+                bound = bound | {x.index}
+        else:
+            parts = formula_children(x)
+            bound = bound | bound_names(x)
+        for p in parts:
+            self.check_symbols(p, bound)
 
 
 class _State:
@@ -231,36 +185,6 @@ def _discharge_or_fail(ctx: _Ctx, ob: Formula, idx: int) -> str:
     return print_formula(ob)
 
 
-def _rewrite_everywhere(e: Expr, pkey: tuple, replacement: Expr,
-                        N: Normalizer, unfold) -> Tuple[Expr, int]:
-    count = 0
-
-    def walk(x: Expr) -> Expr:
-        nonlocal count
-        if N.atom_key(unfold(x)) == pkey:
-            count += 1
-            return replacement
-        if isinstance(x, Add):
-            return Add(walk(x.left), walk(x.right))
-        if isinstance(x, Sub):
-            return Sub(walk(x.left), walk(x.right))
-        if isinstance(x, Mul):
-            return Mul(walk(x.left), walk(x.right))
-        if isinstance(x, Div):
-            return Div(walk(x.left), walk(x.right))
-        if isinstance(x, Neg):
-            return Neg(walk(x.arg))
-        if isinstance(x, Pow):
-            return Pow(walk(x.base), x.exp)
-        if isinstance(x, SeriesSum):
-            return SeriesSum(x.index, x.start, walk(x.body))
-        if isinstance(x, App):
-            return App(x.fn, walk(x.arg))
-        return x
-
-    return walk(e), count
-
-
 def _do_rewrite(state: _State, step: RewriteWith, idx: int) -> List[str]:
     ctx = state.ctx
     h = ctx.hyps.get(step.hyp)
@@ -273,15 +197,16 @@ def _do_rewrite(state: _State, step: RewriteWith, idx: int) -> List[str]:
     pkey = N.atom_key(ctx.unfold_expr(pattern))
     total = 0
 
-    def rw(e: Expr) -> Expr:
+    def rw(x: Expr) -> Expr:
         nonlocal total
-        out, n = _rewrite_everywhere(e, pkey, replacement, N, ctx.unfold_expr)
-        total += n
-        return out
+        if N.atom_key(ctx.unfold_expr(x)) == pkey:
+            total += 1
+            return replacement
+        return map_children(x, rw)
 
     g = state.goal
     if isinstance(g, (EqF, Lt, Ne0, DivergesLeftAt)):
-        state.goal = _map_formula(g, rw)
+        state.goal = map_formula(g, rw)
     else:
         raise StepFailed(idx, "rewriting needs an unquantified goal")
     if total == 0:
@@ -294,37 +219,18 @@ def _do_unfold(state: _State, step: Unfold, idx: int) -> List[str]:
     ctx = state.ctx
     if step.name not in ctx.lets:
         raise StepFailed(idx, f"{step.name!r} is not a let binding")
-    body = ctx.lets[step.name]
-    count = 0
+    mapping = {step.name: ctx.lets[step.name]}
+    found = False
 
     def repl(e: Expr) -> Expr:
-        nonlocal count
-        out = _subst_vars(e, {step.name: body})
-        count += sum(1 for v in _var_occurrences(e) if v == step.name)
-        return out
+        nonlocal found
+        found = found or step.name in free_vars(e)
+        return subst_vars(e, mapping)
 
-    state.goal = _map_formula(state.goal, repl)
-    if count == 0:
+    state.goal = map_formula(state.goal, repl)
+    if not found:
         raise StepFailed(idx, f"no occurrence of {step.name!r} in the goal")
     return []
-
-
-def _var_occurrences(e: Expr):
-    if isinstance(e, Var):
-        yield e.name
-    elif isinstance(e, (Add, Sub, Mul, Div)):
-        yield from _var_occurrences(e.left)
-        yield from _var_occurrences(e.right)
-    elif isinstance(e, Neg):
-        yield from _var_occurrences(e.arg)
-    elif isinstance(e, Pow):
-        yield from _var_occurrences(e.base)
-    elif isinstance(e, SeriesSum):
-        for v in _var_occurrences(e.body):
-            if v != e.index:
-                yield v
-    elif isinstance(e, App):
-        yield from _var_occurrences(e.arg)
 
 
 def _dedupe_denominators(dens: List[Expr], N: Normalizer) -> List[Expr]:
@@ -398,7 +304,7 @@ def _do_specialize(state: _State, step: Specialize, idx: int) -> List[str]:
     if h is None:
         raise StepFailed(idx, f"unknown hypothesis {step.hyp!r}")
     for t in step.terms:
-        ctx.check_term(t)
+        ctx.check_symbols(t)
     if isinstance(h, Exists):
         # skolemize once, in place: later specializations of the same
         # hypothesis share the witness constant
@@ -424,55 +330,9 @@ def _do_use(state: _State, step: ExistsIntro, idx: int) -> List[str]:
     g = state.goal
     if not isinstance(g, Exists):
         raise StepFailed(idx, "use needs an existential goal")
-    state.ctx.check_term(step.witness)
+    state.ctx.check_symbols(step.witness)
     state.goal = subst_formula(g.body, g.binder[0], step.witness)
     return []
-
-
-def _check_formula_symbols(f: Formula, ctx: _Ctx):
-    def chk(e: Expr, bound: set):
-        if isinstance(e, Var):
-            if e.name not in bound and e.name not in ctx.vars \
-                    and e.name not in ctx.consts and e.name not in ctx.lets:
-                raise UnboundSymbol(e.name)
-        elif isinstance(e, (Add, Sub, Mul, Div)):
-            chk(e.left, bound)
-            chk(e.right, bound)
-        elif isinstance(e, Neg):
-            chk(e.arg, bound)
-        elif isinstance(e, Pow):
-            chk(e.base, bound)
-        elif isinstance(e, SeriesSum):
-            chk(e.body, bound | {e.index})
-        elif isinstance(e, App):
-            fn = e.fn.fn if isinstance(e.fn, Deriv) else e.fn
-            if fn not in ctx.fns:
-                raise UnboundSymbol(fn)
-            chk(e.arg, bound)
-
-    def walk(g: Formula, bound: set):
-        if isinstance(g, EqF):
-            chk(g.left, bound)
-            chk(g.right, bound)
-        elif isinstance(g, Ne0):
-            chk(g.arg, bound)
-        elif isinstance(g, Lt):
-            chk(g.left, bound)
-            chk(g.right, bound)
-        elif isinstance(g, Forall):
-            walk(g.body, bound | {b for b, _ in g.binders})
-        elif isinstance(g, Exists):
-            walk(g.body, bound | {g.binder[0]})
-        elif isinstance(g, Implies):
-            walk(g.ante, bound)
-            walk(g.cons, bound)
-        elif isinstance(g, And):
-            walk(g.left, bound)
-            walk(g.right, bound)
-        elif isinstance(g, DivergesLeftAt):
-            chk(g.point, bound)
-
-    walk(f, set())
 
 
 def _do_apply(state: _State, step: ApplyLemma, idx: int,
@@ -511,7 +371,7 @@ def _do_apply(state: _State, step: ApplyLemma, idx: int,
         return obls
     if step.name in ctx.all_names():
         raise DuplicateName(f"{step.name!r} is already in scope")
-    _check_formula_symbols(lg, ctx)
+    ctx.check_symbols(lg)
     ctx.hyps[step.name] = lg
     return []
 
@@ -562,22 +422,7 @@ def _series_bases(state: _State, idx: int, weighted: bool) -> List[str]:
                 if weighted:
                     return Div(base, Pow(Sub(Const(Fraction(1)), base), 2))
                 return Div(base, Sub(Const(Fraction(1)), base))
-            return SeriesSum(e.index, e.start, walk(e.body))
-        if isinstance(e, Add):
-            return Add(walk(e.left), walk(e.right))
-        if isinstance(e, Sub):
-            return Sub(walk(e.left), walk(e.right))
-        if isinstance(e, Mul):
-            return Mul(walk(e.left), walk(e.right))
-        if isinstance(e, Div):
-            return Div(walk(e.left), walk(e.right))
-        if isinstance(e, Neg):
-            return Neg(walk(e.arg))
-        if isinstance(e, Pow):
-            return Pow(walk(e.base), e.exp)
-        if isinstance(e, App):
-            return App(e.fn, walk(e.arg))
-        return e
+        return map_children(e, walk)
 
     state.goal = EqF(walk(g.left), walk(g.right))
     if not bases:
@@ -609,23 +454,7 @@ def _do_index_shift(state: _State, idx: int) -> List[str]:
             count += 1
             head = substitute(e.body, e.index, Const(Fraction(0)))
             return Add(head, SeriesSum(e.index, 1, e.body))
-        if isinstance(e, SeriesSum):
-            return SeriesSum(e.index, e.start, walk(e.body))
-        if isinstance(e, Add):
-            return Add(walk(e.left), walk(e.right))
-        if isinstance(e, Sub):
-            return Sub(walk(e.left), walk(e.right))
-        if isinstance(e, Mul):
-            return Mul(walk(e.left), walk(e.right))
-        if isinstance(e, Div):
-            return Div(walk(e.left), walk(e.right))
-        if isinstance(e, Neg):
-            return Neg(walk(e.arg))
-        if isinstance(e, Pow):
-            return Pow(walk(e.base), e.exp)
-        if isinstance(e, App):
-            return App(e.fn, walk(e.arg))
-        return e
+        return map_children(e, walk)
 
     state.goal = EqF(walk(g.left), walk(g.right))
     if count == 0:
@@ -663,23 +492,7 @@ def _do_deriv_rule(state: _State, step: DerivRule, idx: int) -> List[str]:
             d = N.to_expr(derivative(p, v))
             count += 1
             return substitute(d, v, expand(e.arg))
-        if isinstance(e, Add):
-            return Add(expand(e.left), expand(e.right))
-        if isinstance(e, Sub):
-            return Sub(expand(e.left), expand(e.right))
-        if isinstance(e, Mul):
-            return Mul(expand(e.left), expand(e.right))
-        if isinstance(e, Div):
-            return Div(expand(e.left), expand(e.right))
-        if isinstance(e, Neg):
-            return Neg(expand(e.arg))
-        if isinstance(e, Pow):
-            return Pow(expand(e.base), e.exp)
-        if isinstance(e, SeriesSum):
-            return SeriesSum(e.index, e.start, expand(e.body))
-        if isinstance(e, App):
-            return App(e.fn, expand(e.arg))
-        return e
+        return map_children(e, expand)
 
     state.goal = EqF(expand(g.left), expand(g.right))
     if count == 0:
@@ -940,34 +753,23 @@ def _env_satisfies_hyps(ctx: _Ctx, env: Dict[str, float], pvar: str) -> bool:
                 if sol is not None:
                     env[v] = sol
     for _, f in facts:
+        if not isinstance(f, (EqF, Lt, Ne0)) \
+                or any(v not in env for v in formula_free_vars(f)):
+            continue
+        e2 = Env(vars=env)
         try:
             if isinstance(f, EqF):
-                if _misses(f, env, pvar, ctx):
-                    continue
-                e2 = Env(vars=env)
                 l, r = eval_expr(f.left, e2), eval_expr(f.right, e2)
                 if not math.isfinite(l) or abs(l - r) > 1e-9 * max(1.0, abs(l), abs(r)):
                     return False
             elif isinstance(f, Lt):
-                if _misses(f, env, pvar, ctx):
-                    continue
-                e2 = Env(vars=env)
                 if not eval_expr(f.left, e2) < eval_expr(f.right, e2):
                     return False
-            elif isinstance(f, Ne0):
-                if _misses(f, env, pvar, ctx):
-                    continue
-                e2 = Env(vars=env)
-                if eval_expr(f.arg, e2) == 0.0:
-                    return False
+            elif eval_expr(f.arg, e2) == 0.0:
+                return False
         except DerivkitError:
             continue
     return True
-
-
-def _misses(f: Formula, env: Dict[str, float], pvar: str, ctx: _Ctx) -> bool:
-    from .formula import formula_free_vars
-    return any(v not in env for v in formula_free_vars(f))
 
 
 # ---------------------------------------------------------------------------

@@ -16,14 +16,14 @@ from __future__ import annotations
 import hashlib
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .errors import DerivkitError, NonConvergent, RejectionStarvation
-from .expr import (Add, App, Const, Div, Env, Expr, Mul, Neg, Pow, SeriesSum,
-                   Sub, Var, eval_expr, free_vars)
-from .formula import (EqF, Exists, Forall, Formula, Implies, Lt, Ne0, REAL,
-                      Theory)
+from .expr import (App, Const, Env, Expr, SeriesSum, Var, children, eval_expr,
+                   free_vars, subst_vars, unfold_lets)
+from .formula import (DivergesLeftAt, EqF, Formula, Lt, Ne0, REAL, Theory,
+                      map_formula)
 
 _NE0_MARGIN = 1e-3
 _DRAW_LIMIT = 100_000
@@ -65,39 +65,6 @@ def _ev(e: Expr, env: Dict[str, float], cutoff: int,
         fns: Optional[dict] = None, derivs: Optional[dict] = None) -> float:
     return eval_expr(e, Env(vars=dict(env), fns=fns or {}, derivs=derivs or {}),
                      series_cutoff=cutoff)
-
-
-def unfold_lets(e: Expr, lets: Sequence[Tuple[str, Expr]]) -> Expr:
-    """Expand let-bound names; later bindings may use earlier ones."""
-    expanded: Dict[str, Expr] = {}
-    for name, body in lets:
-        expanded[name] = _subst(body, expanded)
-    return _subst(e, expanded)
-
-
-def _subst(e: Expr, mapping: Dict[str, Expr]) -> Expr:
-    if isinstance(e, Var):
-        return mapping.get(e.name, e)
-    if isinstance(e, Const):
-        return e
-    if isinstance(e, Add):
-        return Add(_subst(e.left, mapping), _subst(e.right, mapping))
-    if isinstance(e, Sub):
-        return Sub(_subst(e.left, mapping), _subst(e.right, mapping))
-    if isinstance(e, Mul):
-        return Mul(_subst(e.left, mapping), _subst(e.right, mapping))
-    if isinstance(e, Div):
-        return Div(_subst(e.left, mapping), _subst(e.right, mapping))
-    if isinstance(e, Neg):
-        return Neg(_subst(e.arg, mapping))
-    if isinstance(e, Pow):
-        return Pow(_subst(e.base, mapping), e.exp)
-    if isinstance(e, SeriesSum):
-        inner = {k: v for k, v in mapping.items() if k != e.index}
-        return SeriesSum(e.index, e.start, _subst(e.body, inner))
-    if isinstance(e, App):
-        return App(e.fn, _subst(e.arg, mapping))
-    raise TypeError(f"not an expression: {e!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -411,49 +378,19 @@ def _theory_names(theory: Theory) -> List[str]:
 
 
 def _unfolded_hyps(theory: Theory) -> List[Formula]:
-    out = []
-    for _, f in theory.hyps:
-        out.append(_map_exprs(f, lambda e: unfold_lets(e, theory.lets)))
-    return out
-
-
-def _map_exprs(f: Formula, fn) -> Formula:
-    if isinstance(f, EqF):
-        return EqF(fn(f.left), fn(f.right))
-    if isinstance(f, Ne0):
-        return Ne0(fn(f.arg))
-    if isinstance(f, Lt):
-        return Lt(fn(f.left), fn(f.right))
-    return f
+    lets = unfold_lets(theory.lets)
+    return [map_formula(f, lambda e: subst_vars(e, lets)) for _, f in theory.hyps]
 
 
 def _no_states(e: Expr) -> bool:
-    if isinstance(e, App):
-        return False
-    if isinstance(e, (Add, Sub, Mul, Div)):
-        return _no_states(e.left) and _no_states(e.right)
-    if isinstance(e, Neg):
-        return _no_states(e.arg)
-    if isinstance(e, Pow):
-        return _no_states(e.base)
-    if isinstance(e, SeriesSum):
-        return _no_states(e.body)
-    return True
+    return not isinstance(e, App) and all(map(_no_states, children(e)))
 
 
 def _collect_series(e: Expr, out: List[SeriesSum]) -> None:
-    if isinstance(e, (Add, Sub, Mul, Div)):
-        _collect_series(e.left, out)
-        _collect_series(e.right, out)
-    elif isinstance(e, Neg):
-        _collect_series(e.arg, out)
-    elif isinstance(e, Pow):
-        _collect_series(e.base, out)
-    elif isinstance(e, SeriesSum):
+    if isinstance(e, SeriesSum):
         out.append(e)
-        _collect_series(e.body, out)
-    elif isinstance(e, App):
-        _collect_series(e.arg, out)
+    for c in children(e):
+        _collect_series(c, out)
 
 
 def _truncation_guard(series: Sequence[SeriesSum], plan: SamplePlan):
@@ -490,16 +427,17 @@ def run_suite(theory: Theory, plan: SamplePlan) -> Optional[NumericReport]:
     """The numeric check bound to a theory, or None when the goal
     has no finite evaluation strategy here."""
     name = theory.name
-    if name == "brunauer_27":
+    goal = theory.goal
+    if isinstance(goal, DivergesLeftAt):
         return _suite_divergence(theory, plan)
     if name in _GAS_MODELS:
         return _suite_gas(theory, plan)
     if name in _KINEMATICS:
         return _suite_kinematics(theory, plan)
-    goal = theory.goal
     if isinstance(goal, EqF):
-        lhs = unfold_lets(goal.left, theory.lets)
-        rhs = unfold_lets(goal.right, theory.lets)
+        lets = unfold_lets(theory.lets)
+        lhs = subst_vars(goal.left, lets)
+        rhs = subst_vars(goal.right, lets)
         if _no_states(lhs) and _no_states(rhs):
             series: List[SeriesSum] = []
             _collect_series(lhs, series)
@@ -513,11 +451,18 @@ def run_suite(theory: Theory, plan: SamplePlan) -> Optional[NumericReport]:
 
 
 def _divergence_parts(theory: Theory):
-    lets = theory.lets
-    body = unfold_lets(Var(theory.goal.fn_name), lets)
-    var = [n for n, s in theory.var_decls if s == REAL][0]
+    """The unfolded expression, its approach variable (the one Real
+    variable free in it), the other names to sample, and the point."""
+    lets = unfold_lets(theory.lets)
+    body = subst_vars(Var(theory.goal.fn_name), lets)
+    fv = free_vars(body)
+    approach = [n for n, s in theory.var_decls if s == REAL and n in fv]
+    if len(approach) != 1:
+        raise DerivkitError(
+            "the diverging expression needs exactly one free Real variable")
+    var = approach[0]
     names = [n for n in _theory_names(theory) if n != var]
-    return body, var, names, unfold_lets(theory.goal.point, lets)
+    return body, var, names, subst_vars(theory.goal.point, lets)
 
 
 def _suite_divergence(theory: Theory, plan: SamplePlan) -> NumericReport:

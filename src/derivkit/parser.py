@@ -21,17 +21,18 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 from .errors import DerivSyntaxError, DuplicateName, UndeclaredSymbol
 from .expr import (Add, App, Const, Deriv, Div, Expr, Mul, Neg, Pow, SeriesSum,
-                   Sub, Var)
+                   Sub, Var, children)
 from .formula import (And, Antideriv, AntiderivConst, ApplyLemma,
                       DivergesLeftAt, DerivRule, EqF, ExistsIntro, Exists,
                       FieldNormalize, Forall, Formula, Implies, IndexShift,
                       Intro, LimitDivergenceWitness, Lt, Ne0, REAL,
                       RewriteWith, RingClose, SeriesGeom, SeriesGeomWeighted,
-                      Specialize, STATE, Step, Theory, Unfold)
+                      Specialize, STATE, Step, Theory, Unfold, bound_names,
+                      formula_children)
 
 RESERVED = {
     "theory", "vars", "fns", "const", "hyp", "let", "goal", "proof", "qed",
@@ -493,36 +494,16 @@ def _binder_sort(name: str, body: Formula) -> str:
     state; anything else is a real."""
 
     def in_expr(e: Expr) -> bool:
-        if isinstance(e, App):
-            return (isinstance(e.arg, Var) and e.arg.name == name) or in_expr(e.arg)
-        if isinstance(e, (Add, Sub, Mul, Div)):
-            return in_expr(e.left) or in_expr(e.right)
-        if isinstance(e, Neg):
-            return in_expr(e.arg)
-        if isinstance(e, Pow):
-            return in_expr(e.base)
-        if isinstance(e, SeriesSum):
-            return e.index != name and in_expr(e.body)
-        return False
+        if isinstance(e, App) and isinstance(e.arg, Var) and e.arg.name == name:
+            return True
+        if isinstance(e, SeriesSum) and e.index == name:
+            return False
+        return any(map(in_expr, children(e)))
 
     def walk(f: Formula) -> bool:
-        if isinstance(f, EqF):
-            return in_expr(f.left) or in_expr(f.right)
-        if isinstance(f, Ne0):
-            return in_expr(f.arg)
-        if isinstance(f, Lt):
-            return in_expr(f.left) or in_expr(f.right)
-        if isinstance(f, Forall):
-            return all(b != name for b, _ in f.binders) and walk(f.body)
-        if isinstance(f, Exists):
-            return f.binder[0] != name and walk(f.body)
-        if isinstance(f, Implies):
-            return walk(f.ante) or walk(f.cons)
-        if isinstance(f, And):
-            return walk(f.left) or walk(f.right)
-        if isinstance(f, DivergesLeftAt):
-            return in_expr(f.point)
-        return False
+        return name not in bound_names(f) and any(
+            in_expr(p) if isinstance(p, Expr) else walk(p)
+            for p in formula_children(f))
 
     return STATE if walk(body) else REAL
 
@@ -568,17 +549,6 @@ def _validate(theory: Theory, clause_lines) -> None:
         if isinstance(e, Var):
             if e.name not in scope:
                 raise UndeclaredSymbol(e.name, line)
-        elif isinstance(e, (Add, Sub, Mul, Div)):
-            walk_expr(e.left, scope, indices, line)
-            walk_expr(e.right, scope, indices, line)
-        elif isinstance(e, Neg):
-            walk_expr(e.arg, scope, indices, line)
-        elif isinstance(e, Pow):
-            walk_expr(e.base, scope, indices, line)
-            if isinstance(e.exp, str) and e.exp not in indices:
-                raise UndeclaredSymbol(e.exp, line)
-        elif isinstance(e, SeriesSum):
-            walk_expr(e.body, scope | {e.index}, indices | {e.index}, line)
         elif isinstance(e, App):
             if isinstance(e.fn, Deriv):
                 # derivatives apply to declared functions and to
@@ -587,31 +557,22 @@ def _validate(theory: Theory, clause_lines) -> None:
                     raise UndeclaredSymbol(e.fn.fn, line)
             elif e.fn not in fns:
                 raise UndeclaredSymbol(e.fn, line)
-            walk_expr(e.arg, scope, indices, line)
+        elif isinstance(e, SeriesSum):
+            scope, indices = scope | {e.index}, indices | {e.index}
+        for c in children(e):
+            walk_expr(c, scope, indices, line)
+        if isinstance(e, Pow) and isinstance(e.exp, str) and e.exp not in indices:
+            raise UndeclaredSymbol(e.exp, line)
 
     def walk_formula(f: Formula, scope: set, line: int):
-        if isinstance(f, EqF):
-            walk_expr(f.left, scope, set(), line)
-            walk_expr(f.right, scope, set(), line)
-        elif isinstance(f, Ne0):
-            walk_expr(f.arg, scope, set(), line)
-        elif isinstance(f, Lt):
-            walk_expr(f.left, scope, set(), line)
-            walk_expr(f.right, scope, set(), line)
-        elif isinstance(f, Forall):
-            walk_formula(f.body, scope | {b for b, _ in f.binders}, line)
-        elif isinstance(f, Exists):
-            walk_formula(f.body, scope | {f.binder[0]}, line)
-        elif isinstance(f, Implies):
-            walk_formula(f.ante, scope, line)
-            walk_formula(f.cons, scope, line)
-        elif isinstance(f, And):
-            walk_formula(f.left, scope, line)
-            walk_formula(f.right, scope, line)
-        elif isinstance(f, DivergesLeftAt):
-            if f.fn_name not in all_lets:
-                raise UndeclaredSymbol(f.fn_name, line)
-            walk_expr(f.point, scope, set(), line)
+        if isinstance(f, DivergesLeftAt) and f.fn_name not in all_lets:
+            raise UndeclaredSymbol(f.fn_name, line)
+        scope = scope | bound_names(f)
+        for p in formula_children(f):
+            if isinstance(p, Expr):
+                walk_expr(p, scope, set(), line)
+            else:
+                walk_formula(p, scope, line)
 
     for i, (n, body) in enumerate(theory.lets):
         scope = base | set(let_names[:i])

@@ -18,7 +18,8 @@ from fractions import Fraction
 from typing import Dict, List, Tuple
 
 from .errors import UnsupportedNode
-from .expr import Add, App, Const, Deriv, Div, Expr, Mul, Neg, Pow, SeriesSum, Sub, Var
+from .expr import (Add, App, Const, Deriv, Div, Expr, Mul, Neg, Pow, SeriesSum,
+                   Sub, Var, map_children)
 from .poly import Poly, _gl_key, divexact, poly_gcd, rational_content
 
 RatPair = Tuple[Poly, Poly]
@@ -50,28 +51,12 @@ def rat_canon(num: Poly, den: Poly) -> RatPair:
 def _rename_index(e: Expr, old: str, new: str) -> Expr:
     if isinstance(e, Var):
         return Var(new) if e.name == old else e
-    if isinstance(e, Const):
+    if isinstance(e, SeriesSum) and e.index == old:
         return e
-    if isinstance(e, Add):
-        return Add(_rename_index(e.left, old, new), _rename_index(e.right, old, new))
-    if isinstance(e, Sub):
-        return Sub(_rename_index(e.left, old, new), _rename_index(e.right, old, new))
-    if isinstance(e, Mul):
-        return Mul(_rename_index(e.left, old, new), _rename_index(e.right, old, new))
-    if isinstance(e, Div):
-        return Div(_rename_index(e.left, old, new), _rename_index(e.right, old, new))
-    if isinstance(e, Neg):
-        return Neg(_rename_index(e.arg, old, new))
-    if isinstance(e, Pow):
-        exp = new if e.exp == old else e.exp
-        return Pow(_rename_index(e.base, old, new), exp)
-    if isinstance(e, SeriesSum):
-        if e.index == old:
-            return e
-        return SeriesSum(e.index, e.start, _rename_index(e.body, old, new))
-    if isinstance(e, App):
-        return App(e.fn, _rename_index(e.arg, old, new))
-    raise TypeError(f"not an expression: {e!r}")
+    out = map_children(e, lambda c: _rename_index(c, old, new))
+    if isinstance(e, Pow) and e.exp == old:
+        return Pow(out.base, new)
+    return out
 
 
 class Normalizer:

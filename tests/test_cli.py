@@ -292,3 +292,90 @@ def test_depends_on_lists_every_applied_lemma():
         applied = {s.name for s in parse_theory(e.script).steps
                    if isinstance(s, ApplyLemma)}
         assert applied <= set(e.depends_on), e.name
+
+
+# -- closed output pipe -----------------------------------------------------
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["builtin", "torricelli_scalar", "--json"], 0),
+    (["check", "{fail}"], 1),
+])
+def test_closed_pipe_keeps_the_verdict(tmp_path, cli_env, argv, code):
+    # the read end is closed before the child writes anything, so its
+    # first write meets a broken pipe
+    fail = write(tmp_path, "bad.deriv", FAIL_SCRIPT)
+    argv = [a.format(fail=fail) for a in argv]
+    proc = subprocess.Popen([sys.executable, "-m", "derivkit", *argv],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            env=cli_env)
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == code
+    assert "Traceback" not in err
+    assert err == ""
+
+
+# -- which numeric suite a theory gets --------------------------------------
+
+
+# a divergence goal under a name the oracle has never seen; `q` is
+# declared first but is not the variable that approaches the point
+BLOWUP_SCRIPT = """\
+theory my_blowup
+  vars q P : Real
+  const C_L : Real
+  hyp hCL : 0 < C_L
+  let b := 1 / (1 - C_L * P)
+  goal diverges_left(b, 1 / C_L)
+  proof
+    limit_witness 8
+  qed
+"""
+
+# a builtin's name on a goal of a different shape
+RENAMED_SCRIPT = """\
+theory brunauer_27
+  vars x : Real
+  goal x * 0 = 0
+  proof
+    ring
+  qed
+"""
+
+
+@pytest.fixture
+def suite_labels(monkeypatch):
+    labels = []
+    real = cli.run_suite
+
+    def record(theory, plan):
+        rep = real(theory, plan)
+        labels.append(None if rep is None else rep.label)
+        return rep
+
+    monkeypatch.setattr(cli, "run_suite", record)
+    return labels
+
+
+def test_divergence_goal_gets_the_table_under_any_name(tmp_path, capsys,
+                                                       suite_labels):
+    p = write(tmp_path, "blowup.deriv", BLOWUP_SCRIPT)
+    code, out, _ = run_cli(["check", p, "--json", "--samples", "5"], capsys)
+    assert code == 0, out
+    [report] = json.loads(out)
+    assert report["soundness"] == "numeric_certified"
+    assert report["numeric"]["samples"] == 5
+    assert suite_labels == ["divergence_witness"]
+
+
+def test_builtin_name_on_another_goal_gets_its_own_suite(tmp_path, capsys,
+                                                         suite_labels):
+    p = write(tmp_path, "renamed.deriv", RENAMED_SCRIPT)
+    code, out, err = run_cli(["check", p, "--json", "--samples", "5"], capsys)
+    assert code == 0, err
+    [report] = json.loads(out)
+    assert report["verdict"] == "accepted"
+    assert report["numeric"]["samples"] == 5
+    assert suite_labels == ["identity"]

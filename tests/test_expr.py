@@ -1,14 +1,16 @@
 """Expression construction and float evaluation semantics."""
 
+import dataclasses
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
 from derivkit.errors import NonIntegerPow, UnboundSymbol
-from derivkit.expr import (Add, App, Const, Deriv, Div, Env, Mul, Neg, Pow,
-                           SeriesSum, Sub, Var, eval_expr, free_vars,
-                           substitute)
+from derivkit.expr import (Add, App, Const, Deriv, Div, Env, Expr, Mul, Neg,
+                           Pow, SeriesSum, Sub, Var, children, eval_expr,
+                           free_vars, map_children, subst_vars, substitute,
+                           unfold_lets)
 
 
 def ev(e, **vars):
@@ -102,3 +104,62 @@ def test_substitute_symbolic_exponent_only_by_int():
 def test_add_mul_agree_with_python(a, b):
     e = Add(Mul(Var("a"), Var("b")), Const(1))
     assert ev(e, a=float(a), b=float(b)) == a * b + 1
+
+
+# -- the one traversal: every node kind goes through children/map_children
+
+
+def _one_of_each():
+    a, b = Var("a"), Add(Var("b"), Const(2))
+    return [Var("x"), Const(3), Add(a, b), Sub(a, b), Mul(a, b), Div(a, b),
+            Neg(b), Pow(b, 3), Pow(a, "i"), SeriesSum("i", 1, Pow(a, "i")),
+            App("f", b), App(Deriv("f"), b)]
+
+
+def _node_kinds(cls=Expr):
+    out = set()
+    for sub in cls.__subclasses__():
+        out.add(sub)
+        out |= _node_kinds(sub)
+    return out
+
+
+def test_every_node_kind_has_an_instance():
+    # a new node kind must be added here, and so be seen by the checks below
+    assert {type(e) for e in _one_of_each()} == _node_kinds()
+
+
+@pytest.mark.parametrize("e", _one_of_each(), ids=repr)
+def test_map_children_identity_rebuilds_the_node(e):
+    assert map_children(e, lambda c: c) == e
+
+
+@pytest.mark.parametrize("e", _one_of_each(), ids=repr)
+def test_children_lists_every_child_expression(e):
+    fields = [getattr(e, f.name) for f in dataclasses.fields(e)]
+    assert list(children(e)) == [v for v in fields if isinstance(v, Expr)]
+    seen = []
+    map_children(e, lambda c: seen.append(c) or c)
+    assert seen == list(children(e))
+
+
+def test_traversal_rejects_non_expressions():
+    for walk in (children, lambda x: map_children(x, lambda c: c)):
+        with pytest.raises(TypeError):
+            walk("x")
+
+
+def test_subst_vars_is_parallel_and_leaves_the_series_index_alone():
+    e = Add(Var("x"), Var("y"))
+    swapped = subst_vars(e, {"x": Var("y"), "y": Var("x")})
+    assert swapped == Add(Var("y"), Var("x"))
+    s = SeriesSum("i", 1, Mul(Var("i"), Pow(Var("x"), "i")))
+    got = subst_vars(s, {"i": Const(7), "x": Var("z")})
+    assert got == SeriesSum("i", 1, Mul(Var("i"), Pow(Var("z"), "i")))
+
+
+def test_unfold_lets_expands_earlier_bindings():
+    lets = (("u", Add(Var("x"), Const(1))), ("w", Mul(Var("u"), Var("u"))))
+    got = unfold_lets(lets)
+    assert got["w"] == Mul(Add(Var("x"), Const(1)), Add(Var("x"), Const(1)))
+    assert subst_vars(Var("w"), got) == got["w"]
