@@ -105,3 +105,144 @@ def test_unknown_goals_refused():
 def test_trace_mentions_rule_chain():
     t = ok(POS_XY, Lt(Const(0), Mul(x, y)))
     assert "hx" in t and "hy" in t
+
+
+# -- one obligation per sign rule, with the exact trace ----------------
+
+a, b, v, w, z, i = (Var(n) for n in "abvwzi")
+
+
+def gt0(name, e):
+    return (name, Lt(Const(0), e))
+
+
+def lt0(name, e):
+    return (name, Lt(e, Const(0)))
+
+
+def lt1(name, e):
+    return (name, Lt(e, Const(1)))
+
+
+def pos(e):
+    return Lt(Const(0), e)
+
+
+def sq(e):
+    return Pow(e, 2)
+
+
+hx, hy, hz = gt0("hx", x), gt0("hy", y), gt0("hz", z)
+hbn, hxn, hyn, hzn = lt0("hbn", b), lt0("hxn", x), lt0("hyn", y), lt0("hzn", z)
+hw1, hx1, hy1 = lt1("hw1", w), lt1("hx1", x), lt1("hy1", y)
+nx = ("nx", Ne0(x))
+one_minus_w, one_minus_x = Sub(Const(1), w), Sub(Const(1), x)
+
+# (rule, facts, obligation, trace; None when refused). A goal `0 < e` is
+# searched as `0 < e - 0`, so most traces start with `sum-pos`. Sums keep
+# only the trace of their strict term, so the nonstrict rules show under
+# `above`, whose difference is rebuilt as a sum of monomials; a division
+# atom keeps its written numerator.
+SIGN_RULES = [
+    # 0 < e
+    ("pos-literal", [], pos(Const(2)), "literal"),
+    ("pos-hyp", [hx], pos(x), "hyp hx"),
+    ("pos-negate", [hxn, hy, hz], pos(Mul(Neg(Mul(x, y)), z)),
+     "sum-pos(both-pos(negate(neg-pos(hyp hxn; hyp hy)); hyp hz))"),
+    ("pos-both-pos", [hx, hy], pos(Mul(x, y)), "sum-pos(both-pos(hyp hx; hyp hy))"),
+    ("pos-both-neg", [hxn, hyn], pos(Mul(x, y)), "sum-pos(both-neg(hyp hxn; hyp hyn))"),
+    ("pos-pow-base", [hx], pos(Pow(x, "n")), "sum-pos(pow-base(hyp hx))"),
+    ("pos-even-pow", [nx], pos(sq(x)), "sum-pos(even-pow(hyp nx))"),
+    ("pos-odd-pow", [hx], pos(Pow(x, 3)), "sum-pos(odd-pow(hyp hx))"),
+    ("pos-series-terms", [hx], pos(SeriesSum("i", 1, Mul(i, Pow(x, "i")))),
+     "sum-pos(series-terms(both-pos(hyp index; pow-base(hyp hx))))"),
+    ("pos-series-terms-refused", [], pos(SeriesSum("i", 1, Mul(i, Pow(x, "i")))), None),
+    ("pos-series-from-0-refused", [hx], pos(SeriesSum("i", 0, Pow(x, "i"))), None),
+    ("pos-sum-pos", [hx], pos(Add(x, Const(1))), "sum-pos(hyp hx)"),
+    ("pos-factor-of", [gt0("hxy", Mul(x, y)), hy], pos(x),
+     "sum-pos(factor-of(hxy; hyp hy))"),
+    ("pos-above", [hx1], pos(Sub(Const(2), x)), "above(hx1; literal)"),
+    ("pos-content-pos", [hx, hy1], pos(Sub(x, Mul(x, y))),
+     "content-pos(hyp hx; hyp hy1)"),
+    ("pos-content-neg", [hxn, hy1], pos(Sub(Mul(x, y), x)),
+     "content-neg(hyp hxn; hyp hy1)"),
+    ("pos-quotient-pos", [hy, hx1], pos(Sub(Div(Const(1), y), Div(x, y))),
+     "quotient-pos(content-pos(hyp hy; hyp hx1); even-pow(pos(hyp hy)))"),
+    ("pos-quotient-neg", [hxn, hzn], pos(Sub(Add(Div(x, z), Div(y, z)), Div(y, z))),
+     "quotient-neg(neg-pos(hyp hxn; even-pow(neg-sign(hyp hzn))); odd-pow(hyp hzn))"),
+    # e < 0
+    ("neg-literal", [hxn], pos(Mul(x, Const(-2))), "sum-pos(both-neg(hyp hxn; literal))"),
+    ("neg-negate", [hx, hy, hzn], pos(Mul(Neg(Mul(x, y)), z)),
+     "sum-pos(both-neg(negate(both-pos(hyp hx; hyp hy)); hyp hzn))"),
+    ("neg-pos-neg", [hx, hyn], Lt(Mul(x, y), Const(0)),
+     "sum-pos(pos-neg(hyp hx; hyp hyn))"),
+    ("neg-neg-pos", [hxn, hy], Lt(Mul(x, y), Const(0)),
+     "sum-pos(neg-pos(hyp hxn; hyp hy))"),
+    ("neg-odd-pow", [hxn], Lt(Pow(x, 3), Const(0)), "sum-pos(odd-pow(hyp hxn))"),
+    ("neg-sum-neg", [hxn, hyn, hzn], pos(Mul(Add(x, y), z)),
+     "sum-pos(both-neg(sum-neg(hyp hxn); hyp hzn))"),
+    # 0 <= e
+    ("nonneg-literal-and-pos", [hx, hyn], pos(Sub(Const(1), Mul(x, y))), "sum-pos(literal)"),
+    ("nonneg-index", [hx1], pos(Add(one_minus_x, Pow(SeriesSum("i", 0, i), 3))),
+     "above(hx1; odd-pow(series-terms(index)))"),
+    ("nonneg-index-in-sum", [hx],
+     pos(Add(Const(1), SeriesSum("i", 0, Mul(i, Pow(x, "i"))))), "sum-pos(literal)"),
+    ("nonneg-index-refused", [],
+     pos(Add(Const(1), SeriesSum("i", 0, Mul(i, Pow(x, "i"))))), None),
+    ("nonneg-series-terms-from-1", [hx1],
+     pos(Add(one_minus_x, SeriesSum("i", 1, Mul(sq(y), i)))),
+     "above(hx1; series-terms(both-nonneg(hyp index; even-pow)))"),
+    ("nonneg-pow-base", [hx1], pos(Add(one_minus_x, Pow(sq(y), "n"))),
+     "above(hx1; pow-base(even-pow))"),
+    ("nonneg-even-pow", [hx1], pos(Add(one_minus_x, sq(y))), "above(hx1; even-pow)"),
+    ("nonneg-both-nonneg", [hx1, hz], pos(Add(one_minus_x, Mul(sq(y), z))),
+     "above(hx1; both-nonneg(even-pow; hyp hz))"),
+    ("nonneg-both-nonpos", [hw1, hxn, hyn], pos(Add(one_minus_w, Mul(Mul(Mul(a, a), x), y))),
+     "above(hw1; both-nonpos(nonneg-nonpos(even-pow; hyp hxn); hyp hyn))"),
+    ("nonneg-negate", [hx1, hzn], pos(Sub(one_minus_x, Mul(z, sq(y)))),
+     "above(hx1; negate(nonneg-nonpos(even-pow; hyp hzn)))"),
+    ("nonneg-sum-nonneg", [hx1], pos(Add(one_minus_x, Add(sq(y), sq(z)))),
+     "above(hx1; sum-nonneg)"),
+    # e <= 0
+    ("nonpos-negate", [hw1, hxn, hz], pos(Add(one_minus_w, Div(Mul(x, Neg(sq(y))), z))),
+     "above(hw1; both-nonneg(both-nonpos(hyp hxn; negate(even-pow)); hyp hz))"),
+    ("nonpos-nonneg-nonpos", [hw1, hx, hzn], pos(Add(one_minus_w, Div(Mul(x, Neg(sq(y))), z))),
+     "above(hw1; both-nonpos(nonneg-nonpos(hyp hx; negate(even-pow)); hyp hzn))"),
+    ("nonpos-nonpos-nonneg", [hx1, hbn], pos(Sub(one_minus_x, Mul(b, sq(y)))),
+     "above(hx1; negate(nonpos-nonneg(hyp hbn; even-pow)))"),
+    ("nonpos-odd-pow", [hw1, hz], pos(Add(one_minus_w, Div(Pow(Neg(sq(y)), 3), Neg(z)))),
+     "above(hw1; both-nonpos(odd-pow(negate(even-pow)); hyp hz))"),
+    ("nonpos-sum-nonpos", [hw1, hxn, hz],
+     pos(Add(one_minus_w, Div(Mul(x, Add(Neg(sq(y)), Neg(sq(v)))), z))),
+     "above(hw1; both-nonneg(both-nonpos(hyp hxn; sum-nonpos); hyp hz))"),
+    # a rule that holds for one sign only must not answer for another
+    ("neg-no-factor-of", [gt0("hxy", Mul(x, y)), hy], Lt(x, Const(0)), None),
+    ("neg-no-above", [hx], Lt(x, Const(0)), None),
+    ("neg-no-pow-base", [hx], Lt(Pow(x, "n"), Const(0)), None),
+    ("neg-no-even-pow", [nx], Lt(sq(x), Const(0)), None),
+    ("nonpos-no-even-pow", [], Lt(sq(y), Const(1)), None),
+    ("neg-no-series-terms", [hx, hx1], Lt(SeriesSum("i", 1, Pow(x, "i")), Const(0)), None),
+    ("nonpos-no-index", [hx1], pos(Add(one_minus_x, SeriesSum("i", 0, Neg(i)))), None),
+    # e != 0
+    ("ne0-literal", [], Ne0(Const(3)), "literal"),
+    ("ne0-hyp", [nx], Ne0(x), "hyp nx"),
+    ("ne0-factors", [hx, nx], Ne0(Mul(x, Div(Const(1), x))),
+     "factors(hyp nx; factors(literal; hyp nx))"),
+    ("ne0-neg", [hx], Ne0(Neg(Mul(x, x))), "neg(factors(pos(hyp hx); pos(hyp hx)))"),
+    ("ne0-pow", [nx], Ne0(Pow(x, 3)), "pow(hyp nx)"),
+    ("ne0-neg-sign", [hxn], Ne0(x), "neg-sign(hyp hxn)"),
+    ("ne0-content", [nx, ("ny1", Ne0(Add(y, Const(1))))], Ne0(Add(Mul(x, y), x)),
+     "content(hyp nx; hyp ny1)"),
+    ("ne0-quotient", [("ny", Ne0(y)), ("n1x", Ne0(one_minus_x))],
+     Ne0(Sub(Div(Const(1), y), Div(x, y))),
+     "quotient(content(hyp ny; hyp n1x); pow(hyp ny))"),
+]
+
+
+@pytest.mark.parametrize("facts,ob,trace", [r[1:] for r in SIGN_RULES],
+                         ids=[r[0] for r in SIGN_RULES])
+def test_rule_trace(facts, ob, trace):
+    if trace is None:
+        refuse(facts, ob)
+    else:
+        assert ok(facts, ob) == trace
