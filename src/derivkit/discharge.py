@@ -1,10 +1,14 @@
-"""Automatic discharge of nonzeroness and positivity side conditions.
+"""Automatic discharge of nonzeroness and sign side conditions.
 
 Obligations are closed by structural recursion over the expression,
 consulting the hypotheses in scope modulo canonical form. The rules
 are deliberately one-directional: every rule concludes its claim from
 strictly sufficient premises under the total-division semantics, so a
 returned trace is always sound; failure just raises NotDerivable.
+
+There are two judgements: `ne0(e)` proves `e != 0`, and
+`sign(e, s, strict)` proves `0 < s*e` (strict) or `0 <= s*e` for a sign
+`s` of 1 or -1. An obligation `a < b` is `sign(b - a, 1, True)`.
 
 Hypotheses enter as facts of two shapes: nonzeroness keys from `e != 0`
 hypotheses, and positivity polynomials `b - a` from `a < b` hypotheses.
@@ -18,12 +22,23 @@ from fractions import Fraction
 from typing import List, Optional, Tuple
 
 from .errors import NotDerivable
-from .expr import Add, Const, Div, Expr, Mul, Neg, Pow, SeriesSum, Sub, Var
+from .expr import Add, Div, Expr, Mul, Neg, Pow, SeriesSum, Sub, Var
 from .formula import Formula, Lt, Ne0
 from .poly import Poly, divexact
 from .ringnorm import Normalizer
 
 _DEPTH = 5
+
+# trace words of the sign judgement, by (s, strict)
+_SIGN = {(1, True): "pos", (-1, True): "neg",
+         (1, False): "nonneg", (-1, False): "nonpos"}
+# the product rule's name, by (s, strict) and the left factor's sign
+_PRODUCT = {
+    (1, True): {1: "both-pos", -1: "both-neg"},
+    (-1, True): {1: "pos-neg", -1: "neg-pos"},
+    (1, False): {1: "both-nonneg", -1: "both-nonpos"},
+    (-1, False): {1: "nonneg-nonpos", -1: "nonpos-nonneg"},
+}
 
 
 def _signed_terms(e: Expr, sign: int = 1):
@@ -71,8 +86,8 @@ class _Discharger:
         self._polys[id(e)] = (e, p)
         return p
 
-    def _memo(self, kind: str, e: Expr, depth: int, raw) -> Optional[str]:
-        """Memoize sign queries on the canonical polynomial.
+    def _memo(self, kind, e: Expr, depth: int, raw, *args) -> Optional[str]:
+        """Memoize a judgement's queries on the canonical polynomial.
 
         A success holds at any depth and for any expression with the
         same canonical form. A failure only rules out retries at equal
@@ -90,7 +105,7 @@ class _Discharger:
             return None
         self._active.add(mk)
         try:
-            out = raw(e, depth)
+            out = raw(e, depth, *args)
         finally:
             self._active.discard(mk)
         if out is not None:
@@ -102,17 +117,8 @@ class _Discharger:
     def ne0(self, e: Expr, depth: int) -> Optional[str]:
         return self._memo("ne0", e, depth, self._ne0_raw)
 
-    def pos(self, e: Expr, depth: int) -> Optional[str]:
-        return self._memo("pos", e, depth, self._pos_raw)
-
-    def neg(self, e: Expr, depth: int) -> Optional[str]:
-        return self._memo("neg", e, depth, self._neg_raw)
-
-    def nonneg(self, e: Expr, depth: int) -> Optional[str]:
-        return self._memo("nonneg", e, depth, self._nonneg_raw)
-
-    def nonpos(self, e: Expr, depth: int) -> Optional[str]:
-        return self._memo("nonpos", e, depth, self._nonpos_raw)
+    def sign(self, e: Expr, s: int, strict: bool, depth: int) -> Optional[str]:
+        return self._memo((s, strict), e, depth, self._sign_raw, s, strict)
 
     # -- e != 0 --------------------------------------------------------
 
@@ -134,15 +140,13 @@ class _Discharger:
             if tl and tr:
                 return f"factors({tl}; {tr})"
         if isinstance(e, Pow) and isinstance(e.exp, int):
-            if e.exp == 0:
-                return "literal"
             t = self.ne0(e.base, depth)
             if t:
                 return f"pow({t})"
-        t = self.pos(e, depth)
+        t = self.sign(e, 1, True, depth)
         if t:
             return f"pos({t})"
-        t = self.neg(e, depth)
+        t = self.sign(e, -1, True, depth)
         if t:
             return f"neg-sign({t})"
         if depth > 0:
@@ -162,59 +166,63 @@ class _Discharger:
                     return f"quotient({tn}; {td})"
         return None
 
-    # -- 0 < e ----------------------------------------------------------
+    # -- 0 < s*e, 0 <= s*e ----------------------------------------------
 
-    def _pos_raw(self, e: Expr, depth: int) -> Optional[str]:
+    def _sign_raw(self, e: Expr, depth: int, s: int, strict: bool) -> Optional[str]:
         p = self._apoly(e)
         if p.is_const():
-            return "literal" if p.const_value() > 0 else None
-        for name, fp in self.pos_facts:
-            if fp == p:
-                return f"hyp {name}"
+            c = s * p.const_value()
+            return "literal" if (c > 0 if strict else c >= 0) else None
+        if strict:
+            # a fact 0 < fp closes 0 < s*e when s*fp is e; facts are
+            # small, so flipping a fact is cheaper than flipping e
+            for name, fp in self.pos_facts:
+                if (fp if s > 0 else fp.scale(-1)) == p:
+                    return f"hyp {name}"
+        else:
+            if s > 0 and isinstance(e, Var) and e.name in self.nonneg_vars:
+                return "index"
+            # the strict judgement also settles the nonstrict one
+            t = self.sign(e, s, True, depth)
+            if t:
+                return t
         if isinstance(e, Neg):
-            t = self.neg(e.arg, depth)
+            t = self.sign(e.arg, -s, strict, depth)
             if t:
                 return f"negate({t})"
         if isinstance(e, (Mul, Div)):
-            tl = self.pos(e.left, depth)
-            if tl:
-                tr = self.pos(e.right, depth)
-                if tr:
-                    return f"both-pos({tl}; {tr})"
-            nl = self.neg(e.left, depth)
-            if nl:
-                nr = self.neg(e.right, depth)
-                if nr:
-                    return f"both-neg({nl}; {nr})"
+            pair = self._pair(e.left, e.right, s, strict, depth)
+            if pair:
+                ls, tl, tr = pair
+                return f"{_PRODUCT[s, strict][ls]}({tl}; {tr})"
         if isinstance(e, Pow):
             if isinstance(e.exp, str):
-                t = self.pos(e.base, depth)
+                if s > 0:
+                    t = self.sign(e.base, 1, strict, depth)
+                    if t:
+                        return f"pow-base({t})"
+            elif e.exp % 2 == 1:
+                t = self.sign(e.base, s, strict, depth)
                 if t:
-                    return f"pow-base({t})"
-            elif e.exp == 0:
-                return "literal"
-            elif e.exp % 2 == 0:
+                    return f"odd-pow({t})"
+            elif s > 0:
+                if not strict:
+                    return "even-pow"
                 t = self.ne0(e.base, depth)
                 if t:
                     return f"even-pow({t})"
-            else:
-                t = self.pos(e.base, depth)
-                if t:
-                    return f"odd-pow({t})"
-        if isinstance(e, SeriesSum) and e.start == 1:
-            self.pos_facts.append(("index", Poly.var(e.index)))
-            self._scope += (("ipos", e.index),)
-            try:
-                t = self.pos(e.body, depth)
-            finally:
-                self.pos_facts.pop()
-                self._scope = self._scope[:-1]
+        # from a start of 0 the index may be 0, so only 0 <= e uses it
+        if isinstance(e, SeriesSum) and s > 0 and (e.start == 1 or not strict):
+            t = self._series_terms(e, strict, depth)
             if t:
                 return f"series-terms({t})"
         if isinstance(e, (Add, Sub)):
-            t = self._terms_pos(e, depth)
+            t = self._terms(e, s, strict, depth)
             if t:
                 return t
+        # the rules below prove only 0 < e
+        if not (strict and s > 0):
+            return None
         if isinstance(e, Var):
             t = self._extract_factor(e.name, depth)
             if t:
@@ -222,193 +230,67 @@ class _Discharger:
         if depth > 0:
             for name, fp in self.pos_facts:
                 diff = self._expr_of(p - fp)
-                t = self.nonneg(diff, depth - 1)
+                t = self.sign(diff, 1, False, depth - 1)
                 if t:
                     return f"above({name}; {t})"
             cs = self._content_split(p)
             if cs is not None:
-                me, qe = cs
-                tm = self.pos(me, depth - 1)
-                if tm:
-                    tq = self.pos(qe, depth - 1)
-                    if tq:
-                        return f"content-pos({tm}; {tq})"
-                nm = self.neg(me, depth - 1)
-                if nm:
-                    nq = self.neg(qe, depth - 1)
-                    if nq:
-                        return f"content-neg({nm}; {nq})"
+                pair = self._pair(*cs, 1, True, depth - 1)
+                if pair:
+                    ls, tm, tq = pair
+                    return f"content-{_SIGN[ls, True]}({tm}; {tq})"
             split = self._rat_split(e)
             if split is not None:
-                ne, de = split
-                tn = self.pos(ne, depth - 1)
-                if tn:
-                    td = self.pos(de, depth - 1)
-                    if td:
-                        return f"quotient-pos({tn}; {td})"
-                nn = self.neg(ne, depth - 1)
-                if nn:
-                    nd = self.neg(de, depth - 1)
-                    if nd:
-                        return f"quotient-neg({nn}; {nd})"
-        return None
-
-    def _neg_raw(self, e: Expr, depth: int) -> Optional[str]:
-        p = self._apoly(e)
-        if p.is_const():
-            return "literal" if p.const_value() < 0 else None
-        for name, fp in self.pos_facts:
-            if fp.scale(-1) == p:
-                return f"hyp {name}"
-        if isinstance(e, Neg):
-            t = self.pos(e.arg, depth)
-            if t:
-                return f"negate({t})"
-        if isinstance(e, (Mul, Div)):
-            tl = self.pos(e.left, depth)
-            if tl:
-                tr = self.neg(e.right, depth)
-                if tr:
-                    return f"pos-neg({tl}; {tr})"
-            nl = self.neg(e.left, depth)
-            if nl:
-                pr = self.pos(e.right, depth)
-                if pr:
-                    return f"neg-pos({nl}; {pr})"
-        if isinstance(e, Pow) and isinstance(e.exp, int) and e.exp % 2 == 1:
-            t = self.neg(e.base, depth)
-            if t:
-                return f"odd-pow({t})"
-        if isinstance(e, (Add, Sub)):
-            terms = _signed_terms(e)
-            strict_at = None
-            traces = []
-            for i, (s, term) in enumerate(terms):
-                t = self.nonpos(term, depth) if s > 0 else self.nonneg(term, depth)
-                if t is None:
-                    return None
-                traces.append(t)
-                if strict_at is None:
-                    st = self.neg(term, depth) if s > 0 else self.pos(term, depth)
-                    if st:
-                        strict_at = st
-            if strict_at:
-                return f"sum-neg({strict_at})"
-        return None
-
-    def _nonneg_raw(self, e: Expr, depth: int) -> Optional[str]:
-        p = self._apoly(e)
-        if p.is_const():
-            return "literal" if p.const_value() >= 0 else None
-        if isinstance(e, Var) and e.name in self.nonneg_vars:
-            return "index"
-        t = self.pos(e, depth)
-        if t:
-            return t
-        if isinstance(e, Neg):
-            t = self.nonpos(e.arg, depth)
-            if t:
-                return f"negate({t})"
-        if isinstance(e, (Mul, Div)):
-            tl = self.nonneg(e.left, depth)
-            if tl:
-                tr = self.nonneg(e.right, depth)
-                if tr:
-                    return f"both-nonneg({tl}; {tr})"
-            nl = self.nonpos(e.left, depth)
-            if nl:
-                nr = self.nonpos(e.right, depth)
-                if nr:
-                    return f"both-nonpos({nl}; {nr})"
-        if isinstance(e, Pow):
-            if isinstance(e.exp, str):
-                t = self.nonneg(e.base, depth)
-                if t:
-                    return f"pow-base({t})"
-            elif e.exp % 2 == 0:
-                return "even-pow"
-            else:
-                t = self.nonneg(e.base, depth)
-                if t:
-                    return f"odd-pow({t})"
-        if isinstance(e, SeriesSum):
-            if e.start == 0:
-                self.nonneg_vars.add(e.index)
-                self._scope += (("inn", e.index),)
-                try:
-                    t = self.nonneg(e.body, depth)
-                finally:
-                    self.nonneg_vars.discard(e.index)
-                    self._scope = self._scope[:-1]
-            else:
-                self.pos_facts.append(("index", Poly.var(e.index)))
-                self._scope += (("ipos", e.index),)
-                try:
-                    t = self.nonneg(e.body, depth)
-                finally:
-                    self.pos_facts.pop()
-                    self._scope = self._scope[:-1]
-            if t:
-                return f"series-terms({t})"
-        if isinstance(e, (Add, Sub)):
-            traces = []
-            for s, term in _signed_terms(e):
-                t = self.nonneg(term, depth) if s > 0 else self.nonpos(term, depth)
-                if t is None:
-                    return None
-                traces.append(t)
-            return "sum-nonneg"
-        return None
-
-    def _nonpos_raw(self, e: Expr, depth: int) -> Optional[str]:
-        p = self._apoly(e)
-        if p.is_const():
-            return "literal" if p.const_value() <= 0 else None
-        t = self.neg(e, depth)
-        if t:
-            return t
-        if isinstance(e, Neg):
-            t = self.nonneg(e.arg, depth)
-            if t:
-                return f"negate({t})"
-        if isinstance(e, (Mul, Div)):
-            tl = self.nonneg(e.left, depth)
-            if tl:
-                tr = self.nonpos(e.right, depth)
-                if tr:
-                    return f"nonneg-nonpos({tl}; {tr})"
-            nl = self.nonpos(e.left, depth)
-            if nl:
-                nr = self.nonneg(e.right, depth)
-                if nr:
-                    return f"nonpos-nonneg({nl}; {nr})"
-        if isinstance(e, Pow) and isinstance(e.exp, int) and e.exp % 2 == 1:
-            t = self.nonpos(e.base, depth)
-            if t:
-                return f"odd-pow({t})"
-        if isinstance(e, (Add, Sub)):
-            for s, term in _signed_terms(e):
-                t = self.nonpos(term, depth) if s > 0 else self.nonneg(term, depth)
-                if t is None:
-                    return None
-            return "sum-nonpos"
+                pair = self._pair(*split, 1, True, depth - 1)
+                if pair:
+                    ls, tn, td = pair
+                    return f"quotient-{_SIGN[ls, True]}({tn}; {td})"
         return None
 
     # -- helpers ---------------------------------------------------------
 
-    def _terms_pos(self, e: Expr, depth: int) -> Optional[str]:
-        terms = _signed_terms(e)
-        strict = None
-        for s, term in terms:
-            t = self.nonneg(term, depth) if s > 0 else self.nonpos(term, depth)
-            if t is None:
+    def _pair(self, left: Expr, right: Expr, s: int, strict: bool, depth: int):
+        """Sign s of left*right (or left/right): the left factor with sign
+        ls, 1 before -1, and the right one with ls*s."""
+        for ls in (1, -1):
+            tl = self.sign(left, ls, strict, depth)
+            if tl:
+                tr = self.sign(right, ls * s, strict, depth)
+                if tr:
+                    return ls, tl, tr
+        return None
+
+    def _series_terms(self, e: SeriesSum, strict: bool, depth: int) -> Optional[str]:
+        """Every term's sign, with the index known nonnegative from a
+        start of 0 and positive otherwise."""
+        if e.start == 0:
+            self.nonneg_vars.add(e.index)
+            self._scope += (("inn", e.index),)
+        else:
+            self.pos_facts.append(("index", Poly.var(e.index)))
+            self._scope += (("ipos", e.index),)
+        try:
+            return self.sign(e.body, 1, strict, depth)
+        finally:
+            if e.start == 0:
+                self.nonneg_vars.discard(e.index)
+            else:
+                self.pos_facts.pop()
+            self._scope = self._scope[:-1]
+
+    def _terms(self, e: Expr, s: int, strict: bool, depth: int) -> Optional[str]:
+        """Every term nonstrict with its sign; when strict, also one term
+        strict, the first one found."""
+        found = None
+        for ts, term in _signed_terms(e):
+            if self.sign(term, s * ts, False, depth) is None:
                 return None
-            if strict is None:
-                st = self.pos(term, depth) if s > 0 else self.neg(term, depth)
-                if st:
-                    strict = st
-        if strict:
-            return f"sum-pos({strict})"
+            if strict and found is None:
+                found = self.sign(term, s * ts, True, depth)
+        if not strict:
+            return f"sum-{_SIGN[s, False]}"
+        if found:
+            return f"sum-{_SIGN[s, True]}({found})"
         return None
 
     def _extract_factor(self, var: str, depth: int) -> Optional[str]:
@@ -421,7 +303,7 @@ class _Discharger:
             q = divexact(fp, v)
             if q is None or var in q.vars():
                 continue
-            t = self.pos(self._expr_of(q), depth - 1)
+            t = self.sign(self._expr_of(q), 1, True, depth - 1)
             if t:
                 return f"factor-of({name}; {t})"
         return None
@@ -467,7 +349,7 @@ def discharge(facts: List[Tuple[str, Formula]], ob: Formula) -> str:
     if isinstance(ob, Ne0):
         t = d.ne0(ob.arg, _DEPTH)
     elif isinstance(ob, Lt):
-        t = d.pos(Sub(ob.right, ob.left), _DEPTH)
+        t = d.sign(Sub(ob.right, ob.left), 1, True, _DEPTH)
     else:
         t = None
     if t is None:
