@@ -1,7 +1,8 @@
 """Command line front end.
 
 Exit codes: 0 when every checked theory is accepted, 1 when any theory
-fails its symbolic or numeric check, 2 for usage and input errors.
+fails its symbolic or numeric check, 2 for usage and input errors,
+including input nested too deeply to check.
 """
 
 from __future__ import annotations
@@ -32,7 +33,8 @@ def _plan(args) -> SamplePlan:
 def _run_numeric(theory: Theory, plan: SamplePlan) -> Optional[NumericReport]:
     try:
         return run_suite(theory, plan)
-    except DerivkitError as e:
+    except (DerivkitError, ArithmeticError) as e:
+        # fails closed: a claim the oracle cannot evaluate is not passed
         return NumericReport(plan.seed, 0, float("inf"), False,
                              f"{type(e).__name__}: {e}")
 
@@ -209,7 +211,11 @@ def main(argv: Optional[List[str]] = None) -> int:
         parser.error("--samples must be at least 1")
     if getattr(args, "series_cutoff", 1) < 1:
         parser.error("--series-cutoff must be at least 1")
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except RecursionError:
+        print("error: input nested too deeply to check", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

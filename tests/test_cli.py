@@ -379,3 +379,29 @@ def test_builtin_name_on_another_goal_gets_its_own_suite(tmp_path, capsys,
     assert report["verdict"] == "accepted"
     assert report["numeric"]["samples"] == 5
     assert suite_labels == ["identity"]
+
+
+# -- input too deep or too large to evaluate ----------------------------------
+
+
+def _deep_script(goal):
+    return f"theory deep\n  vars x : Real\n  goal {goal}\n  proof\n    ring\n  qed\n"
+
+
+@pytest.mark.parametrize("goal, code", [
+    ("(" * 250 + "x" + ")" * 250 + " = x", 2),
+    ("+".join(["x"] * 1500) + " = 1500 * x", 2),
+    ("(x + 1)^400 * 10^400 = 10^400 * (x + 1)^400", 1),
+], ids=["nested-parens", "long-sum", "float-overflow"])
+def test_deep_or_overflowing_input_has_no_traceback(tmp_path, cli_env, goal, code):
+    path = write(tmp_path, "deep.deriv", _deep_script(goal))
+    r = subprocess.run([sys.executable, "-m", "derivkit", "check", path],
+                       capture_output=True, text=True, env=cli_env, timeout=120)
+    assert r.returncode == code
+    assert "Traceback" not in r.stderr
+    if code == 2:
+        assert r.stderr == "error: input nested too deeply to check\n"
+    else:
+        # the oracle could not evaluate the claim, so it is not passed
+        assert r.stderr == ""
+        assert "Failed (numeric: OverflowError" in r.stdout
