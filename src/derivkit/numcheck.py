@@ -16,7 +16,7 @@ from __future__ import annotations
 import hashlib
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .errors import DerivkitError, NonConvergent, RejectionStarvation
@@ -467,22 +467,23 @@ def _divergence_parts(theory: Theory):
 
 def _suite_divergence(theory: Theory, plan: SamplePlan) -> NumericReport:
     body, var, names, point_e = _divergence_parts(theory)
-    hyps = _unfolded_hyps(theory)
-    envs = sample_envs(names, hyps, plan, theory.name)
+    # the witness runs on ten environments at most; sample_envs is
+    # prefix-stable, so drawing only those keeps the same ten
+    few = replace(plan, count=min(plan.count, 10))
+    envs = sample_envs(names, _unfolded_hyps(theory), few, theory.name)
     ok = True
-    for env in envs[:10]:
+    for env in envs:
         point = _ev(point_e, env, plan.series_cutoff)
         rep = divergence_witness(body, var, point, 8, env, plan.series_cutoff)
         if not rep.verdict:
             ok = False
-    return NumericReport(plan.seed, min(10, len(envs)), 0.0, ok, "divergence_witness")
+    return NumericReport(plan.seed, len(envs), 0.0, ok, "divergence_witness")
 
 
 def divergence_table(theory: Theory, plan: SamplePlan, m: int = 8) -> List[float]:
     """Representative left-approach table for a divergence goal."""
-    import dataclasses
     body, var, names, point_e = _divergence_parts(theory)
-    one = dataclasses.replace(plan, count=1)
+    one = replace(plan, count=1)
     env = sample_envs(names, _unfolded_hyps(theory), one, theory.name)[0]
     point = _ev(point_e, env, plan.series_cutoff)
     return divergence_witness(body, var, point, m, env, plan.series_cutoff).values

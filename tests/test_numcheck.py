@@ -7,6 +7,7 @@ import pytest
 from derivkit.errors import NonConvergent, RejectionStarvation
 from derivkit.expr import (Add, Const, Div, Mul, Pow, SeriesSum, Sub, Var)
 from derivkit.formula import EqF, Lt
+from derivkit import numcheck
 from derivkit.numcheck import (SamplePlan, VecFn3, divergence_table,
                                divergence_witness, dot, identity_check,
                                run_suite, sample_envs,
@@ -48,6 +49,13 @@ def test_sampling_is_deterministic_per_name():
     assert a == b
     assert a != c
 
+
+
+def test_sampling_is_prefix_stable():
+    # a smaller count draws the first environments of a larger one
+    hyps = [Lt(Const(0), x), Lt(x, Const(1))]
+    assert (sample_envs(["x", "y"], hyps, plan(count=10), "prefix")
+            == sample_envs(["x", "y"], hyps, plan(count=100), "prefix")[:10])
 
 def test_positivity_hypothesis_pins_range():
     envs = sample_envs(["x", "y"], [Lt(Const(0), x)], plan(count=30), "pins")
@@ -179,6 +187,23 @@ def test_suite_labels():
     assert run_suite(load_theory("boyles_law_relation"), p).label == "finite-state model"
     assert run_suite(load_theory("const_accel"), p).label == "kinematics"
 
+
+
+def test_divergence_suite_draws_only_what_it_evaluates(monkeypatch):
+    counts = []
+    real = numcheck.sample_envs
+
+    def counting(names, hyps, p, *args, **kwargs):
+        counts.append(p.count)
+        return real(names, hyps, p, *args, **kwargs)
+
+    monkeypatch.setattr(numcheck, "sample_envs", counting)
+    rep = run_suite(load_theory("brunauer_27"), plan(count=100))
+    assert counts == [10]
+    assert rep.samples == 10 and rep.passed
+    counts.clear()
+    assert run_suite(load_theory("brunauer_27"), plan(count=3)).samples == 3
+    assert counts == [3]
 
 def test_suite_is_deterministic():
     t = load_theory("langmuir_kinetic_fig1")
