@@ -1,0 +1,189 @@
+#!/usr/bin/env python3
+"""Discharge cost per obligation, before and after a change.
+
+    python3 scripts/bench_discharge.py --parent-rev REV [--pairs 10] \
+        [--seconds 30] [--seed 1] --out BENCH.json
+
+Run from the root of a git checkout; stdlib only. For this checkout's
+working tree and for a `git archive` of REV, the script
+
+- checks `build_pool(0)` in a fresh interpreter and records, for every
+  obligation the kernel hands to `discharge`, its theory, its printed
+  form, the trace (or `null` when refused), the wall time and the number
+  of raw judgement calls (`_Discharger._sign_raw` and `_ne0_raw`, counted
+  by wrapping them, so the parent needs no counter of its own);
+- runs `perfbench/run.py` on all three workloads in `--pairs` pairs of
+  parent and change, alternating which side runs first, and keeps the
+  metrics of every run, each side's median and quartiles and how many
+  pairs the change won.
+
+The result is one JSON file. `--skip-perfbench` leaves the second part
+out, for a quick look at the per-obligation numbers.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+import tempfile
+import time
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+WORKLOADS = ("corpus", "edit_check", "mutants")
+
+# Runs in a child interpreter with the tree's src/ first on sys.path.
+_PROBE = r"""
+import json, time
+import derivkit.discharge as D
+import derivkit.kernel as K
+import derivkit.theories as T
+from derivkit.parser import print_formula
+
+raw = [0]
+def counted(fn):
+    def inner(*a, **k):
+        raw[0] += 1
+        return fn(*a, **k)
+    return inner
+D._Discharger._sign_raw = counted(D._Discharger._sign_raw)
+D._Discharger._ne0_raw = counted(D._Discharger._ne0_raw)
+
+rows, theory = [], [None]
+check_theory = T.check_theory
+def named(th, *a, **k):
+    theory[0] = th.name
+    return check_theory(th, *a, **k)
+T.check_theory = named
+
+discharge = K.discharge
+def timed(facts, ob):
+    raw[0] = 0
+    t0 = time.perf_counter()
+    trace = None
+    try:
+        trace = discharge(facts, ob)
+        return trace
+    finally:
+        rows.append({"theory": theory[0], "obligation": print_formula(ob),
+                     "trace": trace, "s": round(time.perf_counter() - t0, 6),
+                     "raw_calls": raw[0]})
+K.discharge = timed
+
+t0 = time.perf_counter()
+T.build_pool(0)
+print(json.dumps({"build_pool_s": round(time.perf_counter() - t0, 3),
+                  "obligations": rows}))
+"""
+
+
+def probe(tree: str) -> dict:
+    env = dict(os.environ, PYTHONPATH=os.path.join(tree, "src"))
+    out = subprocess.run([sys.executable, "-c", _PROBE], cwd=tree, env=env,
+                         check=True, capture_output=True, text=True).stdout
+    return json.loads(out.splitlines()[-1])
+
+
+def perfbench(tree: str, workload: str, seed: int, seconds: float) -> dict:
+    env = dict(os.environ)
+    env.pop("PYTHONPATH", None)
+    out = subprocess.run([sys.executable, "perfbench/run.py", "--workload", workload,
+                          "--seed", str(seed), "--seconds", str(seconds)],
+                         cwd=tree, env=env, check=True, capture_output=True,
+                         text=True).stdout
+    res = json.loads(out.splitlines()[-1])
+    res["metrics"] = {k: m["value"] for k, m in res["metrics"].items()}
+    return res
+
+
+def compare(runs: dict) -> dict:
+    """Per end-to-end metric: each side's median and quartiles, and the
+    pairs the change won (ties count for neither side)."""
+    out = {}
+    for metric, better in (("setup_s", min), ("call_p50_s", min),
+                           ("theories_per_s", max), ("peak_rss_mb", min)):
+        row = {}
+        for side in ("parent", "change"):
+            vals = [r["metrics"][metric] for r in runs[side]]
+            q1, q2, q3 = statistics.quantiles(vals, n=4) if len(vals) > 1 else vals * 3
+            row[side] = {"median": statistics.median(vals), "q1": q1, "q3": q3}
+        row["change_wins"] = sum(
+            p != c and better(p, c) == c
+            for p, c in zip(*([r["metrics"][metric] for r in runs[s]]
+                              for s in ("parent", "change"))))
+        out[metric] = row
+    return out
+
+
+def summary(p: dict) -> dict:
+    obs = p["obligations"]
+    return {"build_pool_s": p["build_pool_s"],
+            "discharge_s": round(sum(o["s"] for o in obs), 3),
+            "raw_calls": sum(o["raw_calls"] for o in obs),
+            "obligations": len(obs),
+            "refused": sum(o["trace"] is None for o in obs)}
+
+
+def main() -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--parent-rev", required=True)
+    ap.add_argument("--pairs", type=int, default=10)
+    ap.add_argument("--seconds", type=float, default=30.0)
+    ap.add_argument("--seed", type=int, default=1)
+    ap.add_argument("--out", required=True)
+    ap.add_argument("--skip-perfbench", action="store_true")
+    args = ap.parse_args()
+
+    rev = subprocess.run(["git", "rev-parse", args.parent_rev], cwd=ROOT, check=True,
+                         capture_output=True, text=True).stdout.strip()
+    with tempfile.TemporaryDirectory() as parent:
+        archive = subprocess.run(["git", "archive", rev], cwd=ROOT, check=True,
+                                 capture_output=True).stdout
+        subprocess.run(["tar", "-x", "-C", parent], input=archive, check=True)
+        trees = {"parent": parent, "change": ROOT}
+        probes = {name: probe(tree) for name, tree in trees.items()}
+        traces = {name: [(o["obligation"], o["trace"]) for o in p["obligations"]]
+                  for name, p in probes.items()}
+        bench = {}
+        if not args.skip_perfbench:
+            for w in WORKLOADS:
+                runs = {"parent": [], "change": []}
+                for k in range(args.pairs):
+                    for side in sorted(runs, reverse=k % 2 == 1):
+                        runs[side].append(perfbench(trees[side], w, args.seed,
+                                                    args.seconds))
+                    print(w, k, {s: r[-1]["metrics"]["call_p50_s"] for s, r in runs.items()},
+                          file=sys.stderr)
+                bench[w] = {"summary": compare(runs), "runs": runs}
+
+    record = {
+        "what": "discharge cost per build_pool(0) obligation, and perfbench "
+                "run.py metrics, parent against change",
+        "parent_rev": rev,
+        "python": platform.python_version(),
+        "cpus": os.cpu_count(),
+        "date": time.strftime("%Y-%m-%d"),
+        "perfbench": {"seed": args.seed, "seconds": args.seconds,
+                      "pairs": args.pairs, "workloads": bench},
+        "build_pool": {name: summary(p) for name, p in probes.items()},
+        "traces_identical": traces["parent"] == traces["change"],
+        "obligations": [
+            {"theory": c["theory"], "obligation": c["obligation"], "trace": c["trace"],
+             "parent_s": p["s"], "change_s": c["s"],
+             "parent_raw_calls": p["raw_calls"], "change_raw_calls": c["raw_calls"]}
+            for p, c in zip(probes["parent"]["obligations"],
+                            probes["change"]["obligations"])],
+    }
+    with open(os.path.join(ROOT, args.out), "w", encoding="utf-8") as fh:
+        json.dump(record, fh, indent=1)
+        fh.write("\n")
+    print(json.dumps(record["build_pool"]))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -14,20 +14,34 @@ Hypotheses enter as facts of two shapes: nonzeroness keys from `e != 0`
 hypotheses, and positivity polynomials `b - a` from `a < b` hypotheses.
 All comparisons happen on atom-mode canonical forms, which keep
 division, series, and application nodes opaque.
+
+Before a query is searched it is evaluated exactly at a few refutation
+points: rational assignments that satisfy every fact. The rules are
+sound, so a claim that fails at such a point has no derivation, and the
+query is refused without a search. The points can only refuse.
 """
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .errors import NotDerivable
-from .expr import Add, Div, Expr, Mul, Neg, Pow, SeriesSum, Sub, Var
+from .expr import (Add, Const, Div, Expr, Mul, Neg, Pow, SeriesSum, Sub, Var,
+                   free_vars)
 from .formula import Formula, Lt, Ne0
 from .poly import Poly, divexact
 from .ringnorm import Normalizer
 
 _DEPTH = 5
+# refutation points per obligation, draws to find them, and the largest
+# power the exact evaluator takes
+_POINTS = 3
+_DRAWS = 1000
+_MAX_EXP = 12
+# the values a point draws from: n/d for |n| <= 8, 1 <= d <= 8
+_CANDIDATES = sorted({Fraction(n, d) for n in range(-8, 9) for d in range(1, 9)})
 
 # trace words of the sign judgement, by (s, strict)
 _SIGN = {(1, True): "pos", (-1, True): "neg",
@@ -55,8 +69,61 @@ def _pkey(p: Poly) -> tuple:
     return tuple(sorted(p.terms.items()))
 
 
+class _Unhandled(Exception):
+    """A node the exact evaluator does not take."""
+
+
+def _value(e: Expr, pt: Dict[str, Fraction]) -> Fraction:
+    """e at the point pt, exactly, under total division: a zero
+    denominator or a negative power of zero gives 0."""
+    if isinstance(e, Const):
+        return e.value
+    if isinstance(e, Var):
+        if e.name not in pt:
+            raise _Unhandled(e.name)
+        return pt[e.name]
+    if isinstance(e, Neg):
+        return -_value(e.arg, pt)
+    if isinstance(e, (Add, Sub, Mul, Div)):
+        l, r = _value(e.left, pt), _value(e.right, pt)
+        if isinstance(e, Add):
+            return l + r
+        if isinstance(e, Sub):
+            return l - r
+        if isinstance(e, Mul):
+            return l * r
+        return l / r if r else Fraction(0)
+    if isinstance(e, Pow) and isinstance(e.exp, int) and abs(e.exp) <= _MAX_EXP:
+        b = _value(e.base, pt)
+        return b ** e.exp if b or e.exp >= 0 else Fraction(0)
+    raise _Unhandled(type(e).__name__)
+
+
+def _refutation_points(facts: List[Tuple[str, Formula]],
+                       goal: Expr) -> List[Dict[str, Fraction]]:
+    """Up to _POINTS assignments to the variables of the facts and goal
+    under which every `Lt` fact holds strictly and every `Ne0` fact
+    holds, by rejection sampling from a fixed seed. There are none when
+    a fact has a node the evaluator does not take."""
+    pos = [Sub(f.right, f.left) for _, f in facts if isinstance(f, Lt)]
+    ne0 = [f.arg for _, f in facts if isinstance(f, Ne0)]
+    names = sorted(free_vars(goal).union(*map(free_vars, pos + ne0)))
+    rng = random.Random(0)
+    points = []
+    try:
+        for _ in range(_DRAWS):
+            pt = {n: rng.choice(_CANDIDATES) for n in names}
+            if all(_value(e, pt) > 0 for e in pos) and all(_value(e, pt) for e in ne0):
+                points.append(pt)
+                if len(points) == _POINTS:
+                    break
+    except _Unhandled:
+        return []
+    return points
+
+
 class _Discharger:
-    def __init__(self, facts: List[Tuple[str, Formula]]):
+    def __init__(self, facts: List[Tuple[str, Formula]], goal: Expr):
         self.N = Normalizer()
         self.ne0_facts: List[Tuple[str, tuple]] = []
         self.pos_facts: List[Tuple[str, Poly]] = []
@@ -66,6 +133,9 @@ class _Discharger:
         self._miss: dict = {}
         self._active: set = set()
         self._polys: dict = {}
+        self.points = _refutation_points(facts, goal)
+        # raw judgement calls, the size of the search
+        self.raw_calls = 0
         for name, f in facts:
             if isinstance(f, Ne0):
                 self.ne0_facts.append((name, self.N.atom_key(f.arg)))
@@ -86,24 +156,41 @@ class _Discharger:
         self._polys[id(e)] = (e, p)
         return p
 
+    def _refuted(self, kind, e: Expr) -> bool:
+        """The claim fails at a refutation point. A series index in
+        scope has no value there, so inside a series nothing is refuted."""
+        if not self.points or self._scope:
+            return False
+        try:
+            vals = [_value(e, pt) for pt in self.points]
+        except _Unhandled:
+            return False
+        if kind == "ne0":
+            return 0 in vals
+        s, strict = kind
+        return any(s * v <= 0 if strict else s * v < 0 for v in vals)
+
     def _memo(self, kind, e: Expr, depth: int, raw, *args) -> Optional[str]:
         """Memoize a judgement's queries on the canonical polynomial.
 
         A success holds at any depth and for any expression with the
         same canonical form. A failure only rules out retries at equal
-        or lower depth for the same node shape, since some rules are
+        or lower depth for the same node, since some rules are
         shape-directed. The active set breaks self-referential loops."""
+        if self._refuted(kind, e):
+            return None
         pk = (kind, self._scope, _pkey(self._apoly(e)))
         got = self._hit.get(pk)
         if got is not None:
             return got
-        mk = (type(e).__name__,) + pk
+        mk = (e,) + pk
         failed_at = self._miss.get(mk)
         if failed_at is not None and failed_at >= depth:
             return None
         if mk in self._active:
             return None
         self._active.add(mk)
+        self.raw_calls += 1
         try:
             out = raw(e, depth, *args)
         finally:
@@ -345,11 +432,11 @@ def discharge(facts: List[Tuple[str, Formula]], ob: Formula) -> str:
     Returns the rule trace; raises NotDerivable when no rule chain
     applies.
     """
-    d = _Discharger(facts)
     if isinstance(ob, Ne0):
-        t = d.ne0(ob.arg, _DEPTH)
+        t = _Discharger(facts, ob.arg).ne0(ob.arg, _DEPTH)
     elif isinstance(ob, Lt):
-        t = d.sign(Sub(ob.right, ob.left), 1, True, _DEPTH)
+        goal = Sub(ob.right, ob.left)
+        t = _Discharger(facts, goal).sign(goal, 1, True, _DEPTH)
     else:
         t = None
     if t is None:

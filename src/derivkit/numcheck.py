@@ -382,15 +382,22 @@ def _unfolded_hyps(theory: Theory) -> List[Formula]:
     return [map_formula(f, lambda e: subst_vars(e, lets)) for _, f in theory.hyps]
 
 
+def _nodes(e: Expr):
+    """Every node of e, parents before children, walked with an
+    explicit stack so that a long flat sum needs no deep recursion."""
+    stack = [e]
+    while stack:
+        n = stack.pop()
+        yield n
+        stack.extend(reversed(children(n)))
+
+
 def _no_states(e: Expr) -> bool:
-    return not isinstance(e, App) and all(map(_no_states, children(e)))
+    return not any(isinstance(n, App) for n in _nodes(e))
 
 
 def _collect_series(e: Expr, out: List[SeriesSum]) -> None:
-    if isinstance(e, SeriesSum):
-        out.append(e)
-    for c in children(e):
-        _collect_series(c, out)
+    out.extend(n for n in _nodes(e) if isinstance(n, SeriesSum))
 
 
 def _truncation_guard(series: Sequence[SeriesSum], plan: SamplePlan):

@@ -405,3 +405,14 @@ def test_deep_or_overflowing_input_has_no_traceback(tmp_path, cli_env, goal, cod
         # the oracle could not evaluate the claim, so it is not passed
         assert r.stderr == ""
         assert "Failed (numeric: OverflowError" in r.stdout
+
+
+def test_long_flat_sum_is_checked_by_kernel_and_oracle(tmp_path, cli_env):
+    # the oracle walks the goal with an explicit stack, so a flat sum
+    # the kernel can normalize does not overflow it
+    path = write(tmp_path, "long.deriv", _deep_script("+".join(["x"] * 600) + " = 600 * x"))
+    r = subprocess.run([sys.executable, "-m", "derivkit", "check", path],
+                       capture_output=True, text=True, env=cli_env, timeout=120)
+    assert r.returncode == 0, r.stderr
+    assert "Traceback" not in r.stderr
+    assert "deep: Accepted (Symbolic)" in r.stdout

@@ -1,12 +1,17 @@
 """Side-condition discharge rules and their failure behavior."""
 
+from fractions import Fraction
+
 import pytest
 
+import derivkit.discharge as D
 from derivkit.discharge import discharge
 from derivkit.errors import NotDerivable
 from derivkit.expr import (Add, Const, Div, Mul, Neg, Pow, SeriesSum, Sub,
                            Var)
 from derivkit.formula import Lt, Ne0
+
+import gen_obligations
 
 x, y, k = Var("x"), Var("y"), Var("k")
 POS_X = [("hx", Lt(Const(0), x))]
@@ -212,6 +217,8 @@ SIGN_RULES = [
      "above(hx1; negate(nonpos-nonneg(hyp hbn; even-pow)))"),
     ("nonpos-odd-pow", [hw1, hz], pos(Add(one_minus_w, Div(Pow(Neg(sq(y)), 3), Neg(z)))),
      "above(hw1; both-nonpos(odd-pow(negate(even-pow)); hyp hz))"),
+    ("nonpos-nonneg-by-node", [hx1, hxn], pos(Sub(one_minus_x, Mul(Mul(x, y), y))),
+     "above(hx1; negate(nonpos-nonneg(hyp hxn; even-pow)))"),
     ("nonpos-sum-nonpos", [hw1, hxn, hz],
      pos(Add(one_minus_w, Div(Mul(x, Add(Neg(sq(y)), Neg(sq(v)))), z))),
      "above(hw1; both-nonneg(both-nonpos(hyp hxn; sum-nonpos); hyp hz))"),
@@ -246,3 +253,86 @@ def test_rule_trace(facts, ob, trace):
         refuse(facts, ob)
     else:
         assert ok(facts, ob) == trace
+
+
+# -- refutation points -------------------------------------------------
+
+
+def _outcome(facts, ob):
+    try:
+        return discharge(facts, ob)
+    except NotDerivable:
+        return None
+
+
+def _goal(ob):
+    return ob.arg if isinstance(ob, Ne0) else Sub(ob.right, ob.left)
+
+
+def test_refutation_points_change_no_trace_and_hold_for_every_proof(monkeypatch):
+    cases = [r[1:3] for r in SIGN_RULES] + gen_obligations.cases(0, 50, 2)
+    points = [D._refutation_points(facts, _goal(ob)) for facts, ob in cases]
+    live = [_outcome(facts, ob) for facts, ob in cases]
+    monkeypatch.setattr(D, "_refutation_points", lambda facts, goal: [])
+    searched = [_outcome(facts, ob) for facts, ob in cases]
+    assert live == searched
+    assert sum(t is not None for t in live) >= 60
+    # the generated facts hold at a witness, so points are found for them
+    assert all(len(pts) == D._POINTS for pts in points[len(SIGN_RULES):])
+    for (facts, ob), t, pts in zip(cases, live, points):
+        for point in pts:
+            assert all(gen_obligations.holds(f, point) for _, f in facts)
+            if t is None:
+                continue
+            try:
+                true_there = gen_obligations.holds(ob, point)
+            except ValueError:
+                continue  # a series or symbolic power has no value here
+            assert true_there, (ob, point, t)
+
+
+def test_no_refutation_points_from_contradictory_facts():
+    d = D._Discharger([hx, hxn], x)
+    assert d.points == []
+    assert d.sign(x, 1, True, D._DEPTH) == "hyp hx"
+
+
+def test_refutation_skips_what_it_cannot_evaluate():
+    d = D._Discharger([hx], x)
+    assert len(d.points) == 3
+    assert d._refuted((1, True), Neg(x))
+    assert not d._refuted((1, True), SeriesSum("i", 1, Neg(Pow(x, "i"))))
+    assert not d._refuted((1, True), Neg(Pow(x, 13)))
+    assert d._refuted((1, True), Neg(Pow(x, 12)))
+    assert d._refuted("ne0", Sub(x, x))
+    assert d._refuted((-1, False), x)
+    assert not d._refuted((1, False), Mul(x, Const(0)))
+    # a zero denominator gives 0, so 0 < x/(x - x) is false everywhere
+    assert d._refuted((1, True), Div(x, Sub(x, x)))
+    d._scope = (("ipos", "i"),)
+    assert not d._refuted((1, True), Neg(x))
+
+
+def test_exact_value_is_total():
+    pt = {"x": Fraction(0), "y": Fraction(-3, 2)}
+    assert D._value(Div(y, x), pt) == 0
+    assert D._value(Pow(x, -2), pt) == 0
+    assert D._value(Pow(x, 0), pt) == 1
+    assert D._value(Sub(Pow(y, -1), Neg(Mul(y, y))), pt) == Fraction(-2, 3) + Fraction(9, 4)
+
+
+def test_search_effort_of_the_slowest_corpus_obligation():
+    """brunauer_28_from_seq's `(1/C_L - P) * (1 + ...) != 0`, which took
+    9,397 raw judgement calls before false queries were refuted."""
+    cl, c1, p, s0 = Var("C_L"), Var("C_1"), Var("P"), Var("s_0")
+    one = Const(1)
+    facts = [gt0("hCL", cl), gt0("hC1", c1), gt0("hs0", s0),
+             lt1("hx1", Mul(cl, p)), gt0("hx2", Mul(cl, p))]
+    goal = Mul(Sub(Div(one, cl), p),
+               Add(one, Mul(Sub(Div(c1, cl), one), Div(p, Div(one, cl)))))
+    d = D._Discharger(facts, goal)
+    assert d.ne0(goal, D._DEPTH) == (
+        "factors(pos(quotient-pos(hyp hx1; hyp hCL)); pos(above(hx1; "
+        "quotient-pos(both-pos(both-pos(hyp hC1; hyp hCL); "
+        "factor-of(hx2; hyp hCL)); hyp hCL))))")
+    assert d.raw_calls < 4000
