@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Discharge cost per obligation, before and after a change.
+"""Discharge and numeric-oracle cost, before and after a change.
 
     python3 scripts/bench_discharge.py --parent-rev REV [--pairs 10] \
         [--seconds 30] [--seed 1] --out BENCH.json
@@ -12,6 +12,12 @@ working tree and for a `git archive` of REV, the script
   form, the trace (or `null` when refused), the wall time and the number
   of raw judgement calls (`_Discharger._sign_raw` and `_ne0_raw`, counted
   by wrapping them, so the parent needs no counter of its own);
+- runs the numeric oracle (`numcheck.run_suite`, seed 0, 100 samples) on
+  every builtin and records its wall time, its label and its candidate
+  draws per kept sample: the calls of the equation solver that
+  `sample_envs` runs once per draw (`_solve`, or `_solve_equations`
+  before it), over the samples reported, or `null` for a suite that
+  draws no environments;
 - runs `perfbench/run.py` on all three workloads in `--pairs` pairs of
   parent and change, alternating which side runs first, and keeps the
   metrics of every run, each side's median and quartiles and how many
@@ -76,8 +82,28 @@ K.discharge = timed
 
 t0 = time.perf_counter()
 T.build_pool(0)
-print(json.dumps({"build_pool_s": round(time.perf_counter() - t0, 3),
-                  "obligations": rows}))
+pool_s = round(time.perf_counter() - t0, 3)
+
+import derivkit.numcheck as N
+solver = "_solve" if hasattr(N, "_solve") else "_solve_equations"
+draws = [0]
+solve = getattr(N, solver)
+def counted_solve(*a, **k):
+    draws[0] += 1
+    return solve(*a, **k)
+setattr(N, solver, counted_solve)
+suites = []
+for entry in T.registry():
+    th = T.load_theory(entry.name)
+    draws[0] = 0
+    t0 = time.perf_counter()
+    rep = N.run_suite(th, N.SamplePlan(seed=0, count=100))
+    s = round(time.perf_counter() - t0, 6)
+    suites.append({"theory": entry.name, "label": rep.label, "passed": rep.passed,
+                   "samples": rep.samples, "s": s,
+                   "draws_per_sample": round(draws[0] / rep.samples, 3)
+                   if draws[0] else None})
+print(json.dumps({"build_pool_s": pool_s, "obligations": rows, "suites": suites}))
 """
 
 
@@ -161,8 +187,9 @@ def main() -> int:
                 bench[w] = {"summary": compare(runs), "runs": runs}
 
     record = {
-        "what": "discharge cost per build_pool(0) obligation, and perfbench "
-                "run.py metrics, parent against change",
+        "what": "discharge cost per build_pool(0) obligation, numeric suite "
+                "time and draws per builtin, and perfbench run.py metrics, "
+                "parent against change",
         "parent_rev": rev,
         "python": platform.python_version(),
         "cpus": os.cpu_count(),
@@ -171,6 +198,15 @@ def main() -> int:
                       "pairs": args.pairs, "workloads": bench},
         "build_pool": {name: summary(p) for name, p in probes.items()},
         "traces_identical": traces["parent"] == traces["change"],
+        "suites": [
+            {"theory": c["theory"], "parent_label": p["label"], "change_label": c["label"],
+             "passed": [p["passed"], c["passed"]],
+             "parent_s": p["s"], "change_s": c["s"],
+             "parent_draws_per_sample": p["draws_per_sample"],
+             "change_draws_per_sample": c["draws_per_sample"]}
+            for p, c in zip(probes["parent"]["suites"], probes["change"]["suites"])],
+        "suites_s": {side: round(sum(r["s"] for r in probes[side]["suites"]), 3)
+                     for side in ("parent", "change")},
         "obligations": [
             {"theory": c["theory"], "obligation": c["obligation"], "trace": c["trace"],
              "parent_s": p["s"], "change_s": c["s"],
@@ -181,7 +217,7 @@ def main() -> int:
     with open(os.path.join(ROOT, args.out), "w", encoding="utf-8") as fh:
         json.dump(record, fh, indent=1)
         fh.write("\n")
-    print(json.dumps(record["build_pool"]))
+    print(json.dumps({"build_pool": record["build_pool"], "suites_s": record["suites_s"]}))
     return 0
 
 

@@ -27,14 +27,18 @@ import random
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
-from .errors import NotDerivable
+from .errors import NotDerivable, SearchBudgetExhausted
 from .expr import (Add, Const, Div, Expr, Mul, Neg, Pow, SeriesSum, Sub, Var,
                    free_vars)
 from .formula import Formula, Lt, Ne0
+from .parser import print_formula
 from .poly import Poly, divexact
 from .ringnorm import Normalizer
 
 _DEPTH = 5
+# raw judgement calls one obligation may make; the corpus needs 23 at
+# most, and no proof in the tests 1,000 even without refutation points
+_BUDGET = 2000
 # refutation points per obligation, draws to find them, and the largest
 # power the exact evaluator takes
 _POINTS = 3
@@ -189,8 +193,10 @@ class _Discharger:
             return None
         if mk in self._active:
             return None
-        self._active.add(mk)
         self.raw_calls += 1
+        if self.raw_calls > _BUDGET:
+            raise SearchBudgetExhausted()
+        self._active.add(mk)
         try:
             out = raw(e, depth, *args)
         finally:
@@ -269,7 +275,7 @@ class _Discharger:
         else:
             if s > 0 and isinstance(e, Var) and e.name in self.nonneg_vars:
                 return "index"
-            # the strict judgement also settles the nonstrict one
+            # the strict judgement also decides the nonstrict one
             t = self.sign(e, s, True, depth)
             if t:
                 return t
@@ -430,15 +436,20 @@ def discharge(facts: List[Tuple[str, Formula]], ob: Formula) -> str:
     """Close a Ne0 or Lt obligation from the given facts.
 
     Returns the rule trace; raises NotDerivable when no rule chain
-    applies.
+    applies, and SearchBudgetExhausted when the search runs out first.
     """
-    if isinstance(ob, Ne0):
-        t = _Discharger(facts, ob.arg).ne0(ob.arg, _DEPTH)
-    elif isinstance(ob, Lt):
-        goal = Sub(ob.right, ob.left)
-        t = _Discharger(facts, goal).sign(goal, 1, True, _DEPTH)
-    else:
-        t = None
+    try:
+        if isinstance(ob, Ne0):
+            t = _Discharger(facts, ob.arg).ne0(ob.arg, _DEPTH)
+        elif isinstance(ob, Lt):
+            goal = Sub(ob.right, ob.left)
+            t = _Discharger(facts, goal).sign(goal, 1, True, _DEPTH)
+        else:
+            t = None
+    except SearchBudgetExhausted:
+        raise SearchBudgetExhausted(
+            f"{print_formula(ob)}: search budget of {_BUDGET} judgement calls "
+            "used up") from None
     if t is None:
         raise NotDerivable(repr(ob))
     return t

@@ -36,6 +36,11 @@ class NotDerivable(DerivkitError):
         super().__init__(f"not derivable: {obligation}")
 
 
+class SearchBudgetExhausted(DerivkitError):
+    """A discharge search spent its judgement calls without a proof; the
+    obligation fails."""
+
+
 class ArityMismatch(DerivkitError):
     """A function symbol was applied to the wrong number of arguments."""
 
@@ -93,4 +98,4 @@ class RejectionStarvation(DerivkitError):
 
 
 class NonConvergent(DerivkitError):
-    """A truncated series failed to settle within the cutoff."""
+    """A truncated series did not converge within the cutoff."""

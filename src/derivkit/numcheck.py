@@ -4,47 +4,56 @@ Everything here works on raw parsed expressions and plain float
 evaluation; none of the checker's normalization machinery is imported,
 so agreement between the two routes is evidence, not circularity.
 
-Environments are drawn by rejection sampling against the hypotheses.
-Equational hypotheses are satisfied by solving for one variable at a
-time (linear probing with replay, which handles definitional chains),
-sign hypotheses by rejection, and disequalities by rejection with a
+Every goal but a divergence claim takes one path: the theory is
+grounded into real arithmetic without function symbols, and its claims
+are compared on environments drawn by rejection sampling against its
+hypotheses. An equation with a bare name on one side defines that name;
+each other equation that does not hold is solved for one name by a
+single linear probe, without replay. Disequalities are rejected with a
 safety margin so sampled identities stay well conditioned.
 """
 
 from __future__ import annotations
 
 import hashlib
+import itertools
 import math
 import random
 from dataclasses import dataclass, replace
+from fractions import Fraction
+from functools import reduce
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .errors import DerivkitError, NonConvergent, RejectionStarvation
-from .expr import (App, Const, Env, Expr, SeriesSum, Var, children, eval_expr,
-                   free_vars, subst_vars, unfold_lets)
-from .formula import (DivergesLeftAt, EqF, Formula, Lt, Ne0, REAL, Theory,
-                      map_formula)
+from .expr import (Add, App, Const, Deriv, Div, Env, Expr, Mul, Neg, Pow,
+                   SeriesSum, Sub, Var, children, eval_expr, free_vars,
+                   map_children, subst_vars, unfold_lets)
+from .formula import (REAL, STATE, And, DivergesLeftAt, EqF, Exists, Forall,
+                      Formula, Implies, Lt, Ne0, Theory, bound_names,
+                      formula_children, instantiate_forall, map_formula,
+                      subst_formula)
 
 _NE0_MARGIN = 1e-3
 _DRAW_LIMIT = 100_000
+_DEFAULT_RANGE = (-10.0, 10.0)
+_POSITIVE_RANGE = (1e-3, 10.0)
+_ABS_TOL = 1e-12
+# sampled points every quantifier ranges over, beside the closed
+# arguments, and the most instances one quantifier may have
+_FRESH_POINTS = 3
+_MAX_INSTANCES = 4096
 
 
 @dataclass
 class SamplePlan:
     seed: int = 0
     count: int = 100
-    default_range: Tuple[float, float] = (-10.0, 10.0)
-    positive_range: Tuple[float, float] = (1e-3, 10.0)
     series_cutoff: int = 2000
     rel_tol: float = 1e-9
-    abs_tol: float = 1e-12
 
     def __post_init__(self):
         if self.count < 1:
             raise ValueError("sample count must be at least 1")
-        if not (self.default_range[0] < self.default_range[1]
-                and self.positive_range[0] < self.positive_range[1]):
-            raise ValueError("ranges must be nonempty")
 
 
 @dataclass
@@ -61,10 +70,27 @@ def _rng(seed: int, name: str) -> random.Random:
     return random.Random(int.from_bytes(digest[:8], "big"))
 
 
-def _ev(e: Expr, env: Dict[str, float], cutoff: int,
-        fns: Optional[dict] = None, derivs: Optional[dict] = None) -> float:
-    return eval_expr(e, Env(vars=dict(env), fns=fns or {}, derivs=derivs or {}),
-                     series_cutoff=cutoff)
+def _ev(e: Expr, env: Dict[str, float], cutoff: int) -> float:
+    # eval_expr never writes to the variables it is given
+    return eval_expr(e, Env(vars=env), series_cutoff=cutoff)
+
+
+def _close(l: float, r: float) -> bool:
+    return math.isfinite(l) and abs(l - r) <= 1e-9 * max(1.0, abs(l), abs(r))
+
+
+def _nodes(e: Expr):
+    """Every node of e, parents before children, walked with an
+    explicit stack so that a long flat sum needs no deep recursion."""
+    stack = [e]
+    while stack:
+        n = stack.pop()
+        yield n
+        stack.extend(reversed(children(n)))
+
+
+def _no_states(e: Expr) -> bool:
+    return not any(isinstance(n, App) for n in _nodes(e))
 
 
 # ---------------------------------------------------------------------------
@@ -72,134 +98,71 @@ def _ev(e: Expr, env: Dict[str, float], cutoff: int,
 
 
 def _positive_names(hyps: Sequence[Formula]) -> set:
-    out = set()
-    for f in hyps:
-        if isinstance(f, Lt) and isinstance(f.left, Const) and f.left.value == 0 \
-                and isinstance(f.right, Var):
-            out.add(f.right.name)
-    return out
+    return {f.right.name for f in hyps if isinstance(f, Lt) and f.left == _ZERO
+            and isinstance(f.right, Var)}
 
 
-def _solve_equations(env: Dict[str, float], eqs: Sequence[EqF],
-                     names: Sequence[str], cutoff: int) -> bool:
-    """Adjust variables so every equational hypothesis holds.
+def _equation_plan(eqs: Sequence[EqF], rank: Dict[str, int]):
+    """Definitions, and the other equations with the definitions
+    substituted. An equation with a bare name on one side that the other
+    side lacks defines it (the later-declared one if both are names)."""
+    defs: Dict[str, Expr] = {}
+    rest = []
+    for eq in eqs:
+        l, r = subst_vars(eq.left, defs), subst_vars(eq.right, defs)
+        sides = [(a.name, b) for a, b in ((l, r), (r, l)) if isinstance(a, Var)
+                 and a.name in rank and a.name not in free_vars(b)]
+        if not sides:
+            rest.append((l, r))
+            continue
+        v, e = max(sides, key=lambda s: rank[s[0]])
+        defs = {k: subst_vars(d, {v: e}) for k, d in defs.items()}
+        defs[v] = e
+    rest = [(subst_vars(l, defs), subst_vars(r, defs)) for l, r in rest]
+    return defs, [(l, r, (free_vars(l) | free_vars(r)) & rank.keys()) for l, r in rest]
 
-    Each equation claims one variable (latest declared first). Claimed
-    variables are re-solved in claim order whenever the base draw moves
-    under them; a claim's residual can depend on its own variable only
-    through earlier claims, so each linear probe re-solves that prefix.
-    This settles definitional chains feeding a balance equation.
-    """
-    assignments: List[Tuple[str, EqF, frozenset]] = []
 
-    def eq_free(eq: EqF) -> frozenset:
-        return frozenset(free_vars(eq.left) | free_vars(eq.right))
-
-    def diff_at(target: Dict[str, float], eq: EqF) -> float:
-        try:
-            return _ev(eq.left, target, cutoff) - _ev(eq.right, target, cutoff)
-        except DerivkitError:
-            return float("nan")
-
-    def solve_entry(target: Dict[str, float], k: int) -> bool:
-        v, eq, _ = assignments[k]
-
-        def res(c: float) -> float:
-            t2 = dict(target)
-            t2[v] = c
-            if not settle(t2, {v}, upto=k):
-                return float("nan")
-            return diff_at(t2, eq)
-
-        y0, y1 = res(0.0), res(1.0)
-        slope = y1 - y0
-        if not (math.isfinite(y0) and math.isfinite(slope)) or abs(slope) < 1e-12:
-            return False
-        target[v] = -y0 / slope
-        return True
-
-    def settle(target: Dict[str, float], dirty: set,
-               upto: Optional[int] = None) -> bool:
-        """Re-solve claims whose equations touch a dirty variable."""
-        d = set(dirty)
-        end = len(assignments) if upto is None else upto
-        for k in range(end):
-            v, _, fv = assignments[k]
-            if fv & d:
-                if not solve_entry(target, k):
-                    return False
-                d.add(v)
-        return True
-
-    order = list(reversed(names))
-    claimed: set = set()
-    for _round in range(2):
-        for eq in eqs:
-            if not settle(env, set(names)):
-                return False
-            cur = diff_at(env, eq)
-            if not math.isfinite(cur):
-                return False
-            try:
-                l = _ev(eq.left, env, cutoff)
-                r = _ev(eq.right, env, cutoff)
-            except DerivkitError:
-                return False
-            if abs(cur) <= 1e-9 * max(1.0, abs(l), abs(r)):
+def _solve(env: Dict[str, float], defs: Dict[str, Expr], rest,
+           rank: Dict[str, int], cutoff: int) -> bool:
+    """Solve each equation that does not hold for its latest-declared
+    name not solved before, by one linear probe; then evaluate the
+    definitions. False when this draw cannot be solved so."""
+    solved: set = set()
+    try:
+        for l, r, fv in rest:
+            if _close(_ev(l, env, cutoff), _ev(r, env, cutoff)):
                 continue
-            reach = eq_free(eq).union(*(fv for _, _, fv in assignments)) \
-                if assignments else eq_free(eq)
-            fixed = False
-            for v in order:
-                if v in claimed or v not in reach:
-                    continue
-
-                def probe(c: float, v=v) -> float:
-                    t2 = dict(env)
-                    t2[v] = c
-                    if not settle(t2, {v}):
-                        return float("nan")
-                    return diff_at(t2, eq)
-
-                y0, y1, y2 = probe(0.0), probe(1.0), probe(2.0)
-                if not all(math.isfinite(y) for y in (y0, y1, y2)):
-                    continue
-                scale = max(1.0, abs(y0), abs(y1), abs(y2))
-                if abs((y2 - y1) - (y1 - y0)) > 1e-6 * scale:
-                    continue
-                slope = y1 - y0
-                if abs(slope) < 1e-9:
-                    continue
-                env[v] = -y0 / slope
-                assignments.append((v, eq, frozenset(reach | {v})))
-                claimed.add(v)
-                if not settle(env, {v}):
-                    return False
-                fixed = True
-                break
-            if not fixed:
+            if not fv - solved:
                 return False
-    return settle(env, set(names))
+            v = max(fv - solved, key=rank.__getitem__)
+            env[v] = 0.0
+            y0 = _ev(l, env, cutoff) - _ev(r, env, cutoff)
+            env[v] = 1.0
+            slope = _ev(l, env, cutoff) - _ev(r, env, cutoff) - y0
+            if not (math.isfinite(y0) and 1e-12 <= abs(slope) < math.inf):
+                return False
+            env[v] = -y0 / slope
+            solved.add(v)
+        env.update({v: _ev(d, env, cutoff) for v, d in defs.items()})
+    except DerivkitError:
+        return False
+    return True
+
+
+def _holds(f: Formula, env: Dict[str, float], cutoff: int) -> bool:
+    if isinstance(f, EqF):
+        return _close(_ev(f.left, env, cutoff), _ev(f.right, env, cutoff))
+    if isinstance(f, Lt):
+        return _ev(f.left, env, cutoff) < _ev(f.right, env, cutoff)
+    return not isinstance(f, Ne0) or abs(_ev(f.arg, env, cutoff)) > _NE0_MARGIN
 
 
 def _verify_hyps(env: Dict[str, float], hyps: Sequence[Formula],
                  cutoff: int) -> bool:
-    for f in hyps:
-        try:
-            if isinstance(f, EqF):
-                l = _ev(f.left, env, cutoff)
-                r = _ev(f.right, env, cutoff)
-                if not math.isfinite(l) or abs(l - r) > 1e-9 * max(1.0, abs(l), abs(r)):
-                    return False
-            elif isinstance(f, Lt):
-                if not _ev(f.left, env, cutoff) < _ev(f.right, env, cutoff):
-                    return False
-            elif isinstance(f, Ne0):
-                if abs(_ev(f.arg, env, cutoff)) <= _NE0_MARGIN:
-                    return False
-        except DerivkitError:
-            return False
-    return True
+    try:
+        return all(_holds(f, env, cutoff) for f in hyps)
+    except DerivkitError:
+        return False
 
 
 def sample_envs(names: Sequence[str], hyps: Sequence[Formula],
@@ -209,7 +172,8 @@ def sample_envs(names: Sequence[str], hyps: Sequence[Formula],
     """Environments over `names` satisfying every hypothesis."""
     rng = _rng(plan.seed, check_name)
     positive = _positive_names(hyps)
-    eqs = [f for f in hyps if isinstance(f, EqF)]
+    rank = {n: i for i, n in enumerate(names)}
+    defs, rest = _equation_plan([f for f in hyps if isinstance(f, EqF)], rank)
     envs: List[Dict[str, float]] = []
     draws = 0
     while len(envs) < plan.count:
@@ -217,11 +181,9 @@ def sample_envs(names: Sequence[str], hyps: Sequence[Formula],
         if draws > _DRAW_LIMIT:
             raise RejectionStarvation(
                 f"{check_name}: {len(envs)} of {plan.count} samples in {_DRAW_LIMIT} draws")
-        env = {}
-        for n in names:
-            lo, hi = plan.positive_range if n in positive else plan.default_range
-            env[n] = rng.uniform(lo, hi)
-        if not _solve_equations(env, eqs, names, plan.series_cutoff):
+        env = {n: rng.uniform(*(_POSITIVE_RANGE if n in positive else _DEFAULT_RANGE))
+               for n in names}
+        if not _solve(env, defs, rest, rank, plan.series_cutoff):
             continue
         if not _verify_hyps(env, hyps, plan.series_cutoff):
             continue
@@ -232,31 +194,223 @@ def sample_envs(names: Sequence[str], hyps: Sequence[Formula],
 
 
 # ---------------------------------------------------------------------------
+# grounding
+
+
+class _Unsupported(Exception):
+    """A theory part that grounding does not take."""
+
+
+# a polynomial: coefficients over sampled names, constant term first
+_ZERO, _ONE = Const(0), Const(1)
+
+
+def _plus(a: Expr, b: Expr) -> Expr:
+    return b if a == _ZERO else a if b == _ZERO else Add(a, b)
+
+
+def _times(a: Expr, b: Expr) -> Expr:
+    if _ZERO in (a, b):
+        return _ZERO
+    return b if a == _ONE else a if b == _ONE else Mul(a, b)
+
+
+def _padd(p: list, q: list) -> list:
+    n = max(len(p), len(q))
+    return [_plus(*(c[i] if i < len(c) else _ZERO for c in (p, q))) for i in range(n)]
+
+
+def _pmul(p: list, q: list) -> list:
+    out = [_ZERO] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        for j, b in enumerate(q):
+            out[i + j] = _plus(out[i + j], _times(a, b))
+    return out
+
+
+def _compose(p: list, q: list) -> list:
+    """p(q(u)), by Horner's rule."""
+    return reduce(lambda acc, c: _padd(_pmul(acc, q), [c]), reversed(p[:-1]), [p[-1]])
+
+
+class _Grounder:
+    """A theory as sampled names, atomic hypotheses and equation claims.
+
+    (a) `forall u, f(u) = E` or `forall u, deriv(f)(u) = E`, with E a
+    polynomial in u over functions defined before, makes f a polynomial;
+    a derivative's integration constant is the sampled name `f(0)`.
+    (b) Every other application is one sampled name per ground point:
+    the closed arguments, then _FRESH_POINTS sampled names.
+    (c) Every other `forall` takes all tuples of points, an `exists` a
+    fresh name; a claimed `exists` takes its first instance as a
+    hypothesis. Anything else raises _Unsupported."""
+
+    def __init__(self, theory: Theory):
+        self.declared = _theory_names(theory)
+        self.extra = [n for n, s in theory.var_decls if s == STATE]
+        self.known = set(self.declared + self.extra)
+        self.polys: Dict[object, list] = {}
+        self.atoms: Dict[Tuple[object, Expr], str] = {}
+        hyps, lets = _unfolded_hyps(theory), unfold_lets(theory.lets)
+        goal = map_formula(theory.goal, lambda e: subst_vars(e, lets))
+        self.points: List[Expr] = []
+        for f in hyps + [goal]:
+            self._closed_args(f, frozenset())
+        self.points = list(dict.fromkeys(self.points))
+        self.points += [self._name(f"#{k}") for k in range(1, _FRESH_POINTS + 1)]
+        self.hyps: List[Formula] = []
+        for f in self._define(hyps):
+            self.hyps += self.ground(f, False)
+        self.claims = self.ground(goal, True)
+
+    def _name(self, base: str) -> Var:
+        """A fresh sampled name, declared after every earlier one."""
+        while base in self.known:
+            base += "'"
+        self.known.add(base)
+        self.extra.append(base)
+        return Var(base)
+
+    def _closed_args(self, f: Formula, bound: frozenset) -> None:
+        bound = bound | bound_names(f)
+        for part in formula_children(f):
+            if isinstance(part, Expr):
+                self.points += [n.arg for n in _nodes(part) if isinstance(n, App)
+                                and free_vars(n.arg) <= self.known - bound]
+            else:
+                self._closed_args(part, bound)
+
+    def _define(self, hyps: List[Formula]) -> List[Formula]:
+        """The hypotheses left after taking out pointwise definitions."""
+        rest = list(hyps)
+        while True:
+            got = next(((f, d) for f in rest for d in [self._pointwise(f)] if d), None)
+            if got is None:
+                return rest
+            f, (head, p) = got
+            rest.remove(f)
+            if isinstance(head, Deriv):
+                lift = [_times(Const(Fraction(1, k + 1)), c) for k, c in enumerate(p)]
+                self.polys[head.fn] = [self._name(f"{head.fn}(0)")] + lift
+                self.polys[head] = p
+            else:
+                self.polys[head] = p
+                self.polys[Deriv(head)] = \
+                    [_times(Const(k), c) for k, c in enumerate(p)][1:] or [_ZERO]
+
+    def _pointwise(self, f: Formula):
+        """(f or deriv(f), polynomial) when f defines a new function;
+        defining either one defines both."""
+        if isinstance(f, Forall) and len(f.binders) == 1 and isinstance(f.body, EqF):
+            lhs, u = f.body.left, f.binders[0][0]
+            if isinstance(lhs, App) and lhs.arg == Var(u) and lhs.fn not in self.polys:
+                p = self._as_poly(f.body.right, u)
+                return None if p is None else (lhs.fn, p)
+        return None
+
+    def _as_poly(self, e: Expr, u: str) -> Optional[list]:
+        """e as a polynomial in u, or None."""
+        if u not in free_vars(e) and _no_states(e):
+            return [e]
+        if e == Var(u):
+            return [_ZERO, _ONE]
+        parts = [self._as_poly(c, u) for c in children(e)]
+        if None in parts:
+            return None
+        if isinstance(e, App):
+            return None if e.fn not in self.polys else _compose(self.polys[e.fn], parts[0])
+        if isinstance(e, Pow):
+            return reduce(_pmul, [parts[0]] * e.exp, [_ONE]) \
+                if isinstance(e.exp, int) and e.exp >= 0 else None
+        if isinstance(e, (Neg, Sub)):
+            parts[-1] = _pmul([Const(-1)], parts[-1])
+        if isinstance(e, (Add, Sub, Neg)):
+            return reduce(_padd, parts)
+        if isinstance(e, Mul):
+            return _pmul(*parts)
+        if isinstance(e, Div) and len(parts[1]) == 1:
+            return [Div(c, parts[1][0]) for c in parts[0]]
+        return None
+
+    def expr(self, e: Expr) -> Expr:
+        if _no_states(e):
+            return e
+        if not isinstance(e, App):
+            return map_children(e, self.expr)
+        arg = self.expr(e.arg)
+        if not free_vars(arg) <= self.known:
+            raise _Unsupported(e)
+        if e.fn in self.polys:
+            return _compose(self.polys[e.fn], [arg])[0]
+        if isinstance(e.fn, Deriv):
+            raise _Unsupported(e)
+        if (e.fn, arg) not in self.atoms:
+            label = arg.name if isinstance(arg, Var) else \
+                str(arg.value) if isinstance(arg, Const) else repr(arg)
+            self.atoms[e.fn, arg] = self._name(f"{e.fn}({label})").name
+        return Var(self.atoms[e.fn, arg])
+
+    def ground(self, f: Formula, claim: bool) -> List[Formula]:
+        """The atomic instances of f, equations only for a claim; a
+        claim's implication premise goes to the hypotheses."""
+        if isinstance(f, Forall):
+            if len(self.points) ** len(f.binders) > _MAX_INSTANCES:
+                raise _Unsupported(f)
+            return [g for t in itertools.product(self.points, repeat=len(f.binders))
+                    for g in self.ground(instantiate_forall(f, t), claim)]
+        if isinstance(f, And):
+            return self.ground(f.left, claim) + self.ground(f.right, claim)
+        if isinstance(f, Exists):
+            out = self.ground(subst_formula(f.body, f.binder[0],
+                                            self._name(f.binder[0])), claim)
+            if claim and out:
+                self.hyps.append(out.pop(0))
+            return out
+        if isinstance(f, Implies) and claim:
+            self.hyps += self.ground(f.ante, False)
+            return self.ground(f.cons, True)
+        if isinstance(f, EqF) or isinstance(f, (Lt, Ne0)) and not claim:
+            return [map_formula(f, self.expr)]
+        raise _Unsupported(f)
+
+
+def _ground(theory: Theory):
+    """(names, hypotheses, claims) of the grounded theory, or None. The
+    names are the declared ones, then the others in use in the order
+    they were made."""
+    try:
+        g = _Grounder(theory)
+    except _Unsupported:
+        return None
+    used, stack = set(), g.hyps + g.claims
+    while stack:
+        for part in formula_children(stack.pop()):
+            if isinstance(part, Expr):
+                used.update(n.name for n in _nodes(part) if isinstance(n, Var))
+    return g.declared + [n for n in g.extra if n in used], g.hyps, g.claims
+
+
+# ---------------------------------------------------------------------------
 # checks
 
 
-@dataclass
-class IdentityReport:
-    passed: bool
-    worst_residual: float
-    samples: int
-
-
-def identity_check(lhs: Expr, rhs: Expr, names: Sequence[str],
+def identity_check(claims: Sequence[EqF], names: Sequence[str],
                    hyps: Sequence[Formula], plan: SamplePlan,
                    check_name: str = "identity",
-                   extra_reject=None) -> IdentityReport:
+                   extra_reject=None) -> NumericReport:
+    """Both sides of every claim compared on sampled environments."""
     envs = sample_envs(names, hyps, plan, check_name, extra_reject)
     worst = 0.0
     ok = True
     for env in envs:
-        l = _ev(lhs, env, plan.series_cutoff)
-        r = _ev(rhs, env, plan.series_cutoff)
-        diff = abs(l - r)
-        if diff > max(plan.abs_tol, plan.rel_tol * max(abs(l), abs(r))):
-            ok = False
-        worst = max(worst, diff / max(1.0, abs(l), abs(r)))
-    return IdentityReport(ok, worst, len(envs))
+        for c in claims:
+            l = _ev(c.left, env, plan.series_cutoff)
+            r = _ev(c.right, env, plan.series_cutoff)
+            diff = abs(l - r)
+            if diff > max(_ABS_TOL, plan.rel_tol * max(abs(l), abs(r))):
+                ok = False
+            worst = max(worst, diff / max(1.0, abs(l), abs(r)))
+    return NumericReport(plan.seed, len(envs), worst, ok, "identity")
 
 
 def series_truncation_check(s: SeriesSum, closed: Expr, env: Dict[str, float],
@@ -282,18 +436,6 @@ def dot(u: Vec3, v: Vec3) -> float:
     return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
 
 
-def _vadd(u: Vec3, v: Vec3) -> Vec3:
-    return (u[0] + v[0], u[1] + v[1], u[2] + v[2])
-
-
-def _vsub(u: Vec3, v: Vec3) -> Vec3:
-    return (u[0] - v[0], u[1] - v[1], u[2] - v[2])
-
-
-def _vscale(a: float, u: Vec3) -> Vec3:
-    return (a * u[0], a * u[1], a * u[2])
-
-
 @dataclass(frozen=True)
 class VecFn3:
     """Three polynomial component functions of time; coefficient
@@ -316,32 +458,6 @@ class VecFn3:
     @staticmethod
     def from_constant_acceleration(a: Vec3, v0: Vec3, x0: Vec3) -> "VecFn3":
         return VecFn3(tuple((x0[i], v0[i], a[i] / 2.0) for i in range(3)))
-
-
-def vector_kinematics_check(a: Vec3, v0: Vec3, x0: Vec3,
-                            plan: SamplePlan,
-                            check_name: str = "vector_kinematics") -> NumericReport:
-    position = VecFn3.from_constant_acceleration(a, v0, x0)
-    velocity = position.deriv()
-    rng = _rng(plan.seed, check_name)
-    worst = 0.0
-    for _ in range(plan.count):
-        t = rng.uniform(-5.0, 5.0)
-        v = velocity.eval(t)
-        x = position.eval(t)
-        lhs = dot(v, v)
-        rhs = dot(v0, v0) + 2.0 * dot(a, _vsub(x, x0))
-        worst = max(worst, abs(lhs - rhs) / max(1.0, abs(lhs), abs(rhs)))
-        s1 = rng.uniform(-3.0, 3.0)
-        s2 = rng.uniform(-3.0, 3.0)
-        u = tuple(rng.uniform(-3.0, 3.0) for _ in range(3))
-        w = tuple(rng.uniform(-3.0, 3.0) for _ in range(3))
-        z = tuple(rng.uniform(-3.0, 3.0) for _ in range(3))
-        left = dot(_vadd(_vscale(s1, u), _vscale(s2, w)), z)
-        right = s1 * dot(u, z) + s2 * dot(w, z)
-        worst = max(worst, abs(left - right) / max(1.0, abs(left), abs(right)))
-    return NumericReport(plan.seed, plan.count, worst, worst <= plan.rel_tol,
-                         check_name)
 
 
 @dataclass
@@ -372,32 +488,12 @@ def divergence_witness(fn_expr: Expr, var: str, point: float, m: int,
 
 
 def _theory_names(theory: Theory) -> List[str]:
-    names = [n for n, s in theory.var_decls if s == REAL]
-    names += [n for n in theory.const_decls]
-    return names
+    return [n for n, s in theory.var_decls if s == REAL] + list(theory.const_decls)
 
 
 def _unfolded_hyps(theory: Theory) -> List[Formula]:
     lets = unfold_lets(theory.lets)
     return [map_formula(f, lambda e: subst_vars(e, lets)) for _, f in theory.hyps]
-
-
-def _nodes(e: Expr):
-    """Every node of e, parents before children, walked with an
-    explicit stack so that a long flat sum needs no deep recursion."""
-    stack = [e]
-    while stack:
-        n = stack.pop()
-        yield n
-        stack.extend(reversed(children(n)))
-
-
-def _no_states(e: Expr) -> bool:
-    return not any(isinstance(n, App) for n in _nodes(e))
-
-
-def _collect_series(e: Expr, out: List[SeriesSum]) -> None:
-    out.extend(n for n in _nodes(e) if isinstance(n, SeriesSum))
 
 
 def _truncation_guard(series: Sequence[SeriesSum], plan: SamplePlan):
@@ -414,47 +510,26 @@ def _truncation_guard(series: Sequence[SeriesSum], plan: SamplePlan):
                 last = abs(_ev(s.body, inner, plan.series_cutoff))
             except OverflowError:
                 return True
-            if last > plan.abs_tol:
+            if last > _ABS_TOL:
                 return True
         return False
 
     return guard
 
 
-_GAS_MODELS = {"boyles_law_relation", "boyles_law_relation'",
-               "boyles_from_ideal_gas", "charles_from_ideal_gas",
-               "avogadro_from_ideal_gas"}
-
-_KINEMATICS = {"const_accel", "const_accel'", "const_accel''_minus",
-               "const_accel''_plus", "torricelli_scalar",
-               "antideriv_const_demo"}
-
-
 def run_suite(theory: Theory, plan: SamplePlan) -> Optional[NumericReport]:
-    """The numeric check bound to a theory, or None when the goal
-    has no finite evaluation strategy here."""
-    name = theory.name
-    goal = theory.goal
-    if isinstance(goal, DivergesLeftAt):
+    """The numeric check of a theory, or None when grounding does not
+    take it."""
+    if isinstance(theory.goal, DivergesLeftAt):
         return _suite_divergence(theory, plan)
-    if name in _GAS_MODELS:
-        return _suite_gas(theory, plan)
-    if name in _KINEMATICS:
-        return _suite_kinematics(theory, plan)
-    if isinstance(goal, EqF):
-        lets = unfold_lets(theory.lets)
-        lhs = subst_vars(goal.left, lets)
-        rhs = subst_vars(goal.right, lets)
-        if _no_states(lhs) and _no_states(rhs):
-            series: List[SeriesSum] = []
-            _collect_series(lhs, series)
-            _collect_series(rhs, series)
-            guard = _truncation_guard(series, plan) if series else None
-            rep = identity_check(lhs, rhs, _theory_names(theory),
-                                 _unfolded_hyps(theory), plan, name, guard)
-            return NumericReport(plan.seed, rep.samples, rep.worst_residual,
-                                 rep.passed, "identity")
-    return None
+    grounded = _ground(theory)
+    if grounded is None:
+        return None
+    names, hyps, claims = grounded
+    series = [n for c in claims for side in (c.left, c.right)
+              for n in _nodes(side) if isinstance(n, SeriesSum)]
+    guard = _truncation_guard(series, plan) if series else None
+    return identity_check(claims, names, hyps, plan, theory.name, guard)
 
 
 def _divergence_parts(theory: Theory):
@@ -494,100 +569,3 @@ def divergence_table(theory: Theory, plan: SamplePlan, m: int = 8) -> List[float
     env = sample_envs(names, _unfolded_hyps(theory), one, theory.name)[0]
     point = _ev(point_e, env, plan.series_cutoff)
     return divergence_witness(body, var, point, m, env, plan.series_cutoff).values
-
-
-def _suite_gas(theory: Theory, plan: SamplePlan) -> NumericReport:
-    """Finite-state models built to satisfy the hypotheses; the goal's
-    constancy claim is then checked across the states."""
-    name = theory.name
-    rng = _rng(plan.seed, name)
-    worst = 0.0
-    for _ in range(plan.count):
-        R = rng.uniform(0.5, 10.0)
-        products = []
-        if name == "boyles_law_relation":
-            k = rng.uniform(0.5, 10.0)
-            for _j in range(4):
-                p = rng.uniform(0.5, 10.0)
-                products.append(p * (k / p))
-        elif name == "boyles_law_relation'":
-            c = rng.uniform(0.5, 10.0)
-            for _j in range(4):
-                p = rng.uniform(0.5, 10.0)
-                products.append(p * (c / p))
-        elif name == "boyles_from_ideal_gas":
-            n0 = rng.uniform(0.5, 10.0)
-            t0 = rng.uniform(0.5, 10.0)
-            for _j in range(4):
-                p = rng.uniform(0.5, 10.0)
-                v = n0 * R * t0 / p
-                products.append(p * v)
-        elif name == "charles_from_ideal_gas":
-            n0 = rng.uniform(0.5, 10.0)
-            p0 = rng.uniform(0.5, 10.0)
-            for _j in range(4):
-                t = rng.uniform(0.5, 10.0)
-                v = n0 * R * t / p0
-                products.append(v / t)
-        else:
-            t0 = rng.uniform(0.5, 10.0)
-            p0 = rng.uniform(0.5, 10.0)
-            for _j in range(4):
-                n = rng.uniform(0.5, 10.0)
-                v = n * R * t0 / p0
-                products.append(v / n)
-        base = products[0]
-        for p in products[1:]:
-            worst = max(worst, abs(p - base) / max(1.0, abs(p), abs(base)))
-    return NumericReport(plan.seed, plan.count, worst,
-                         worst <= plan.rel_tol, "finite-state model")
-
-
-def _suite_kinematics(theory: Theory, plan: SamplePlan) -> NumericReport:
-    name = theory.name
-    rng = _rng(plan.seed, name)
-    worst = 0.0
-    fd_worst = 0.0
-    for _ in range(plan.count):
-        a = rng.uniform(-5.0, 5.0)
-        v0 = rng.uniform(-5.0, 5.0)
-        x0 = rng.uniform(-5.0, 5.0)
-        t = rng.uniform(-5.0, 5.0)
-
-        def position(s: float) -> float:
-            return x0 + v0 * s + a * s * s / 2.0
-
-        def velocity(s: float) -> float:
-            return v0 + a * s
-
-        h = 1e-5
-        fd = (position(t + h) - position(t - h)) / (2.0 * h)
-        fd_worst = max(fd_worst, abs(fd - velocity(t)) / max(1.0, abs(fd)))
-        if name == "const_accel":
-            l, r = velocity(t), t * a + velocity(0.0)
-        elif name == "const_accel'":
-            l, r = position(t), t * t / 2.0 * a + t * velocity(0.0) + position(0.0)
-        elif name == "const_accel''_minus":
-            l, r = position(t), t / 2.0 * (velocity(t) - velocity(0.0)) \
-                + t * velocity(0.0) + position(0.0)
-        elif name == "const_accel''_plus":
-            l, r = position(t), (velocity(t) + velocity(0.0)) / 2.0 * t + position(0.0)
-        elif name == "torricelli_scalar":
-            l = velocity(t) ** 2
-            r = velocity(0.0) ** 2 + 2.0 * a * (position(t) - position(0.0))
-        else:
-            k, f0 = a, x0
-            l, r = k * t + f0, t * k + f0
-        worst = max(worst, abs(l - r) / max(1.0, abs(l), abs(r)))
-    passed = worst <= plan.rel_tol and fd_worst <= 1e-5
-    if name == "torricelli_scalar":
-        rep = vector_kinematics_check(
-            (2.0, 0.0, 0.0), (3.0, 0.0, 0.0), (1.0, 0.0, 0.0), plan)
-        vec = vector_kinematics_check(
-            tuple(_rng(plan.seed, "vecA").uniform(-5, 5) for _ in range(3)),
-            tuple(_rng(plan.seed, "vecV").uniform(-5, 5) for _ in range(3)),
-            tuple(_rng(plan.seed, "vecX").uniform(-5, 5) for _ in range(3)), plan)
-        passed = passed and rep.passed and vec.passed
-        worst = max(worst, rep.worst_residual, vec.worst_residual)
-    return NumericReport(plan.seed, plan.count, max(worst, fd_worst),
-                         passed, "kinematics")

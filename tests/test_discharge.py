@@ -6,7 +6,7 @@ import pytest
 
 import derivkit.discharge as D
 from derivkit.discharge import discharge
-from derivkit.errors import NotDerivable
+from derivkit.errors import NotDerivable, SearchBudgetExhausted
 from derivkit.expr import (Add, Const, Div, Mul, Neg, Pow, SeriesSum, Sub,
                            Var)
 from derivkit.formula import Lt, Ne0
@@ -261,7 +261,7 @@ def test_rule_trace(facts, ob, trace):
 def _outcome(facts, ob):
     try:
         return discharge(facts, ob)
-    except NotDerivable:
+    except (NotDerivable, SearchBudgetExhausted):
         return None
 
 
@@ -336,3 +336,26 @@ def test_search_effort_of_the_slowest_corpus_obligation():
         "quotient-pos(both-pos(both-pos(hyp hC1; hyp hCL); "
         "factor-of(hx2; hyp hCL)); hyp hCL))))")
     assert d.raw_calls < 4000
+
+
+def test_search_budget_fails_a_query_with_contradictory_facts():
+    """Contradictory facts leave no refutation point, so without a budget
+    this query took 3,802 raw judgement calls before its refusal."""
+    facts = [lt0("hxn", x), gt0("hy", y), lt1("hz1", z),
+             lt1("hzx", Mul(z, x)), gt0("hxy", Mul(x, y))]
+    ob = Lt(sq(Mul(Add(x, y), Neg(x))), Mul(Sub(z, y), y))
+    assert D._refutation_points(facts, Sub(ob.right, ob.left)) == []
+    with pytest.raises(SearchBudgetExhausted, match="search budget of 2000 "
+                       "judgement calls used up"):
+        discharge(facts, ob)
+
+
+def test_kernel_failure_names_the_budget(monkeypatch):
+    from derivkit.kernel import check_theory
+    from derivkit.theories import load_theory
+
+    monkeypatch.setattr(D, "_BUDGET", 1)
+    res = check_theory(load_theory("langmuir_kinetic_let"))
+    assert not res.accepted
+    assert res.failure[1] == ("SearchBudgetExhausted: S + A != 0: search budget "
+                              "of 1 judgement calls used up")

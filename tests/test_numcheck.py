@@ -1,20 +1,20 @@
 """The numeric falsification oracle, exercised directly and per theory."""
 
+import re
 from fractions import Fraction
 
 import pytest
 
 from derivkit.errors import NonConvergent, RejectionStarvation
 from derivkit.expr import (Add, Const, Div, Mul, Pow, SeriesSum, Sub, Var)
-from derivkit.formula import EqF, Lt
+from derivkit.formula import EqF, Lt, Ne0
 from derivkit import numcheck
 from derivkit.numcheck import (SamplePlan, VecFn3, divergence_table,
                                divergence_witness, dot, identity_check,
                                run_suite, sample_envs,
-                               series_truncation_check,
-                               vector_kinematics_check)
+                               series_truncation_check)
 from derivkit.parser import parse_theory
-from derivkit.theories import load_theory, registry
+from derivkit.theories import load_script, load_theory, registry
 
 x, y = Var("x"), Var("y")
 
@@ -33,11 +33,6 @@ def test_plan_rejects_bad_count():
         SamplePlan(count=0)
     with pytest.raises(ValueError):
         SamplePlan(count=-3)
-
-
-def test_plan_rejects_empty_range():
-    with pytest.raises(ValueError):
-        SamplePlan(default_range=(1.0, 1.0))
 
 
 def test_sampling_is_deterministic_per_name():
@@ -81,7 +76,7 @@ def test_unsatisfiable_hypotheses_starve():
 def test_identity_check_accepts_equal_sides():
     lhs = Pow(Add(x, Const(1)), 2)
     rhs = Add(Add(Pow(x, 2), Mul(Const(2), x)), Const(1))
-    rep = identity_check(lhs, rhs, ["x"], [], plan(), "sq")
+    rep = identity_check([EqF(lhs, rhs)], ["x"], [], plan(), "sq")
     assert rep.passed
     assert rep.samples == 40
     assert rep.worst_residual <= 1e-12
@@ -89,7 +84,7 @@ def test_identity_check_accepts_equal_sides():
 
 def test_identity_check_flags_small_systematic_error():
     rhs = Add(Mul(Const(2), x), Const(Fraction(1, 10 ** 6)))
-    rep = identity_check(Mul(Const(2), x), rhs, ["x"], [], plan(), "off")
+    rep = identity_check([EqF(Mul(Const(2), x), rhs)], ["x"], [], plan(), "off")
     assert not rep.passed
     assert rep.worst_residual > 0
 
@@ -137,14 +132,6 @@ def test_vecfn3_constant_has_zero_derivative():
     assert c.deriv().eval(3.7) == (0.0, 0.0, 0.0)
 
 
-def test_vector_kinematics_check_passes():
-    rep = vector_kinematics_check((2, 0, 0), (3, 0, 0), (1, 0, 0), plan())
-    assert rep.passed
-    rep2 = vector_kinematics_check((1.5, -2.0, 0.25), (0.5, 3.0, -1.0),
-                                   (0.0, 1.0, 2.0), plan())
-    assert rep2.passed
-
-
 # -- divergence ------------------------------------------------------------------
 
 
@@ -184,8 +171,8 @@ def test_suite_labels():
     p = plan()
     assert run_suite(load_theory("langmuir_model_derivation"), p).label == "identity"
     assert run_suite(load_theory("brunauer_27"), p).label == "divergence_witness"
-    assert run_suite(load_theory("boyles_law_relation"), p).label == "finite-state model"
-    assert run_suite(load_theory("const_accel"), p).label == "kinematics"
+    assert run_suite(load_theory("boyles_law_relation"), p).label == "identity"
+    assert run_suite(load_theory("const_accel"), p).label == "identity"
 
 
 
@@ -237,12 +224,108 @@ def test_suite_guard_does_not_mask_wrong_series_claims():
 
 
 def test_suite_none_for_unsupported_goals():
+    # a derivative with no pointwise definition, and an order claim
+    src = ("theory q\n  fns f : State -> Real\n"
+           "  goal forall t, deriv(f)(t) = deriv(f)(t)\n"
+           "  proof\n    intro t\n    ring\n  qed\n")
+    assert run_suite(parse_theory(src), plan()) is None
+    src2 = ("theory q2\n  vars x : Real\n  goal x < x + 1\n"
+            "  proof\n    ring\n  qed\n")
+    assert run_suite(parse_theory(src2), plan()) is None
+    # eight binders over three points: more instances than one
+    # quantifier may have
+    src3 = ("theory q3\n  fns f : State -> Real\n"
+            "  goal forall a b c d e g h k, f(a) = f(a)\n"
+            "  proof\n    ring\n  qed\n")
+    assert run_suite(parse_theory(src3), plan()) is None
+
+
+def test_applications_and_quantified_goals_are_grounded():
     src = ("theory q\n  vars s : State\n  fns f : State -> Real\n"
            "  goal f(s) = f(s)\n  proof\n    ring\n  qed\n")
-    assert run_suite(parse_theory(src), plan()) is None
+    rep = run_suite(parse_theory(src), plan())
+    assert rep.label == "identity" and rep.passed
     src2 = ("theory q2\n  vars x : Real\n  goal forall k, k * x = x * k\n"
             "  proof\n    intro k\n    ring\n  qed\n")
-    assert run_suite(parse_theory(src2), plan()) is None
+    rep2 = run_suite(parse_theory(src2), plan())
+    assert rep2.label == "identity" and rep2.passed
+
+
+# -- grounded theories -------------------------------------------------------------
+
+# For each builtin that once had a model picked by its name, a goal the
+# builtin does not prove.
+PERTURBED_GOALS = {
+    "boyles_law_relation":
+        "(exists k, forall j, Pfn(j) * Vfn(j) = k) -> forall n m, Pfn(n) = Pfn(m)",
+    "boyles_law_relation'":
+        "(forall n m, Pfn(n) * Vfn(n) = Pfn(m) * Vfn(m)) -> exists k, forall j, Pfn(j) = k",
+    "boyles_from_ideal_gas": "exists k, forall n, volume(n) = k",
+    "charles_from_ideal_gas": "exists k, forall n, volume(n) * temperature(n) = k",
+    "avogadro_from_ideal_gas": "exists k, forall n, volume(n) * substance_amount(n) = k",
+    "const_accel": "forall t, velocity(t) = t * A / 2 + velocity(0)",
+    "const_accel'": "forall t, position(t) = t^2 * A + t * velocity(0) + position(0)",
+    "const_accel''_minus":
+        "forall t, position(t) = t / 2 * (velocity(t) + velocity(0)) + t * velocity(0) + position(0)",
+    "const_accel''_plus": "forall t, position(t) = (velocity(t) - velocity(0)) / 2 * t + position(0)",
+    "torricelli_scalar":
+        "forall t, velocity(t)^2 = velocity(0)^2 + A * (position(t) - position(0))",
+    "antideriv_const_demo": "forall t, F(t) = t * k + F(1)",
+}
+
+
+@pytest.mark.parametrize("name", sorted(PERTURBED_GOALS))
+def test_perturbed_goal_fails(name):
+    src = re.sub(r"(?m)^  goal .*$", lambda m: "  goal " + PERTURBED_GOALS[name],
+                 load_script(name))
+    rep = run_suite(parse_theory(src), plan())
+    assert rep is not None and not rep.passed, name
+    assert rep.worst_residual > 0.1
+
+
+@pytest.mark.parametrize("name", sorted(PERTURBED_GOALS))
+def test_renamed_copy_is_checked(name):
+    t = parse_theory(load_script(name).replace(f"theory {name}\n",
+                                               f"theory {name}_copy\n"))
+    assert t.name == name + "_copy"
+    rep = run_suite(t, plan())
+    assert rep is not None and rep.passed, (name, rep)
+    assert rep.label == "identity" and rep.samples == 40
+
+
+def test_builtin_name_does_not_pick_the_check():
+    src = ("theory boyles_law_relation\n  vars x : Real\n  goal x * 0 = 1\n"
+           "  proof\n    ring\n  qed\n")
+    rep = run_suite(parse_theory(src), plan())
+    assert rep.label == "identity"
+    assert not rep.passed
+
+
+def test_pointwise_definitions_become_polynomials():
+    # velocity integrates the constant acceleration; both definitions
+    # leave the hypotheses, and the goal is claimed at 0 and three points
+    names, hyps, claims = numcheck._ground(load_theory("const_accel"))
+    assert names == ["A", "#1", "#2", "#3", "velocity(0)"]
+    assert hyps == []
+    assert len(claims) == 4
+
+
+def test_grounded_two_state_gas_system_is_solved():
+    R, P1, V1, n1, T1, P2, V2, n2, T2 = map(
+        Var, ["R", "P1", "V1", "n1", "T1", "P2", "V2", "n2", "T2"])
+    hyps = [EqF(Mul(P1, V1), Mul(Mul(n1, R), T1)),
+            EqF(Mul(P2, V2), Mul(Mul(n2, R), T2)),
+            EqF(T1, T2), EqF(n1, n2), Ne0(P1), Ne0(P2)]
+    names = [v.name for v in (R, P1, V1, n1, T1, P2, V2, n2, T2)]
+    envs = sample_envs(names, hyps, plan(), "two_states")
+    assert len(envs) == 40
+    for e in envs:
+        assert e["T1"] == e["T2"] and e["n1"] == e["n2"]
+        for lhs, rhs in ((e["P1"] * e["V1"], e["n1"] * e["R"] * e["T1"]),
+                         (e["P2"] * e["V2"], e["n2"] * e["R"] * e["T2"]),
+                         (e["P1"] * e["V1"], e["P2"] * e["V2"])):
+            assert abs(lhs - rhs) <= 1e-8 * max(1.0, abs(lhs))
+        assert abs(e["P1"]) > 1e-3 and abs(e["P2"]) > 1e-3
 
 
 def test_oracle_module_keeps_its_own_route():
