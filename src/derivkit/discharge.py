@@ -4,7 +4,9 @@ Obligations are closed by structural recursion over the expression,
 consulting the hypotheses in scope modulo canonical form. The rules
 are deliberately one-directional: every rule concludes its claim from
 strictly sufficient premises under the total-division semantics, so a
-returned trace is always sound; failure just raises NotDerivable.
+returned trace is always sound; failure raises NotDerivable, or
+SearchBudgetExhausted when an obligation spends its judgement calls
+before a rule chain is found.
 
 There are two judgements: `ne0(e)` proves `e != 0`, and
 `sign(e, s, strict)` proves `0 < s*e` (strict) or `0 <= s*e` for a sign
@@ -275,7 +277,7 @@ class _Discharger:
         else:
             if s > 0 and isinstance(e, Var) and e.name in self.nonneg_vars:
                 return "index"
-            # the strict judgement also decides the nonstrict one
+            # the strict judgement also settles the nonstrict one
             t = self.sign(e, s, True, depth)
             if t:
                 return t

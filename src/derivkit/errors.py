@@ -98,4 +98,4 @@ class RejectionStarvation(DerivkitError):
 
 
 class NonConvergent(DerivkitError):
-    """A truncated series did not converge within the cutoff."""
+    """A truncated series failed to settle within the cutoff."""

@@ -8,9 +8,10 @@ Every goal but a divergence claim takes one path: the theory is
 grounded into real arithmetic without function symbols, and its claims
 are compared on environments drawn by rejection sampling against its
 hypotheses. An equation with a bare name on one side defines that name;
-each other equation that does not hold is solved for one name by a
-single linear probe, without replay. Disequalities are rejected with a
-safety margin so sampled identities stay well conditioned.
+each other equation that does not hold is solved for the latest-declared
+name it is linear in, found by probing, without replay. Disequalities
+are rejected with a safety margin so sampled identities stay well
+conditioned.
 """
 
 from __future__ import annotations
@@ -98,8 +99,12 @@ def _no_states(e: Expr) -> bool:
 
 
 def _positive_names(hyps: Sequence[Formula]) -> set:
-    return {f.right.name for f in hyps if isinstance(f, Lt) and f.left == _ZERO
-            and isinstance(f.right, Var)}
+    out = set()
+    for f in hyps:
+        if isinstance(f, Lt) and isinstance(f.left, Const) and f.left.value == 0 \
+                and isinstance(f.right, Var):
+            out.add(f.right.name)
+    return out
 
 
 def _equation_plan(eqs: Sequence[EqF], rank: Dict[str, int]):
@@ -122,27 +127,40 @@ def _equation_plan(eqs: Sequence[EqF], rank: Dict[str, int]):
     return defs, [(l, r, (free_vars(l) | free_vars(r)) & rank.keys()) for l, r in rest]
 
 
+def _gap(l: Expr, r: Expr, env: Dict[str, float], cutoff: int) -> float:
+    try:
+        return _ev(l, env, cutoff) - _ev(r, env, cutoff)
+    except DerivkitError:
+        return math.nan
+
+
 def _solve(env: Dict[str, float], defs: Dict[str, Expr], rest,
            rank: Dict[str, int], cutoff: int) -> bool:
-    """Solve each equation that does not hold for its latest-declared
-    name not solved before, by one linear probe; then evaluate the
-    definitions. False when this draw cannot be solved so."""
+    """Solve each equation that does not hold for a name not solved
+    before: the latest-declared one that probes at 0, 1 and 2 find it
+    linear in. Then evaluate the definitions. False when this draw
+    cannot be solved so."""
     solved: set = set()
     try:
         for l, r, fv in rest:
             if _close(_ev(l, env, cutoff), _ev(r, env, cutoff)):
                 continue
-            if not fv - solved:
+            for v in sorted(fv - solved, key=rank.__getitem__, reverse=True):
+                drawn = env[v]
+                ys = []
+                for c in (0.0, 1.0, 2.0):
+                    env[v] = c
+                    ys.append(_gap(l, r, env, cutoff))
+                y0, y1, y2 = ys
+                slope = y1 - y0
+                if all(map(math.isfinite, ys)) and 1e-12 <= abs(slope) \
+                        and abs(y2 - 2 * y1 + y0) <= 1e-6 * max(1.0, *map(abs, ys)):
+                    env[v] = -y0 / slope
+                    solved.add(v)
+                    break
+                env[v] = drawn
+            else:
                 return False
-            v = max(fv - solved, key=rank.__getitem__)
-            env[v] = 0.0
-            y0 = _ev(l, env, cutoff) - _ev(r, env, cutoff)
-            env[v] = 1.0
-            slope = _ev(l, env, cutoff) - _ev(r, env, cutoff) - y0
-            if not (math.isfinite(y0) and 1e-12 <= abs(slope) < math.inf):
-                return False
-            env[v] = -y0 / slope
-            solved.add(v)
         env.update({v: _ev(d, env, cutoff) for v, d in defs.items()})
     except DerivkitError:
         return False
@@ -242,8 +260,9 @@ class _Grounder:
     (b) Every other application is one sampled name per ground point:
     the closed arguments, then _FRESH_POINTS sampled names.
     (c) Every other `forall` takes all tuples of points, an `exists` a
-    fresh name; a claimed `exists` takes its first instance as a
-    hypothesis. Anything else raises _Unsupported."""
+    fresh name; a claimed `exists` takes its first instance that names
+    the witness as a hypothesis. Anything else, and a claimed witness
+    inside an application's argument, raises _Unsupported."""
 
     def __init__(self, theory: Theory):
         self.declared = _theory_names(theory)
@@ -361,10 +380,15 @@ class _Grounder:
         if isinstance(f, And):
             return self.ground(f.left, claim) + self.ground(f.right, claim)
         if isinstance(f, Exists):
-            out = self.ground(subst_formula(f.body, f.binder[0],
-                                            self._name(f.binder[0])), claim)
-            if claim and out:
-                self.hyps.append(out.pop(0))
+            w = self._name(f.binder[0])
+            out = self.ground(subst_formula(f.body, f.binder[0], w), claim)
+            if claim:
+                if any(w.name in free_vars(arg) for _, arg in self.atoms):
+                    raise _Unsupported(f)
+                named = [g for g in out if w.name in free_vars(g.left) | free_vars(g.right)]
+                if named:
+                    self.hyps.append(named[0])
+                    out.remove(named[0])
             return out
         if isinstance(f, Implies) and claim:
             self.hyps += self.ground(f.ante, False)
@@ -375,9 +399,10 @@ class _Grounder:
 
 
 def _ground(theory: Theory):
-    """(names, hypotheses, claims) of the grounded theory, or None. The
-    names are the declared ones, then the others in use in the order
-    they were made."""
+    """(names, hypotheses, claims, applications) of the grounded theory,
+    or None. The names are the declared ones, then the others in use,
+    arguments of applications in use included, in the order they were
+    made; an application is (function, argument, sampled name)."""
     try:
         g = _Grounder(theory)
     except _Unsupported:
@@ -387,7 +412,14 @@ def _ground(theory: Theory):
         for part in formula_children(stack.pop()):
             if isinstance(part, Expr):
                 used.update(n.name for n in _nodes(part) if isinstance(n, Var))
-    return g.declared + [n for n in g.extra if n in used], g.hyps, g.claims
+    # an argument is grounded before its application is named, so
+    # taking the latest application first finds those nested in it
+    apps = []
+    for (fn, arg), n in reversed(g.atoms.items()):
+        if n in used:
+            apps.append((fn, arg, n))
+            used |= free_vars(arg)
+    return g.declared + [n for n in g.extra if n in used], g.hyps, g.claims, apps
 
 
 # ---------------------------------------------------------------------------
@@ -400,6 +432,11 @@ def identity_check(claims: Sequence[EqF], names: Sequence[str],
                    extra_reject=None) -> NumericReport:
     """Both sides of every claim compared on sampled environments."""
     envs = sample_envs(names, hyps, plan, check_name, extra_reject)
+    return _compare(claims, envs, plan)
+
+
+def _compare(claims: Sequence[EqF], envs: Sequence[Dict[str, float]],
+             plan: SamplePlan) -> NumericReport:
     worst = 0.0
     ok = True
     for env in envs:
@@ -407,7 +444,8 @@ def identity_check(claims: Sequence[EqF], names: Sequence[str],
             l = _ev(c.left, env, plan.series_cutoff)
             r = _ev(c.right, env, plan.series_cutoff)
             diff = abs(l - r)
-            if diff > max(_ABS_TOL, plan.rel_tol * max(abs(l), abs(r))):
+            # written so that a NaN side fails the claim
+            if not diff <= max(_ABS_TOL, plan.rel_tol * max(abs(l), abs(r))):
                 ok = False
             worst = max(worst, diff / max(1.0, abs(l), abs(r)))
     return NumericReport(plan.seed, len(envs), worst, ok, "identity")
@@ -488,7 +526,9 @@ def divergence_witness(fn_expr: Expr, var: str, point: float, m: int,
 
 
 def _theory_names(theory: Theory) -> List[str]:
-    return [n for n, s in theory.var_decls if s == REAL] + list(theory.const_decls)
+    names = [n for n, s in theory.var_decls if s == REAL]
+    names += [n for n in theory.const_decls]
+    return names
 
 
 def _unfolded_hyps(theory: Theory) -> List[Formula]:
@@ -525,11 +565,36 @@ def run_suite(theory: Theory, plan: SamplePlan) -> Optional[NumericReport]:
     grounded = _ground(theory)
     if grounded is None:
         return None
-    names, hyps, claims = grounded
+    names, hyps, claims, apps = grounded
+    if not claims:
+        return None
     series = [n for c in claims for side in (c.left, c.right)
               for n in _nodes(side) if isinstance(n, SeriesSum)]
     guard = _truncation_guard(series, plan) if series else None
-    return identity_check(claims, names, hyps, plan, theory.name, guard)
+    envs = sample_envs(names, hyps, plan, theory.name, guard)
+    if _incongruent(apps, envs, plan.series_cutoff):
+        return None
+    return _compare(claims, envs, plan)
+
+
+def _incongruent(apps, envs: Sequence[Dict[str, float]], cutoff: int) -> bool:
+    """Whether two applications of one function meet at one point with
+    different values in some sample. Grounding names each application
+    apart, so it cannot follow the equal arguments that the kernel's
+    congruence and rewriting use (`f(x + 1)` and `f(1 + x)`, or `f(x)`
+    and `f(y)` under `x = y`); such a theory is not checked."""
+    for env in envs:
+        seen: Dict[object, list] = {}
+        for fn, arg, name in apps:
+            try:
+                p = _ev(arg, env, cutoff)
+            except (DerivkitError, ArithmeticError):
+                continue
+            if any(_close(p, q) and not _close(env[name], env[m])
+                   for q, m in seen.get(fn, ())):
+                return True
+            seen.setdefault(fn, []).append((p, name))
+    return False
 
 
 def _divergence_parts(theory: Theory):

@@ -381,6 +381,42 @@ def test_builtin_name_on_another_goal_gets_its_own_suite(tmp_path, capsys,
     assert suite_labels == ["identity"]
 
 
+CONGRUENCE_SCRIPTS = {
+    "shifted_argument": """\
+theory shifted_argument
+  fns f : State->Real
+  vars x : Real
+  goal f(x + 1) = f(1 + x)
+  proof
+    ring
+  qed
+""",
+    "rewritten_argument": """\
+theory rewritten_argument
+  fns f : State->Real
+  vars x y : Real
+  hyp h : x = y
+  goal f(x) = f(y)
+  proof
+    rw h
+    ring
+  qed
+""",
+}
+
+
+@pytest.mark.parametrize("name", sorted(CONGRUENCE_SCRIPTS))
+def test_applications_at_equal_arguments_are_accepted(tmp_path, capsys, name):
+    # the kernel closes these by congruence; the oracle, which names
+    # each application apart, must not fail them
+    p = write(tmp_path, "cong.deriv", CONGRUENCE_SCRIPTS[name])
+    code, out, err = run_cli(["check", p, "--json"], capsys)
+    assert code == 0, out
+    [report] = json.loads(out)
+    assert report["verdict"] == "accepted"
+    assert "numeric" not in report
+
+
 # -- input too deep or too large to evaluate ----------------------------------
 
 

@@ -65,6 +65,16 @@ def test_equation_hypotheses_are_solved():
         assert abs(e["a"] - 2.0 * e["b"]) <= 1e-9 * max(1.0, abs(e["a"]))
 
 
+def test_equation_nonlinear_in_its_latest_name_is_solved_for_another():
+    # c is declared last, but c * c = x + 1 is linear only in x
+    c = Var("c")
+    hyps = [EqF(Mul(c, c), Add(x, Const(1)))]
+    envs = sample_envs(["x", "c"], hyps, plan(count=25), "nonlinear")
+    assert len(envs) == 25
+    for e in envs:
+        assert abs(e["c"] * e["c"] - e["x"] - 1.0) <= 1e-9 * max(1.0, abs(e["x"]))
+
+
 def test_unsatisfiable_hypotheses_starve():
     with pytest.raises(RejectionStarvation):
         sample_envs(["x"], [Lt(x, x)], plan(count=1), "never")
@@ -87,6 +97,13 @@ def test_identity_check_flags_small_systematic_error():
     rep = identity_check([EqF(Mul(Const(2), x), rhs)], ["x"], [], plan(), "off")
     assert not rep.passed
     assert rep.worst_residual > 0
+
+
+def test_identity_check_fails_a_claim_that_evaluates_to_nan():
+    big = Mul(Mul(x, Pow(Const(10), 200)), Pow(Const(10), 200))
+    rep = identity_check([EqF(Sub(big, big), Const(1))], ["x"],
+                         [Lt(Const(1), x)], plan())
+    assert not rep.passed
 
 
 def test_series_truncation_error_shrinks():
@@ -251,6 +268,35 @@ def test_applications_and_quantified_goals_are_grounded():
     assert rep2.label == "identity" and rep2.passed
 
 
+def _goal_only(goal, decls="  vars x : Real\n  fns g : State -> Real\n"):
+    return parse_theory(f"theory q\n{decls}  goal {goal}\n"
+                        "  proof\n    use 0\n    ring\n  qed\n")
+
+
+def test_claimed_exists_takes_only_an_instance_naming_its_witness():
+    # the instance does not name k, so it stays a claim and is refuted
+    rep = run_suite(_goal_only("exists k, x = 1"), plan())
+    assert rep is not None and not rep.passed
+    # the one instance defines k: no claim is left to compare
+    assert run_suite(_goal_only("exists k, k = x"), plan()) is None
+    # a witness inside an application cannot be picked by grounding
+    assert run_suite(_goal_only("exists k, g(k) = g(x)"), plan()) is None
+
+
+def test_applications_meeting_at_one_point_are_not_checked():
+    # the kernel closes both by congruence on equal arguments; grounding
+    # names each application apart, so the oracle does not take them
+    assert run_suite(_goal_only("g(x + 1) = g(1 + x)"), plan()) is None
+    assert run_suite(_goal_only("g(g(x + 1)) = g(g(1 + x))"), plan()) is None
+    t = parse_theory("theory q\n  vars x y : Real\n  fns g : State -> Real\n"
+                     "  hyp h : x = y\n  goal g(x) = g(y)\n"
+                     "  proof\n    rw h\n    ring\n  qed\n")
+    assert run_suite(t, plan()) is None
+    # applications at points that differ are still compared
+    rep = run_suite(_goal_only("g(x + 1) = g(x)"), plan())
+    assert rep is not None and not rep.passed
+
+
 # -- grounded theories -------------------------------------------------------------
 
 # For each builtin that once had a model picked by its name, a goal the
@@ -304,9 +350,9 @@ def test_builtin_name_does_not_pick_the_check():
 def test_pointwise_definitions_become_polynomials():
     # velocity integrates the constant acceleration; both definitions
     # leave the hypotheses, and the goal is claimed at 0 and three points
-    names, hyps, claims = numcheck._ground(load_theory("const_accel"))
+    names, hyps, claims, apps = numcheck._ground(load_theory("const_accel"))
     assert names == ["A", "#1", "#2", "#3", "velocity(0)"]
-    assert hyps == []
+    assert hyps == [] and apps == []
     assert len(claims) == 4
 
 
