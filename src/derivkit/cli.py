@@ -15,10 +15,10 @@ import time
 from typing import List, Optional, Tuple
 
 from .errors import DerivkitError, DerivSyntaxError
-from .formula import ApplyLemma, DivergesLeftAt, Theory
+from .formula import ApplyLemma, Theory
 from .kernel import (CheckResult, LemmaEntry, LemmaPool, NUMERIC_CERTIFIED,
                      check_theory)
-from .numcheck import NumericReport, SamplePlan, divergence_table, run_suite
+from .numcheck import NumericReport, SamplePlan, run_suite
 from .parser import parse_theories
 from .theories import build_pool, dependency_order, load_theory, registry
 
@@ -73,13 +73,13 @@ def _to_json(out: Outcome) -> dict:
     return d
 
 
-def _print_human(out: Outcome, plan: SamplePlan) -> None:
+def _print_human(out: Outcome) -> None:
     theory, res, numeric, ms = out
     if _verdict(res, numeric):
         kind = "NumericCertified" if res.soundness == NUMERIC_CERTIFIED else "Symbolic"
         print(f"{theory.name}: Accepted ({kind})  [{ms} ms]")
-        if res.soundness == NUMERIC_CERTIFIED and isinstance(theory.goal, DivergesLeftAt):
-            for j, v in enumerate(divergence_table(theory, plan), start=1):
+        if numeric is not None:
+            for j, v in enumerate(numeric.table, start=1):
                 print(f"  j={j}: {v:.6e}")
     elif res.failure is not None:
         step, reason = res.failure
@@ -91,13 +91,12 @@ def _print_human(out: Outcome, plan: SamplePlan) -> None:
 
 
 def _emit(outcomes: List[Outcome], args) -> int:
-    plan = _plan(args)
     try:
         if args.json:
             print(json.dumps([_to_json(o) for o in outcomes], indent=2))
         else:
             for o in outcomes:
-                _print_human(o, plan)
+                _print_human(o)
         sys.stdout.flush()
     except BrokenPipeError:
         # the reader left early; the verdicts stand, and the flush at

@@ -24,10 +24,6 @@ class NonIntegerPow(DerivkitError):
     """A power node carried a non-integer exponent where an int was required."""
 
 
-class UnsupportedNode(DerivkitError):
-    """An expression node the requested operation does not handle."""
-
-
 class NotDerivable(DerivkitError):
     """An obligation could not be discharged from the hypotheses in scope."""
 
@@ -38,7 +34,10 @@ class NotDerivable(DerivkitError):
 
 class SearchBudgetExhausted(DerivkitError):
     """A discharge search spent its judgement calls without a proof; the
-    obligation fails."""
+    obligation fails. The kernel sets the index of the step that raised
+    the obligation."""
+
+    step_index = None
 
 
 class ArityMismatch(DerivkitError):

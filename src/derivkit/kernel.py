@@ -12,12 +12,16 @@ form (division and applications opaque), which keeps them sound
 without side conditions. Clearing denominators, in field_normalize
 and in lemma application, switches to rational form and pays for it
 with one nonzeroness obligation per denominator crossed.
+
+The one numeric step, limit_witness, is the exception: its verdict is
+numeric_certified. It takes its constant assignments from the oracle's
+sampler (`numcheck.witness_envs`: the sign-grid corners that satisfy
+the constant facts, then hypothesis-respecting draws) and has each
+left-approach table judged by `numcheck.divergence_witness`.
 """
 
 from __future__ import annotations
 
-import math
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
@@ -25,7 +29,8 @@ from typing import Dict, List, Optional, Tuple
 from .discharge import discharge
 from .errors import (ArityMismatch, DerivkitError, DuplicateName,
                      GoalNotClosed, NotDerivable, ObligationFailed,
-                     StepFailed, UnboundSymbol)
+                     RejectionStarvation, SearchBudgetExhausted, StepFailed,
+                     UnboundSymbol)
 from .expr import (Add, App, Const, Deriv, Div, Env, Expr, Mul, Pow,
                    SeriesSum, Sub, Var, children, eval_expr, free_vars,
                    map_children, subst_vars, substitute, unfold_lets)
@@ -37,6 +42,7 @@ from .formula import (And, Antideriv, AntiderivConst, ApplyLemma,
                       Specialize, STATE, Theory, Unfold, bound_names,
                       formula_children, formula_free_vars, instantiate_forall,
                       map_formula, subst_formula)
+from .numcheck import divergence_witness, witness_envs
 from .parser import print_formula, print_step
 from .poly import Poly, derivative, divexact
 from .ringnorm import Normalizer
@@ -182,6 +188,9 @@ def _discharge_or_fail(ctx: _Ctx, ob: Formula, idx: int) -> str:
         discharge(ctx.facts(), ob)
     except NotDerivable:
         raise ObligationFailed(idx, print_formula(ob)) from None
+    except SearchBudgetExhausted as e:
+        e.step_index = idx
+        raise
     return print_formula(ob)
 
 
@@ -632,24 +641,6 @@ def _do_antideriv(state: _State, idx: int) -> List[str]:
 # -- divergence witness ------------------------------------------------
 
 
-def _positive_consts(ctx: _Ctx) -> set:
-    out = set()
-    for _, f in ctx.facts():
-        if isinstance(f, Lt) and isinstance(f.left, Const) and f.left.value == 0 \
-                and isinstance(f.right, Var):
-            out.add(f.right.name)
-    return out
-
-
-def _solve_linear(g):
-    y0 = g(0.0)
-    y1 = g(1.0)
-    slope = y1 - y0
-    if not (math.isfinite(y0) and math.isfinite(y1)) or abs(slope) < 1e-12:
-        return None
-    return -y0 / slope
-
-
 def _do_limit_witness(state: _State, step: LimitDivergenceWitness,
                       idx: int, seed: int) -> List[str]:
     ctx = state.ctx
@@ -670,106 +661,30 @@ def _do_limit_witness(state: _State, step: LimitDivergenceWitness,
         raise StepFailed(idx, "the approach point must only involve constants")
     obls = [_discharge_or_fail(ctx, Lt(Const(Fraction(0)), point), idx)]
 
-    positive = _positive_consts(ctx)
-    names = sorted(consts)
-    grids = []
-    for c in names:
-        if c in positive:
-            grids.append([1e-3, 1.0, 10.0])
-        else:
-            grids.append([-10.0, -1.0, 1.0, 10.0])
-    envs: List[Dict[str, float]] = []
-
-    def product(i: int, acc: Dict[str, float]):
-        if i == len(names):
-            envs.append(dict(acc))
-            return
-        for v in grids[i]:
-            acc[names[i]] = v
-            product(i + 1, acc)
-
-    product(0, {})
-    rng = random.Random(f"derivkit:{seed}:limit_witness")
-    for _ in range(8):
-        env = {}
-        for c in names:
-            if c in positive:
-                env[c] = rng.uniform(1e-3, 10.0)
-            else:
-                env[c] = rng.uniform(-10.0, 10.0)
-        envs.append(env)
-
-    checked = 0
+    # the atomic facts over constants only, and every constant linked
+    # to the expression or the point through them
+    facts = [f for _, f in ctx.facts() if isinstance(f, (EqF, Lt, Ne0))
+             and formula_free_vars(f) <= ctx.consts.keys()]
+    while True:
+        more = {v for f in facts if formula_free_vars(f) & consts
+                for v in formula_free_vars(f)} - consts
+        if not more:
+            break
+        consts |= more
+    names = [c for c in ctx.consts if c in consts]
+    try:
+        envs = witness_envs(names, [f for f in facts
+                                    if formula_free_vars(f) <= consts], seed)
+    except RejectionStarvation:
+        raise StepFailed(idx, "no admissible constant assignment found") from None
     for env in envs:
-        full = dict(env)
-        if not _env_satisfies_hyps(ctx, full, pvar):
-            continue
-        checked += 1
-        eenv = Env(vars=full)
-        pval = eval_expr(point, eenv)
-        prev = None
-        values = []
-        for j in range(1, step.depth + 1):
-            eenv.vars[pvar] = pval - 10.0 ** (-j)
-            y = eval_expr(body, eenv)
-            values.append(y)
-            if not math.isfinite(y):
-                raise StepFailed(idx, f"divergence table is not finite at offset 1e-{j}")
-            if y < 0:
-                raise StepFailed(idx, f"divergence table goes negative at offset 1e-{j}")
-            if prev is not None and y <= prev:
-                raise StepFailed(idx, f"divergence table is not increasing at offset 1e-{j}")
-            prev = y
-        if values[-1] <= 1e6:
-            raise StepFailed(idx, "divergence table does not exceed 1e6")
-    if checked == 0:
-        raise StepFailed(idx, "no admissible constant assignment found")
+        rep = divergence_witness(body, pvar, eval_expr(point, Env(vars=env)),
+                                 step.depth, env)
+        if not rep.verdict:
+            raise StepFailed(idx, rep.reason)
     state.closed = True
     state.soundness = NUMERIC_CERTIFIED
     return obls
-
-
-def _env_satisfies_hyps(ctx: _Ctx, env: Dict[str, float], pvar: str) -> bool:
-    """Filter a candidate constant assignment against the hypotheses;
-    equations with one unassigned constant are solved for it."""
-    facts = ctx.facts()
-    for _pass in range(2):
-        for _, f in facts:
-            if not isinstance(f, EqF):
-                continue
-            missing = [v for v in (free_vars(f.left) | free_vars(f.right))
-                       if v not in env and v != pvar and v in ctx.consts]
-            if len(missing) == 1:
-                v = missing[0]
-
-                def gfun(c, v=v, f=f):
-                    e2 = Env(vars={**env, v: c})
-                    try:
-                        return eval_expr(f.left, e2) - eval_expr(f.right, e2)
-                    except DerivkitError:
-                        return float("nan")
-
-                sol = _solve_linear(gfun)
-                if sol is not None:
-                    env[v] = sol
-    for _, f in facts:
-        if not isinstance(f, (EqF, Lt, Ne0)) \
-                or any(v not in env for v in formula_free_vars(f)):
-            continue
-        e2 = Env(vars=env)
-        try:
-            if isinstance(f, EqF):
-                l, r = eval_expr(f.left, e2), eval_expr(f.right, e2)
-                if not math.isfinite(l) or abs(l - r) > 1e-9 * max(1.0, abs(l), abs(r)):
-                    return False
-            elif isinstance(f, Lt):
-                if not eval_expr(f.left, e2) < eval_expr(f.right, e2):
-                    return False
-            elif eval_expr(f.arg, e2) == 0.0:
-                return False
-        except DerivkitError:
-            continue
-    return True
 
 
 # ---------------------------------------------------------------------------
@@ -788,7 +703,7 @@ def _goal_holds(state: _State) -> bool:
         try:
             discharge(ctx.facts(), ctx.unfold_formula(g))
             return True
-        except NotDerivable:
+        except (NotDerivable, SearchBudgetExhausted):
             return False
     return False
 

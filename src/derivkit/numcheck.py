@@ -12,6 +12,12 @@ each other equation that does not hold is solved for the latest-declared
 name it is linear in, found by probing, without replay. Disequalities
 are rejected with a safety margin so sampled identities stay well
 conditioned.
+
+A divergence claim gets left-approach tables, and one judge,
+`divergence_witness`, passes a table only when it is finite,
+nonnegative, strictly increasing and ends above 1e6. The kernel's
+limit_witness step uses the same judge on the assignments of
+`witness_envs`; the oracle keeps its first table for the report.
 """
 
 from __future__ import annotations
@@ -20,7 +26,7 @@ import hashlib
 import itertools
 import math
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import reduce
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
@@ -64,6 +70,8 @@ class NumericReport:
     worst_residual: float
     passed: bool
     label: str = ""
+    # the first left-approach table of a divergence check
+    table: List[float] = field(default_factory=list)
 
 
 def _rng(seed: int, name: str) -> random.Random:
@@ -183,6 +191,16 @@ def _verify_hyps(env: Dict[str, float], hyps: Sequence[Formula],
         return False
 
 
+def _admitter(names: Sequence[str], hyps: Sequence[Formula], cutoff: int
+              ) -> Callable[[Dict[str, float]], bool]:
+    """A test that solves an environment's equations in place and tells
+    whether it then satisfies every hypothesis."""
+    rank = {n: i for i, n in enumerate(names)}
+    defs, rest = _equation_plan([f for f in hyps if isinstance(f, EqF)], rank)
+    return lambda env: _solve(env, defs, rest, rank, cutoff) \
+        and _verify_hyps(env, hyps, cutoff)
+
+
 def sample_envs(names: Sequence[str], hyps: Sequence[Formula],
                 plan: SamplePlan, check_name: str,
                 extra_reject: Optional[Callable[[Dict[str, float]], bool]] = None
@@ -190,8 +208,7 @@ def sample_envs(names: Sequence[str], hyps: Sequence[Formula],
     """Environments over `names` satisfying every hypothesis."""
     rng = _rng(plan.seed, check_name)
     positive = _positive_names(hyps)
-    rank = {n: i for i, n in enumerate(names)}
-    defs, rest = _equation_plan([f for f in hyps if isinstance(f, EqF)], rank)
+    admit = _admitter(names, hyps, plan.series_cutoff)
     envs: List[Dict[str, float]] = []
     draws = 0
     while len(envs) < plan.count:
@@ -201,14 +218,29 @@ def sample_envs(names: Sequence[str], hyps: Sequence[Formula],
                 f"{check_name}: {len(envs)} of {plan.count} samples in {_DRAW_LIMIT} draws")
         env = {n: rng.uniform(*(_POSITIVE_RANGE if n in positive else _DEFAULT_RANGE))
                for n in names}
-        if not _solve(env, defs, rest, rank, plan.series_cutoff):
-            continue
-        if not _verify_hyps(env, hyps, plan.series_cutoff):
+        if not admit(env):
             continue
         if extra_reject is not None and extra_reject(env):
             continue
         envs.append(env)
     return envs
+
+
+def witness_envs(names: Sequence[str], hyps: Sequence[Formula],
+                 seed: int) -> List[Dict[str, float]]:
+    """Assignments to `names` for a divergence witness: each corner of
+    the sign grid (1e-3, 1 and 10 for a name a hypothesis makes
+    positive, -10, -1, 1 and 10 otherwise) that, solved like a drawn
+    environment, satisfies every hypothesis, then eight sampled ones.
+    Raises RejectionStarvation when the sampler finds no eight."""
+    positive = _positive_names(hyps)
+    grids = [(1e-3, 1.0, 10.0) if n in positive else (-10.0, -1.0, 1.0, 10.0)
+             for n in names]
+    plan = SamplePlan(seed, count=8)
+    admit = _admitter(names, hyps, plan.series_cutoff)
+    corners = [dict(zip(names, c)) for c in itertools.product(*grids)]
+    return [env for env in corners if admit(env)] \
+        + sample_envs(names, hyps, plan, "limit_witness")
 
 
 # ---------------------------------------------------------------------------
@@ -501,24 +533,34 @@ class VecFn3:
 @dataclass
 class DivergenceReport:
     values: List[float]
-    verdict: bool
+    reason: Optional[str]
+
+    @property
+    def verdict(self) -> bool:
+        return self.reason is None
 
 
 def divergence_witness(fn_expr: Expr, var: str, point: float, m: int,
                        env: Dict[str, float], cutoff: int = 2000) -> DivergenceReport:
-    """Left-approach table at point - 10^-j for j = 1..m.
+    """Left-approach table at point - 10^-j for j = 1..m, evaluated up
+    to the first offset where it fails.
 
-    The verdict passes iff the table strictly increases and the final
-    value exceeds 1e6.
+    The table passes iff every value is finite and nonnegative, the
+    values strictly increase, and the final one exceeds 1e6; otherwise
+    the reason says where it failed.
     """
-    values = []
+    values: List[float] = []
     for j in range(1, m + 1):
-        e2 = dict(env)
-        e2[var] = point - 10.0 ** (-j)
-        values.append(_ev(fn_expr, e2, cutoff))
-    increasing = all(b > a for a, b in zip(values, values[1:]))
-    verdict = increasing and len(values) > 0 and values[-1] > 1e6
-    return DivergenceReport(values, verdict)
+        y = _ev(fn_expr, {**env, var: point - 10.0 ** -j}, cutoff)
+        values.append(y)
+        fault = "is not finite" if not math.isfinite(y) else \
+            "goes negative" if y < 0 else \
+            "is not increasing" if j > 1 and y <= values[-2] else None
+        if fault:
+            return DivergenceReport(values, f"divergence table {fault} at offset 1e-{j}")
+    if not values or values[-1] <= 1e6:
+        return DivergenceReport(values, "divergence table does not exceed 1e6")
+    return DivergenceReport(values, None)
 
 
 # ---------------------------------------------------------------------------
@@ -618,19 +660,7 @@ def _suite_divergence(theory: Theory, plan: SamplePlan) -> NumericReport:
     # prefix-stable, so drawing only those keeps the same ten
     few = replace(plan, count=min(plan.count, 10))
     envs = sample_envs(names, _unfolded_hyps(theory), few, theory.name)
-    ok = True
-    for env in envs:
-        point = _ev(point_e, env, plan.series_cutoff)
-        rep = divergence_witness(body, var, point, 8, env, plan.series_cutoff)
-        if not rep.verdict:
-            ok = False
-    return NumericReport(plan.seed, len(envs), 0.0, ok, "divergence_witness")
-
-
-def divergence_table(theory: Theory, plan: SamplePlan, m: int = 8) -> List[float]:
-    """Representative left-approach table for a divergence goal."""
-    body, var, names, point_e = _divergence_parts(theory)
-    one = replace(plan, count=1)
-    env = sample_envs(names, _unfolded_hyps(theory), one, theory.name)[0]
-    point = _ev(point_e, env, plan.series_cutoff)
-    return divergence_witness(body, var, point, m, env, plan.series_cutoff).values
+    reps = [divergence_witness(body, var, _ev(point_e, env, plan.series_cutoff), 8,
+                               env, plan.series_cutoff) for env in envs]
+    return NumericReport(plan.seed, len(envs), 0.0, all(r.verdict for r in reps),
+                         "divergence_witness", reps[0].values)

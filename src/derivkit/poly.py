@@ -124,11 +124,6 @@ class Poly:
             n >>= 1
         return out
 
-    def total_degree(self) -> int:
-        if not self.terms:
-            return 0
-        return max(sum(e for _, e in m) for m in self.terms)
-
     def degree_in(self, x: str) -> int:
         d = 0
         for m in self.terms:

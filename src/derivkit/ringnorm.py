@@ -17,7 +17,6 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Dict, List, Tuple
 
-from .errors import UnsupportedNode
 from .expr import (Add, App, Const, Deriv, Div, Expr, Mul, Neg, Pow, SeriesSum,
                    Sub, Var, map_children)
 from .poly import Poly, _gl_key, divexact, poly_gcd, rational_content
@@ -64,9 +63,8 @@ class Normalizer:
     expressions a single comparison or rewrite needs to relate, so
     that equal opaque subterms receive the same synthetic variable."""
 
-    def __init__(self, rational: bool = False, strict: bool = False):
+    def __init__(self, rational: bool = False):
         self.rational = rational
-        self.strict = strict
         self._atoms: Dict[tuple, str] = {}
         self._reps: Dict[str, Expr] = {}
         self.denominators: List[Expr] = []
@@ -144,8 +142,6 @@ class Normalizer:
             return self._atom(("div", self.atom_key(e.left), self.atom_key(e.right)), e), one
         if isinstance(e, Pow):
             if isinstance(e.exp, str):
-                if self.strict:
-                    raise UnsupportedNode("symbolic exponent outside a series")
                 return self._atom(("ipow", self.atom_key(e.base), e.exp), e), one
             n, d = self._norm(e.base, rational)
             k = e.exp
@@ -161,13 +157,9 @@ class Normalizer:
                 return Poly.const(c ** k), one
             return self._atom(("pow", self.atom_key(e.base), k), e), one
         if isinstance(e, SeriesSum):
-            if self.strict:
-                raise UnsupportedNode("series node in ring normalization")
             body = _rename_index(e.body, e.index, _INDEX_PLACEHOLDER)
             return self._atom(("series", e.start, self.atom_key(body)), e), one
         if isinstance(e, App):
-            if self.strict:
-                raise UnsupportedNode("application node in ring normalization")
             if isinstance(e.fn, Deriv):
                 head = ("dapp", e.fn.fn)
             else:

@@ -357,5 +357,19 @@ def test_kernel_failure_names_the_budget(monkeypatch):
     monkeypatch.setattr(D, "_BUDGET", 1)
     res = check_theory(load_theory("langmuir_kinetic_let"))
     assert not res.accepted
-    assert res.failure[1] == ("SearchBudgetExhausted: S + A != 0: search budget "
+    assert res.failure == (3, "SearchBudgetExhausted: S + A != 0: search budget "
                               "of 1 judgement calls used up")
+
+
+def test_budget_stop_in_the_final_goal_check_leaves_the_goal_open(monkeypatch):
+    from derivkit.kernel import check_theory
+    from derivkit.parser import parse_theory
+
+    t = parse_theory("\n".join((
+        "theory t", "  vars x : Real", "  const C : Real", "  const E : Real",
+        "  hyp hC : 0 < C", "  hyp hE : 0 < E", "  hyp hx : x = C",
+        "  goal 0 < x * E", "  proof", "    rw hx", "  qed", "")))
+    assert check_theory(t).accepted
+    monkeypatch.setattr(D, "_BUDGET", 1)
+    assert check_theory(t).failure == (
+        None, "GoalNotClosed: goal not closed after the final step")

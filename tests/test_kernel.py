@@ -619,3 +619,44 @@ def test_limit_witness_point_must_be_constant():
         "  proof", "    limit_witness 7", "  qed"))
     assert not r.accepted
     assert "constants" in r.failure[1]
+
+
+def test_limit_witness_solves_a_fact_nonlinear_in_the_latest_constant():
+    # b is declared last but b * b = a + 5 is not linear in it, so the
+    # solver takes a = b * b - 5; a + 6 is then positive
+    r = run(theory(
+        "  vars P : Real",
+        "  const a : Real",
+        "  const b : Real",
+        "  hyp h : b * b = a + 5",
+        "  let w := (a + 6) / (1 - P)",
+        "  goal diverges_left(w, 1)",
+        "  proof", "    limit_witness 7", "  qed"))
+    assert r.accepted, r.failure
+    assert r.soundness == NUMERIC_CERTIFIED
+
+
+def test_limit_witness_with_contradictory_facts_finds_no_assignment():
+    r = run(theory(
+        "  vars P : Real",
+        "  const C : Real",
+        "  hyp h1 : 0 < C",
+        "  hyp h2 : C < 0",
+        "  let w := C / (1 - P)",
+        "  goal diverges_left(w, 1)",
+        "  proof", "    limit_witness 8", "  qed"))
+    assert r.failure == (1, "StepFailed: no admissible constant assignment found")
+
+
+@pytest.mark.parametrize("seed", [0, 42])
+@pytest.mark.parametrize("hyp, failure", [
+    ("hCL", (2, "ObligationFailed: 0 < 1 / C_L")),
+    ("hC1", (2, "StepFailed: divergence table goes negative at offset 1e-2")),
+    ("h27", (1, "StepFailed: unknown hypothesis 'h27'")),
+])
+def test_brunauer_27_without_one_hypothesis(hyp, failure, seed):
+    from derivkit.theories import load_script
+
+    src = "\n".join(line for line in load_script("brunauer_27").splitlines()
+                    if not line.strip().startswith(f"hyp {hyp} "))
+    assert run(src, seed=seed).failure == failure

@@ -9,8 +9,8 @@ from derivkit.errors import NonConvergent, RejectionStarvation
 from derivkit.expr import (Add, Const, Div, Mul, Pow, SeriesSum, Sub, Var)
 from derivkit.formula import EqF, Lt, Ne0
 from derivkit import numcheck
-from derivkit.numcheck import (SamplePlan, VecFn3, divergence_table,
-                               divergence_witness, dot, identity_check,
+from derivkit.numcheck import (SamplePlan, VecFn3, divergence_witness, dot,
+                               identity_check,
                                run_suite, sample_envs,
                                series_truncation_check)
 from derivkit.parser import parse_theory
@@ -166,10 +166,18 @@ def test_divergence_witness_false_verdict():
     assert not rep.verdict
 
 
+def test_divergence_witness_fails_a_table_that_goes_negative():
+    f = Sub(Div(Const(1), Sub(Const(1), x)), Const(100))
+    rep = divergence_witness(f, "x", 1.0, 8, {})
+    assert not rep.verdict
+    assert rep.reason == "divergence table goes negative at offset 1e-1"
+    assert rep.values == [pytest.approx(-90.0)]
+
+
 def test_divergence_table_for_builtin():
     t = load_theory("brunauer_27")
-    table = divergence_table(t, plan(), m=6)
-    assert len(table) == 6
+    table = run_suite(t, plan()).table
+    assert len(table) == 8
     assert all(b > a for a, b in zip(table, table[1:]))
 
 

@@ -40,7 +40,6 @@ def test_degree_and_coeff():
     assert p.degree_in("y") == 1
     assert p.coeff_in("x", 1) == Poly.const(2)
     assert p.coeff_in("x", 2) == y
-    assert p.total_degree() == 3
 
 
 def test_derivative():

@@ -5,7 +5,6 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from derivkit.errors import UnsupportedNode
 from derivkit.expr import (Add, App, Const, Div, Env, Mul, Neg, Pow,
                            SeriesSum, Sub, Var, eval_expr)
 from derivkit.ringnorm import Normalizer
@@ -63,7 +62,7 @@ def test_app_atoms():
 def test_rational_mode_cancels():
     e1 = Div(Sub(Mul(x, x), Mul(y, y)), Sub(x, y))
     e2 = Add(x, y)
-    n = Normalizer(rational=True, strict=True)
+    n = Normalizer(rational=True)
     assert n.norm(e1) == n.norm(e2)
 
 
@@ -75,13 +74,8 @@ def test_rational_mode_records_syntactic_denominators():
     assert akey(Mul(y, Add(x, Const(1)))) in dens
 
 
-def test_strict_mode_rejects_series():
-    with pytest.raises(UnsupportedNode):
-        Normalizer(rational=True, strict=True).norm(SeriesSum("i", 1, Pow(x, "i")))
-
-
 def test_negative_power_becomes_denominator():
-    n = Normalizer(rational=True, strict=True)
+    n = Normalizer(rational=True)
     assert n.norm(Pow(x, -1)) == n.norm(Div(Const(1), x))
 
 
