@@ -1,7 +1,7 @@
 """Checked symbolic derivations with an independent numeric cross-check."""
 
 from .errors import DerivkitError
-from .expr import Env, eval_expr
+from .expr import eval_expr
 from .formula import Theory
 from .kernel import CheckResult, check_theory
 from .numcheck import SamplePlan, identity_check
@@ -11,7 +11,7 @@ from .theories import build_pool, registry
 __version__ = "0.1.0"
 
 __all__ = [
-    "DerivkitError", "Env", "eval_expr", "Theory", "CheckResult",
+    "DerivkitError", "eval_expr", "Theory", "CheckResult",
     "check_theory", "SamplePlan", "identity_check", "parse_theories",
     "parse_theory", "print_theory", "build_pool", "registry", "__version__",
 ]

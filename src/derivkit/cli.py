@@ -26,8 +26,7 @@ Outcome = Tuple[Theory, CheckResult, Optional[NumericReport], int]
 
 
 def _plan(args) -> SamplePlan:
-    return SamplePlan(seed=args.seed, count=args.samples,
-                      series_cutoff=args.series_cutoff, rel_tol=args.tol)
+    return SamplePlan(seed=args.seed, count=args.samples)
 
 
 def _run_numeric(theory: Theory, plan: SamplePlan) -> Optional[NumericReport]:
@@ -182,9 +181,6 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="emit a JSON report instead of text")
         sp.add_argument("--seed", type=int, default=0)
         sp.add_argument("--samples", type=int, default=100)
-        sp.add_argument("--tol", type=float, default=1e-9)
-        sp.add_argument("--series-cutoff", type=int, default=2000,
-                        dest="series_cutoff")
 
     pc = sub.add_parser("check", help="check theory script files")
     pc.add_argument("paths", nargs="+", metavar="PATH")
@@ -208,8 +204,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
     if getattr(args, "samples", 1) < 1:
         parser.error("--samples must be at least 1")
-    if getattr(args, "series_cutoff", 1) < 1:
-        parser.error("--series-cutoff must be at least 1")
     try:
         return args.fn(args)
     except RecursionError:

@@ -38,7 +38,7 @@ from .poly import Poly, divexact
 from .ringnorm import Normalizer
 
 _DEPTH = 5
-# raw judgement calls one obligation may make; the corpus needs 23 at
+# raw judgement calls one obligation may make; the corpus needs 36 at
 # most, and no proof in the tests 1,000 even without refutation points
 _BUDGET = 2000
 # refutation points per obligation, draws to find them, and the largest

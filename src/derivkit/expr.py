@@ -12,7 +12,7 @@ nonzeroness obligation before it rewrites.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Dict, Sequence, Tuple, Union
 
@@ -115,15 +115,6 @@ class App(Expr):
     arg: Expr
 
 
-@dataclass
-class Env:
-    """Numeric environment: variable values and function implementations."""
-
-    vars: Dict[str, float] = field(default_factory=dict)
-    fns: Dict[str, Callable[[float], float]] = field(default_factory=dict)
-    derivs: Dict[str, Callable[[float], float]] = field(default_factory=dict)
-
-
 def children(e: Expr) -> tuple:
     """The child expressions of e, left to right; none for a leaf."""
     if isinstance(e, (Add, Sub, Mul, Div)):
@@ -217,6 +208,10 @@ def unfold_lets(lets: Sequence[Tuple[str, Expr]]) -> Dict[str, Expr]:
     return expanded
 
 
+# terms of a series that eval_expr sums by default
+SERIES_CUTOFF = 2000
+
+
 def _pow_val(b: float, n: int) -> float:
     if n >= 0:
         return b ** n
@@ -224,7 +219,7 @@ def _pow_val(b: float, n: int) -> float:
     return 0.0 if d == 0.0 else 1.0 / d
 
 
-def _series_fast(s: SeriesSum, env: Env, cutoff: int):
+def _series_fast(s: SeriesSum, env: Dict[str, float], cutoff: int):
     """Closed loop for bodies that factor as c * i^k * x^i.
 
     Returns None when the body has a shape the fast path does not
@@ -264,16 +259,18 @@ def _series_fast(s: SeriesSum, env: Env, cutoff: int):
     return total
 
 
-def eval_expr(e: Expr, env: Env, series_cutoff: int = 2000) -> float:
-    """Evaluate e to a float under env.
+def eval_expr(e: Expr, env: Dict[str, float],
+              series_cutoff: int = SERIES_CUTOFF) -> float:
+    """Evaluate e to a float, with env giving each free name its value.
 
     Series are truncated at series_cutoff terms. Division by zero
     yields 0.0, matching the total-division convention used by the
-    symbolic layer.
+    symbolic layer. A function application has no value here and
+    raises UnboundSymbol; callers ground applications first.
     """
     if isinstance(e, Var):
         try:
-            return float(env.vars[e.name])
+            return float(env[e.name])
         except KeyError:
             raise UnboundSymbol(e.name) from None
     if isinstance(e, Const):
@@ -296,7 +293,7 @@ def eval_expr(e: Expr, env: Env, series_cutoff: int = 2000) -> float:
         exp = e.exp
         if isinstance(exp, str):
             try:
-                v = env.vars[exp]
+                v = env[exp]
             except KeyError:
                 raise UnboundSymbol(exp) from None
             if v != int(v):
@@ -308,21 +305,11 @@ def eval_expr(e: Expr, env: Env, series_cutoff: int = 2000) -> float:
         if fast is not None:
             return fast
         total = 0.0
-        inner = Env(dict(env.vars), env.fns, env.derivs)
+        inner = dict(env)
         for i in range(e.start, series_cutoff + 1):
-            inner.vars[e.index] = i
+            inner[e.index] = i
             total += eval_expr(e.body, inner, series_cutoff)
         return total
     if isinstance(e, App):
-        a = eval_expr(e.arg, env, series_cutoff)
-        if isinstance(e.fn, Deriv):
-            try:
-                return float(env.derivs[e.fn.fn](a))
-            except KeyError:
-                raise UnboundSymbol(f"deriv({e.fn.fn})") from None
-        try:
-            f = env.fns[e.fn]
-        except KeyError:
-            raise UnboundSymbol(e.fn) from None
-        return float(f(a))
+        raise UnboundSymbol(f"deriv({e.fn.fn})" if isinstance(e.fn, Deriv) else e.fn)
     raise TypeError(f"not an expression: {e!r}")

@@ -31,7 +31,7 @@ from .errors import (ArityMismatch, DerivkitError, DuplicateName,
                      GoalNotClosed, NotDerivable, ObligationFailed,
                      RejectionStarvation, SearchBudgetExhausted, StepFailed,
                      UnboundSymbol)
-from .expr import (Add, App, Const, Deriv, Div, Env, Expr, Mul, Pow,
+from .expr import (Add, App, Const, Deriv, Div, Expr, Mul, Pow,
                    SeriesSum, Sub, Var, children, eval_expr, free_vars,
                    map_children, subst_vars, substitute, unfold_lets)
 from .formula import (And, Antideriv, AntiderivConst, ApplyLemma,
@@ -552,7 +552,8 @@ def _chase(e: Expr, u: str, ctx: _Ctx, hops: int = 3) -> Expr:
 def _antideriv_parts(state: _State, idx: int):
     """Shared analysis for the antiderivative schemas: the goal must be
     forall t, F(t) = rhs with rhs rational over a constant denominator
-    and every opaque subterm free of t."""
+    and every opaque subterm free of t. The last part is the printed
+    `!= 0` obligation of each denominator cleared."""
     ctx = state.ctx
     g = state.goal
     if not (isinstance(g, Forall) and len(g.binders) == 1
@@ -566,15 +567,15 @@ def _antideriv_parts(state: _State, idx: int):
     F = lhs.fn
     R = Normalizer(rational=True)
     num, den = R.norm(ctx.unfold_expr(g.body.right))
-    for d in _dedupe_denominators(R.denominators, R):
-        _discharge_or_fail(ctx, Ne0(d), idx)
+    obls = [_discharge_or_fail(ctx, Ne0(d), idx)
+            for d in _dedupe_denominators(R.denominators, R)]
     if not (den.is_const() and den.const_value() != 0):
         raise StepFailed(idx, "right side must have a constant denominator")
     rhs_p = num.scale(Fraction(1) / den.const_value())
     for pv in rhs_p.vars():
         if pv.startswith("@") and t in free_vars(R._reps[pv]):
             raise StepFailed(idx, "opaque terms on the right must not involve the bound variable")
-    return ctx, t, F, R, rhs_p
+    return ctx, t, F, R, rhs_p, obls
 
 
 def _deriv_hyp_matches(ctx: _Ctx, F: str, t: str, R: Normalizer,
@@ -604,7 +605,7 @@ def _deriv_hyp_matches(ctx: _Ctx, F: str, t: str, R: Normalizer,
 
 
 def _do_antideriv_const(state: _State, idx: int) -> List[str]:
-    ctx, t, F, R, rhs_p = _antideriv_parts(state, idx)
+    ctx, t, F, R, rhs_p, obls = _antideriv_parts(state, idx)
     if rhs_p.degree_in(t) > 1:
         raise StepFailed(idx, "right side must be linear in the bound variable")
     c1 = rhs_p.coeff_in(t, 1)
@@ -617,11 +618,11 @@ def _do_antideriv_const(state: _State, idx: int) -> List[str]:
     if not _deriv_hyp_matches(ctx, F, t, R, c1):
         raise StepFailed(idx, f"no hypothesis gives a constant derivative for {F!r}")
     state.closed = True
-    return []
+    return obls
 
 
 def _do_antideriv(state: _State, idx: int) -> List[str]:
-    ctx, t, F, R, rhs_p = _antideriv_parts(state, idx)
+    ctx, t, F, R, rhs_p, obls = _antideriv_parts(state, idx)
     f0 = R.atom_poly(App(F, Const(Fraction(0))))
     f0_var = next(iter(f0.terms))
     if rhs_p.terms.get(f0_var) != 1:
@@ -635,7 +636,7 @@ def _do_antideriv(state: _State, idx: int) -> List[str]:
     if not _deriv_hyp_matches(ctx, F, t, R, dG):
         raise StepFailed(idx, f"no hypothesis matches the derivative of the right side for {F!r}")
     state.closed = True
-    return []
+    return obls
 
 
 # -- divergence witness ------------------------------------------------
@@ -678,8 +679,7 @@ def _do_limit_witness(state: _State, step: LimitDivergenceWitness,
     except RejectionStarvation:
         raise StepFailed(idx, "no admissible constant assignment found") from None
     for env in envs:
-        rep = divergence_witness(body, pvar, eval_expr(point, Env(vars=env)),
-                                 step.depth, env)
+        rep = divergence_witness(body, pvar, eval_expr(point, env), step.depth, env)
         if not rep.verdict:
             raise StepFailed(idx, rep.reason)
     state.closed = True

@@ -32,8 +32,8 @@ from functools import reduce
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .errors import DerivkitError, NonConvergent, RejectionStarvation
-from .expr import (Add, App, Const, Deriv, Div, Env, Expr, Mul, Neg, Pow,
-                   SeriesSum, Sub, Var, children, eval_expr, free_vars,
+from .expr import (SERIES_CUTOFF, Add, App, Const, Deriv, Div, Expr, Mul, Neg,
+                   Pow, SeriesSum, Sub, Var, children, eval_expr, free_vars,
                    map_children, subst_vars, unfold_lets)
 from .formula import (REAL, STATE, And, DivergesLeftAt, EqF, Exists, Forall,
                       Formula, Implies, Lt, Ne0, Theory, bound_names,
@@ -45,6 +45,7 @@ _DRAW_LIMIT = 100_000
 _DEFAULT_RANGE = (-10.0, 10.0)
 _POSITIVE_RANGE = (1e-3, 10.0)
 _ABS_TOL = 1e-12
+_REL_TOL = 1e-9
 # sampled points every quantifier ranges over, beside the closed
 # arguments, and the most instances one quantifier may have
 _FRESH_POINTS = 3
@@ -55,8 +56,6 @@ _MAX_INSTANCES = 4096
 class SamplePlan:
     seed: int = 0
     count: int = 100
-    series_cutoff: int = 2000
-    rel_tol: float = 1e-9
 
     def __post_init__(self):
         if self.count < 1:
@@ -79,13 +78,8 @@ def _rng(seed: int, name: str) -> random.Random:
     return random.Random(int.from_bytes(digest[:8], "big"))
 
 
-def _ev(e: Expr, env: Dict[str, float], cutoff: int) -> float:
-    # eval_expr never writes to the variables it is given
-    return eval_expr(e, Env(vars=env), series_cutoff=cutoff)
-
-
 def _close(l: float, r: float) -> bool:
-    return math.isfinite(l) and abs(l - r) <= 1e-9 * max(1.0, abs(l), abs(r))
+    return math.isfinite(l) and abs(l - r) <= _REL_TOL * max(1.0, abs(l), abs(r))
 
 
 def _nodes(e: Expr):
@@ -135,15 +129,15 @@ def _equation_plan(eqs: Sequence[EqF], rank: Dict[str, int]):
     return defs, [(l, r, (free_vars(l) | free_vars(r)) & rank.keys()) for l, r in rest]
 
 
-def _gap(l: Expr, r: Expr, env: Dict[str, float], cutoff: int) -> float:
+def _gap(l: Expr, r: Expr, env: Dict[str, float]) -> float:
     try:
-        return _ev(l, env, cutoff) - _ev(r, env, cutoff)
+        return eval_expr(l, env) - eval_expr(r, env)
     except DerivkitError:
         return math.nan
 
 
 def _solve(env: Dict[str, float], defs: Dict[str, Expr], rest,
-           rank: Dict[str, int], cutoff: int) -> bool:
+           rank: Dict[str, int]) -> bool:
     """Solve each equation that does not hold for a name not solved
     before: the latest-declared one that probes at 0, 1 and 2 find it
     linear in. Then evaluate the definitions. False when this draw
@@ -151,14 +145,14 @@ def _solve(env: Dict[str, float], defs: Dict[str, Expr], rest,
     solved: set = set()
     try:
         for l, r, fv in rest:
-            if _close(_ev(l, env, cutoff), _ev(r, env, cutoff)):
+            if _close(eval_expr(l, env), eval_expr(r, env)):
                 continue
             for v in sorted(fv - solved, key=rank.__getitem__, reverse=True):
                 drawn = env[v]
                 ys = []
                 for c in (0.0, 1.0, 2.0):
                     env[v] = c
-                    ys.append(_gap(l, r, env, cutoff))
+                    ys.append(_gap(l, r, env))
                 y0, y1, y2 = ys
                 slope = y1 - y0
                 if all(map(math.isfinite, ys)) and 1e-12 <= abs(slope) \
@@ -169,36 +163,34 @@ def _solve(env: Dict[str, float], defs: Dict[str, Expr], rest,
                 env[v] = drawn
             else:
                 return False
-        env.update({v: _ev(d, env, cutoff) for v, d in defs.items()})
+        env.update({v: eval_expr(d, env) for v, d in defs.items()})
     except DerivkitError:
         return False
     return True
 
 
-def _holds(f: Formula, env: Dict[str, float], cutoff: int) -> bool:
+def _holds(f: Formula, env: Dict[str, float]) -> bool:
     if isinstance(f, EqF):
-        return _close(_ev(f.left, env, cutoff), _ev(f.right, env, cutoff))
+        return _close(eval_expr(f.left, env), eval_expr(f.right, env))
     if isinstance(f, Lt):
-        return _ev(f.left, env, cutoff) < _ev(f.right, env, cutoff)
-    return not isinstance(f, Ne0) or abs(_ev(f.arg, env, cutoff)) > _NE0_MARGIN
+        return eval_expr(f.left, env) < eval_expr(f.right, env)
+    return not isinstance(f, Ne0) or abs(eval_expr(f.arg, env)) > _NE0_MARGIN
 
 
-def _verify_hyps(env: Dict[str, float], hyps: Sequence[Formula],
-                 cutoff: int) -> bool:
+def _verify_hyps(env: Dict[str, float], hyps: Sequence[Formula]) -> bool:
     try:
-        return all(_holds(f, env, cutoff) for f in hyps)
+        return all(_holds(f, env) for f in hyps)
     except DerivkitError:
         return False
 
 
-def _admitter(names: Sequence[str], hyps: Sequence[Formula], cutoff: int
+def _admitter(names: Sequence[str], hyps: Sequence[Formula]
               ) -> Callable[[Dict[str, float]], bool]:
     """A test that solves an environment's equations in place and tells
     whether it then satisfies every hypothesis."""
     rank = {n: i for i, n in enumerate(names)}
     defs, rest = _equation_plan([f for f in hyps if isinstance(f, EqF)], rank)
-    return lambda env: _solve(env, defs, rest, rank, cutoff) \
-        and _verify_hyps(env, hyps, cutoff)
+    return lambda env: _solve(env, defs, rest, rank) and _verify_hyps(env, hyps)
 
 
 def sample_envs(names: Sequence[str], hyps: Sequence[Formula],
@@ -208,7 +200,7 @@ def sample_envs(names: Sequence[str], hyps: Sequence[Formula],
     """Environments over `names` satisfying every hypothesis."""
     rng = _rng(plan.seed, check_name)
     positive = _positive_names(hyps)
-    admit = _admitter(names, hyps, plan.series_cutoff)
+    admit = _admitter(names, hyps)
     envs: List[Dict[str, float]] = []
     draws = 0
     while len(envs) < plan.count:
@@ -232,15 +224,18 @@ def witness_envs(names: Sequence[str], hyps: Sequence[Formula],
     the sign grid (1e-3, 1 and 10 for a name a hypothesis makes
     positive, -10, -1, 1 and 10 otherwise) that, solved like a drawn
     environment, satisfies every hypothesis, then eight sampled ones.
-    Raises RejectionStarvation when the sampler finds no eight."""
+    Solving can map corners onto one assignment (a name an equation
+    defines gets its value from the others); each distinct one comes
+    once, where it first occurs. Raises RejectionStarvation when the
+    sampler finds no eight."""
     positive = _positive_names(hyps)
     grids = [(1e-3, 1.0, 10.0) if n in positive else (-10.0, -1.0, 1.0, 10.0)
              for n in names]
-    plan = SamplePlan(seed, count=8)
-    admit = _admitter(names, hyps, plan.series_cutoff)
+    admit = _admitter(names, hyps)
     corners = [dict(zip(names, c)) for c in itertools.product(*grids)]
-    return [env for env in corners if admit(env)] \
-        + sample_envs(names, hyps, plan, "limit_witness")
+    envs = [env for env in corners if admit(env)] \
+        + sample_envs(names, hyps, SamplePlan(seed, count=8), "limit_witness")
+    return list({tuple(env.values()): env for env in envs}.values())
 
 
 # ---------------------------------------------------------------------------
@@ -460,27 +455,25 @@ def _ground(theory: Theory):
 
 def identity_check(claims: Sequence[EqF], names: Sequence[str],
                    hyps: Sequence[Formula], plan: SamplePlan,
-                   check_name: str = "identity",
-                   extra_reject=None) -> NumericReport:
+                   check_name: str = "identity") -> NumericReport:
     """Both sides of every claim compared on sampled environments."""
-    envs = sample_envs(names, hyps, plan, check_name, extra_reject)
-    return _compare(claims, envs, plan)
+    return _compare(claims, sample_envs(names, hyps, plan, check_name), plan.seed)
 
 
 def _compare(claims: Sequence[EqF], envs: Sequence[Dict[str, float]],
-             plan: SamplePlan) -> NumericReport:
+             seed: int) -> NumericReport:
     worst = 0.0
     ok = True
     for env in envs:
         for c in claims:
-            l = _ev(c.left, env, plan.series_cutoff)
-            r = _ev(c.right, env, plan.series_cutoff)
+            l = eval_expr(c.left, env)
+            r = eval_expr(c.right, env)
             diff = abs(l - r)
             # written so that a NaN side fails the claim
-            if not diff <= max(_ABS_TOL, plan.rel_tol * max(abs(l), abs(r))):
+            if not diff <= max(_ABS_TOL, _REL_TOL * max(abs(l), abs(r))):
                 ok = False
             worst = max(worst, diff / max(1.0, abs(l), abs(r)))
-    return NumericReport(plan.seed, len(envs), worst, ok, "identity")
+    return NumericReport(seed, len(envs), worst, ok, "identity")
 
 
 def series_truncation_check(s: SeriesSum, closed: Expr, env: Dict[str, float],
@@ -490,8 +483,8 @@ def series_truncation_check(s: SeriesSum, closed: Expr, env: Dict[str, float],
 
     Raises NonConvergent if the table increases beyond rounding slack.
     """
-    cval = _ev(closed, env, max(cutoffs))
-    errors = [abs(_ev(s, env, n) - cval) for n in cutoffs]
+    cval = eval_expr(closed, env, max(cutoffs))
+    errors = [abs(eval_expr(s, env, n) - cval) for n in cutoffs]
     slack = 4e-16 * max(1.0, abs(cval))
     for a, b in zip(errors, errors[1:]):
         if b > a + slack:
@@ -541,7 +534,7 @@ class DivergenceReport:
 
 
 def divergence_witness(fn_expr: Expr, var: str, point: float, m: int,
-                       env: Dict[str, float], cutoff: int = 2000) -> DivergenceReport:
+                       env: Dict[str, float]) -> DivergenceReport:
     """Left-approach table at point - 10^-j for j = 1..m, evaluated up
     to the first offset where it fails.
 
@@ -551,7 +544,7 @@ def divergence_witness(fn_expr: Expr, var: str, point: float, m: int,
     """
     values: List[float] = []
     for j in range(1, m + 1):
-        y = _ev(fn_expr, {**env, var: point - 10.0 ** -j}, cutoff)
+        y = eval_expr(fn_expr, {**env, var: point - 10.0 ** -j})
         values.append(y)
         fault = "is not finite" if not math.isfinite(y) else \
             "goes negative" if y < 0 else \
@@ -578,7 +571,7 @@ def _unfolded_hyps(theory: Theory) -> List[Formula]:
     return [map_formula(f, lambda e: subst_vars(e, lets)) for _, f in theory.hyps]
 
 
-def _truncation_guard(series: Sequence[SeriesSum], plan: SamplePlan):
+def _truncation_guard(series: Sequence[SeriesSum]):
     """Reject samples where a series has not converged by the cutoff.
 
     At such a point the partial sum cannot distinguish truncation
@@ -586,10 +579,8 @@ def _truncation_guard(series: Sequence[SeriesSum], plan: SamplePlan):
 
     def guard(env: Dict[str, float]) -> bool:
         for s in series:
-            inner = dict(env)
-            inner[s.index] = plan.series_cutoff
             try:
-                last = abs(_ev(s.body, inner, plan.series_cutoff))
+                last = abs(eval_expr(s.body, {**env, s.index: SERIES_CUTOFF}))
             except OverflowError:
                 return True
             if last > _ABS_TOL:
@@ -612,14 +603,14 @@ def run_suite(theory: Theory, plan: SamplePlan) -> Optional[NumericReport]:
         return None
     series = [n for c in claims for side in (c.left, c.right)
               for n in _nodes(side) if isinstance(n, SeriesSum)]
-    guard = _truncation_guard(series, plan) if series else None
+    guard = _truncation_guard(series) if series else None
     envs = sample_envs(names, hyps, plan, theory.name, guard)
-    if _incongruent(apps, envs, plan.series_cutoff):
+    if _incongruent(apps, envs):
         return None
-    return _compare(claims, envs, plan)
+    return _compare(claims, envs, plan.seed)
 
 
-def _incongruent(apps, envs: Sequence[Dict[str, float]], cutoff: int) -> bool:
+def _incongruent(apps, envs: Sequence[Dict[str, float]]) -> bool:
     """Whether two applications of one function meet at one point with
     different values in some sample. Grounding names each application
     apart, so it cannot follow the equal arguments that the kernel's
@@ -629,7 +620,7 @@ def _incongruent(apps, envs: Sequence[Dict[str, float]], cutoff: int) -> bool:
         seen: Dict[object, list] = {}
         for fn, arg, name in apps:
             try:
-                p = _ev(arg, env, cutoff)
+                p = eval_expr(arg, env)
             except (DerivkitError, ArithmeticError):
                 continue
             if any(_close(p, q) and not _close(env[name], env[m])
@@ -660,7 +651,7 @@ def _suite_divergence(theory: Theory, plan: SamplePlan) -> NumericReport:
     # prefix-stable, so drawing only those keeps the same ten
     few = replace(plan, count=min(plan.count, 10))
     envs = sample_envs(names, _unfolded_hyps(theory), few, theory.name)
-    reps = [divergence_witness(body, var, _ev(point_e, env, plan.series_cutoff), 8,
-                               env, plan.series_cutoff) for env in envs]
+    reps = [divergence_witness(body, var, eval_expr(point_e, env), 8, env)
+            for env in envs]
     return NumericReport(plan.seed, len(envs), 0.0, all(r.verdict for r in reps),
                          "divergence_witness", reps[0].values)

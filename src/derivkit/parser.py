@@ -186,12 +186,16 @@ class _Parser:
                 names = [self.fresh_name().value]
                 while self.peek().kind == "ident" and not self.at_sym(":"):
                     names.append(self.fresh_name().value)
-                self.expect_sym(":")
-                sort_t = self.expect_ident("sort")
-                if sort_t.value not in (REAL, STATE):
-                    raise DerivSyntaxError(
-                        f"unknown sort {sort_t.value!r}", sort_t.line, sort_t.col)
-                var_decls.extend((n, sort_t.value) for n in names)
+                # without a sort, the names are real
+                sort = REAL
+                if self.at_sym(":"):
+                    self.advance()
+                    sort_t = self.expect_ident("sort")
+                    if sort_t.value not in (REAL, STATE):
+                        raise DerivSyntaxError(
+                            f"unknown sort {sort_t.value!r}", sort_t.line, sort_t.col)
+                    sort = sort_t.value
+                var_decls.extend((n, sort) for n in names)
                 self.expect_newline()
             elif t.value == "fns":
                 self.advance()

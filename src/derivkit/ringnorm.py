@@ -1,10 +1,13 @@
 """Canonical forms for expressions, with two treatments of division.
 
-Atom mode keeps every Div, SeriesSum, and App node opaque: each one
+Atom mode reads a/b as a * inv(b) and x^-k as inv(x)^k, and keeps
+every reciprocal inv(e), SeriesSum, and App node opaque: each one
 becomes a synthetic ring variable keyed by the canonical forms of its
-children. Equality of atom-mode forms therefore implies pointwise
-equality under the total-division semantics, with no side conditions.
-This is the mode used for matching and for closing goals.
+children. Under total division inv(e) is 1/e, and 0 where e is 0, so
+a constant folds in as its reciprocal and inv(0) is 0. Equality of
+atom-mode forms therefore implies pointwise equality under the
+total-division semantics, with no side conditions. This is the mode
+used for matching and for closing goals.
 
 Rational mode instead clears Div through num/den arithmetic. That is
 only sound where the denominators are nonzero, so the normalizer
@@ -102,6 +105,14 @@ class Normalizer:
             self._reps[name] = rep
         return Poly.var(name)
 
+    def _inv(self, e: Expr) -> Poly:
+        """1/e: one atom keyed on e's canonical form, or a constant."""
+        n = self.atom_poly(e)
+        if n.is_const():
+            c = n.const_value()
+            return Poly.const(Fraction(1) / c if c else Fraction(0))
+        return self._atom(("inv", n.key()), Div(Const(Fraction(1)), e))
+
     def _norm(self, e: Expr, rational: bool) -> RatPair:
         one = Poly.const(1)
         if isinstance(e, Var):
@@ -124,38 +135,23 @@ class Normalizer:
             nr, dr = self._norm(e.right, rational)
             return nl * nr, dl * dr
         if isinstance(e, Div):
-            if rational:
-                nl, dl = self._norm(e.left, rational)
-                nr, dr = self._norm(e.right, rational)
-                self.denominators.append(e.right)
-                return nl * dr, dl * nr
-            nr, _ = self._norm(e.right, False)
-            if nr.is_const():
-                # dividing by a constant is exact at every point, so it
-                # folds into the coefficients; a zero constant collapses
-                # the quotient under the total-division convention
-                c = nr.const_value()
-                if c == 0:
-                    return Poly.zero(), one
-                nl, _ = self._norm(e.left, False)
-                return nl.scale(Fraction(1) / c), one
-            return self._atom(("div", self.atom_key(e.left), self.atom_key(e.right)), e), one
+            if not rational:
+                return self._norm(e.left, False)[0] * self._inv(e.right), one
+            nl, dl = self._norm(e.left, rational)
+            nr, dr = self._norm(e.right, rational)
+            self.denominators.append(e.right)
+            return nl * dr, dl * nr
         if isinstance(e, Pow):
             if isinstance(e.exp, str):
                 return self._atom(("ipow", self.atom_key(e.base), e.exp), e), one
-            n, d = self._norm(e.base, rational)
             k = e.exp
+            if k < 0 and not rational:
+                return self._inv(e.base) ** (-k), one
+            n, d = self._norm(e.base, rational)
             if k >= 0:
                 return n ** k, d ** k
-            if rational:
-                self.denominators.append(e.base)
-                return d ** (-k), n ** (-k)
-            if n.is_const():
-                c = n.const_value()
-                if c == 0:
-                    return Poly.zero(), one
-                return Poly.const(c ** k), one
-            return self._atom(("pow", self.atom_key(e.base), k), e), one
+            self.denominators.append(e.base)
+            return d ** (-k), n ** (-k)
         if isinstance(e, SeriesSum):
             body = _rename_index(e.body, e.index, _INDEX_PLACEHOLDER)
             return self._atom(("series", e.start, self.atom_key(body)), e), one

@@ -5,14 +5,10 @@ lemmas it applies or presupposes, and a citation into the historical
 literature the derivation formalizes. Checking the registry in order
 is the package's own regression suite: every entry must come out
 accepted, eighteen symbolically and brunauer_27 by numeric witness.
-
-Set DERIVKIT_THEORY_DIR to load the scripts from another directory
-instead of the installed package data.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from importlib import resources
 from typing import Collection, Dict, List, Optional, Tuple
@@ -74,26 +70,8 @@ _SPECS: List[Tuple[str, Tuple[str, ...], str, bool]] = [
 ]
 
 
-def _script_dir() -> Optional[str]:
-    return os.environ.get("DERIVKIT_THEORY_DIR")
-
-
 def load_script(name: str) -> str:
-    override = _script_dir()
-    if override:
-        with open(os.path.join(override, name + ".deriv"), encoding="utf-8") as fh:
-            return fh.read()
     return (resources.files(__package__) / (name + ".deriv")).read_text("utf-8")
-
-
-def citations_text() -> str:
-    override = _script_dir()
-    if override:
-        path = os.path.join(override, "citations.txt")
-        if os.path.exists(path):
-            with open(path, encoding="utf-8") as fh:
-                return fh.read()
-    return (resources.files(__package__) / "citations.txt").read_text("utf-8")
 
 
 def registry() -> List[TheoryEntry]:

@@ -18,7 +18,6 @@ from derivkit.expr import (
     Add,
     Const,
     Div,
-    Env,
     Mul,
     Neg,
     Pow,
@@ -49,7 +48,7 @@ def _let_values(theory, base: dict) -> dict:
     """Evaluate the theory's let chain; later lets see earlier values."""
     vals = {}
     for name, body in theory.lets:
-        vals[name] = eval_expr(body, Env(vars={**base, **vals}))
+        vals[name] = eval_expr(body, {**base, **vals})
     return vals
 
 
@@ -305,7 +304,7 @@ def test_criterion_8_normalizer_vs_sampling(report):
         names = sorted(free_vars(e1) | free_vars(e2))
         residual = 0.0
         for _ in range(50):
-            env = Env(vars={n: rng.uniform(-3.0, 3.0) for n in names})
+            env = {n: rng.uniform(-3.0, 3.0) for n in names}
             l = eval_expr(e1, env)
             r = eval_expr(e2, env)
             residual = max(residual, abs(l - r) / max(1.0, abs(l), abs(r)))

@@ -112,6 +112,15 @@ def test_check_mixed_files_reports_each(tmp_path, capsys):
         "will_fail: Failed (ObligationFailed: 1 + K * P != 0 at step 2)")
 
 
+def test_readme_example_checks(tmp_path, capsys):
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    block = readme.read_text("utf-8").split("```text\ntheory scaled_series\n")[1]
+    src = "theory scaled_series\n" + block.split("```")[0]
+    code, out, err = run_cli(["check", write(tmp_path, "example.deriv", src)], capsys)
+    assert (code, err) == (0, "")
+    assert out.startswith("scaled_series: Accepted (Symbolic)")
+
+
 def test_check_json_shape(tmp_path, capsys):
     a = write(tmp_path, "ok.deriv", OK_SCRIPT)
     b = write(tmp_path, "bad.deriv", FAIL_SCRIPT)
@@ -216,8 +225,10 @@ def test_builtin_requires_target(capsys):
 
 
 def test_flag_validation(capsys):
+    # the oracle's tolerance and series cutoff are fixed, not flags
     for argv in (["builtin", "--all", "--samples", "0"],
-                 ["builtin", "--all", "--series-cutoff", "0"]):
+                 ["builtin", "--all", "--tol", "1e9"],
+                 ["builtin", "--all", "--series-cutoff", "2000"]):
         with pytest.raises(SystemExit) as ei:
             main(argv)
         assert ei.value.code == 2

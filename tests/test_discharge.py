@@ -146,8 +146,8 @@ one_minus_w, one_minus_x = Sub(Const(1), w), Sub(Const(1), x)
 # (rule, facts, obligation, trace; None when refused). A goal `0 < e` is
 # searched as `0 < e - 0`, so most traces start with `sum-pos`. Sums keep
 # only the trace of their strict term, so the nonstrict rules show under
-# `above`, whose difference is rebuilt as a sum of monomials; a division
-# atom keeps its written numerator.
+# `above`, whose difference is rebuilt as a sum of monomials; a quotient
+# `a/b` is `a * (1/b)`, and the reciprocal keeps its written denominator.
 SIGN_RULES = [
     # 0 < e
     ("pos-literal", [], pos(Const(2)), "literal"),
@@ -172,7 +172,9 @@ SIGN_RULES = [
     ("pos-content-neg", [hxn, hy1], pos(Sub(Mul(x, y), x)),
      "content-neg(hyp hxn; hyp hy1)"),
     ("pos-quotient-pos", [hy, hx1], pos(Sub(Div(Const(1), y), Div(x, y))),
-     "quotient-pos(content-pos(hyp hy; hyp hx1); even-pow(pos(hyp hy)))"),
+     "content-pos(both-pos(literal; hyp hy); hyp hx1)"),
+    ("pos-quotient-pos-split", [hy, lt1("hxy1", Mul(x, y))], pos(Sub(Div(Const(1), y), x)),
+     "quotient-pos(hyp hxy1; hyp hy)"),
     ("pos-quotient-neg", [hxn, hzn], pos(Sub(Add(Div(x, z), Div(y, z)), Div(y, z))),
      "quotient-neg(neg-pos(hyp hxn; even-pow(neg-sign(hyp hzn))); odd-pow(hyp hzn))"),
     # e < 0
@@ -210,18 +212,26 @@ SIGN_RULES = [
      "above(hx1; sum-nonneg)"),
     # e <= 0
     ("nonpos-negate", [hw1, hxn, hz], pos(Add(one_minus_w, Div(Mul(x, Neg(sq(y))), z))),
-     "above(hw1; both-nonneg(both-nonpos(hyp hxn; negate(even-pow)); hyp hz))"),
+     "above(hw1; negate(nonpos-nonneg(pos-neg(both-pos(literal; hyp hz); hyp hxn); "
+     "even-pow)))"),
     ("nonpos-nonneg-nonpos", [hw1, hx, hzn], pos(Add(one_minus_w, Div(Mul(x, Neg(sq(y))), z))),
-     "above(hw1; both-nonpos(nonneg-nonpos(hyp hx; negate(even-pow)); hyp hzn))"),
+     "above(hw1; negate(nonpos-nonneg(neg-pos(pos-neg(literal; hyp hzn); hyp hx); "
+     "even-pow)))"),
     ("nonpos-nonpos-nonneg", [hx1, hbn], pos(Sub(one_minus_x, Mul(b, sq(y)))),
      "above(hx1; negate(nonpos-nonneg(hyp hbn; even-pow)))"),
     ("nonpos-odd-pow", [hw1, hz], pos(Add(one_minus_w, Div(Pow(Neg(sq(y)), 3), Neg(z)))),
-     "above(hw1; both-nonpos(odd-pow(negate(even-pow)); hyp hz))"),
+     "above(hw1; negate(nonpos-nonneg(pos-neg(literal; hyp hz); even-pow)))"),
+    ("nonpos-odd-pow-denominator", [hw1],
+     pos(Sub(one_minus_w, Div(Const(1), Pow(Neg(sq(y)), 3)))),
+     "above(hw1; negate(nonneg-nonpos(literal; odd-pow(negate(even-pow)))))"),
     ("nonpos-nonneg-by-node", [hx1, hxn], pos(Sub(one_minus_x, Mul(Mul(x, y), y))),
      "above(hx1; negate(nonpos-nonneg(hyp hxn; even-pow)))"),
     ("nonpos-sum-nonpos", [hw1, hxn, hz],
      pos(Add(one_minus_w, Div(Mul(x, Add(Neg(sq(y)), Neg(sq(v)))), z))),
-     "above(hw1; both-nonneg(both-nonpos(hyp hxn; sum-nonpos); hyp hz))"),
+     "above(hw1; sum-nonneg)"),
+    ("nonpos-sum-nonpos-denominator", [hw1, hxn],
+     pos(Add(one_minus_w, Div(x, Add(Neg(sq(y)), Neg(sq(v)))))),
+     "above(hw1; both-nonpos(nonneg-nonpos(literal; sum-nonpos); hyp hxn))"),
     # a rule that holds for one sign only must not answer for another
     ("neg-no-factor-of", [gt0("hxy", Mul(x, y)), hy], Lt(x, Const(0)), None),
     ("neg-no-above", [hx], Lt(x, Const(0)), None),
@@ -242,7 +252,9 @@ SIGN_RULES = [
      "content(hyp nx; hyp ny1)"),
     ("ne0-quotient", [("ny", Ne0(y)), ("n1x", Ne0(one_minus_x))],
      Ne0(Sub(Div(Const(1), y), Div(x, y))),
-     "quotient(content(hyp ny; hyp n1x); pow(hyp ny))"),
+     "content(factors(literal; hyp ny); hyp n1x)"),
+    ("ne0-quotient-split", [("ny", Ne0(y)), ("n1xy", Ne0(Sub(Const(1), Mul(x, y))))],
+     Ne0(Sub(Div(Const(1), y), x)), "quotient(hyp n1xy; hyp ny)"),
 ]
 
 
@@ -333,8 +345,8 @@ def test_search_effort_of_the_slowest_corpus_obligation():
     d = D._Discharger(facts, goal)
     assert d.ne0(goal, D._DEPTH) == (
         "factors(pos(quotient-pos(hyp hx1; hyp hCL)); pos(above(hx1; "
-        "quotient-pos(both-pos(both-pos(hyp hC1; hyp hCL); "
-        "factor-of(hx2; hyp hCL)); hyp hCL))))")
+        "content-pos(factor-of(hx2; hyp hCL); quotient-pos(both-pos(hyp hC1; "
+        "hyp hCL); hyp hCL)))))")
     assert d.raw_calls < 4000
 
 

@@ -550,6 +550,38 @@ def test_antideriv_rejects_wrong_rate():
     assert "no hypothesis matches the derivative" in r.failure[1]
 
 
+def _cancelled_rate(*extra):
+    return theory(
+        "  fns F : State->Real",
+        "  const v : Real",
+        "  const k : Real",
+        "  hyp hF : forall u, deriv(F)(u) = v",
+        *extra,
+        "  goal forall t, F(t) = F(0) + v * k * t / k",
+        "  proof", "    antideriv_const", "  qed")
+
+
+def test_antideriv_const_lists_its_denominator_obligation():
+    r = run(_cancelled_rate("  hyp hk : k != 0"))
+    assert r.accepted
+    assert r.steps[0].obligations == ["k != 0"]
+    assert run(_cancelled_rate()).failure == (1, "ObligationFailed: k != 0")
+
+
+def test_antideriv_lists_its_denominator_obligation():
+    r = run(theory(
+        "  fns g gd : State->Real",
+        "  const B : Real",
+        "  const k : Real",
+        "  hyp hd : forall u, deriv(g)(u) = gd(u)",
+        "  hyp hc : forall u, gd(u) = B * u",
+        "  hyp hk : k != 0",
+        "  goal forall t, g(t) = g(0) + k * B * t^2 / (2 * k)",
+        "  proof", "    antideriv", "  qed"))
+    assert r.accepted
+    assert r.steps[0].obligations == ["2 * k != 0"]
+
+
 # -- divergence witness --------------------------------------------------------
 
 

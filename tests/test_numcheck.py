@@ -12,7 +12,7 @@ from derivkit import numcheck
 from derivkit.numcheck import (SamplePlan, VecFn3, divergence_witness, dot,
                                identity_check,
                                run_suite, sample_envs,
-                               series_truncation_check)
+                               series_truncation_check, witness_envs)
 from derivkit.parser import parse_theory
 from derivkit.theories import load_script, load_theory, registry
 
@@ -172,6 +172,17 @@ def test_divergence_witness_fails_a_table_that_goes_negative():
     assert not rep.verdict
     assert rep.reason == "divergence table goes negative at offset 1e-1"
     assert rep.values == [pytest.approx(-90.0)]
+
+
+def test_witness_envs_gives_each_assignment_once():
+    # h27 defines P_0, so its four corner values solve to one assignment:
+    # brunauer_27's 36 corners are 9 distinct ones
+    cl, c1, p0 = Var("C_L"), Var("C_1"), Var("P_0")
+    hyps = [Lt(Const(0), cl), Lt(Const(0), c1), EqF(p0, Div(Const(1), cl))]
+    envs = witness_envs(["C_L", "C_1", "P_0"], hyps, 0)
+    assert len(envs) == 9 + 8
+    assert len({tuple(e.values()) for e in envs}) == len(envs)
+    assert envs[0] == {"C_L": 1e-3, "C_1": 1e-3, "P_0": 1e3}
 
 
 def test_divergence_table_for_builtin():

@@ -120,6 +120,12 @@ def test_state_declarations_and_apps():
     assert t.goal.left == Mul(App("p", Var("s")), App("v", Var("s")))
 
 
+def test_vars_without_a_sort_are_real():
+    t = parse_theory("theory t\n  vars x y\n  vars s : State\n  goal x = y\n"
+                     "  proof\n    ring\n  qed\n")
+    assert t.var_decls == (("x", "Real"), ("y", "Real"), ("s", "State"))
+
+
 def test_deriv_application():
     src = "\n".join([
         "theory d",

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from derivkit.expr import (Add, App, Const, Div, Env, Mul, Neg, Pow,
+from derivkit.expr import (Add, App, Const, Div, Mul, Neg, Pow,
                            SeriesSum, Sub, Var, eval_expr)
 from derivkit.ringnorm import Normalizer
 
@@ -40,6 +40,15 @@ def test_division_by_literal_folds_into_coefficients():
 def test_division_by_zero_literal_is_zero():
     assert akey(Div(x, Const(0))) == akey(Const(0))
     assert akey(Pow(Const(0), -1)) == akey(Const(0))
+
+
+def test_quotient_is_a_product_with_one_reciprocal():
+    one_minus_x = Sub(Const(1), x)
+    assert akey(Mul(Const(2), Div(x, one_minus_x))) == \
+        akey(Div(Mul(Const(2), x), one_minus_x))
+    assert akey(Pow(x, -2)) == akey(Mul(Div(Const(1), x), Pow(Add(x, Const(0)), -1)))
+    # the reciprocal of a product is one atom, not a product of two
+    assert akey(Div(Const(1), Mul(x, y))) != akey(Mul(Div(Const(1), x), Div(Const(1), y)))
 
 
 def test_series_atom_alpha_invariant():
@@ -110,5 +119,5 @@ def test_atom_normal_form_preserves_value(e, a, b):
     n = Normalizer()
     p, _ = n.norm(e)
     back = n.to_expr(p)
-    env = Env(vars={"x": float(a), "y": float(b)})
+    env = {"x": float(a), "y": float(b)}
     assert eval_expr(e, env) == pytest.approx(eval_expr(back, env), rel=1e-9, abs=1e-9)

@@ -1,12 +1,14 @@
 """The shipped theory corpus: registry shape, ordering, full check."""
 
+from importlib import resources
+
 import pytest
 
 from derivkit.errors import CyclicDependency
 from derivkit.kernel import NUMERIC_CERTIFIED, SYMBOLIC, check_theory
 from derivkit.parser import parse_theory
-from derivkit.theories import (TheoryEntry, citations_text, dependency_order,
-                               load_script, load_theory, registry)
+from derivkit.theories import (TheoryEntry, dependency_order, load_script,
+                               load_theory, registry)
 
 
 def test_registry_has_nineteen_entries():
@@ -31,7 +33,7 @@ def test_registry_scripts_parse_to_matching_names():
 
 
 def test_citation_index_covers_registry():
-    text = citations_text()
+    text = (resources.files("derivkit.theories") / "citations.txt").read_text("utf-8")
     lines = set(text.splitlines())
     for e in registry():
         assert e.citation in lines, e.citation
@@ -68,15 +70,6 @@ def test_load_theory_roundtrip():
     t = load_theory("const_accel")
     assert t.name == "const_accel"
     assert load_script("const_accel").startswith("--")
-
-
-def test_script_dir_override(tmp_path, monkeypatch):
-    (tmp_path / "const_accel.deriv").write_text(
-        "theory const_accel\n  vars x : Real\n  goal x = x\n"
-        "  proof\n    ring\n  qed\n")
-    monkeypatch.setenv("DERIVKIT_THEORY_DIR", str(tmp_path))
-    t = load_theory("const_accel")
-    assert t.var_decls == (("x", "Real"),)
 
 
 def test_whole_corpus_accepted(pool_and_results):
