@@ -12,6 +12,8 @@ nonzeroness obligation before it rewrites.
 
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Dict, Sequence, Tuple, Union
@@ -251,10 +253,31 @@ def _series_fast(s: SeriesSum, env: Dict[str, float], cutoff: int):
             return None
     if base_val is None:
         return None
+    # The loop stops once no later term can change total, so the value
+    # is exactly the partial sum to cutoff. Every 16 terms it tests:
+    # (a) the term ratio ((i+1)/i)^k * |x| is below 1 with room for
+    #     rounding, so while the power stays normal each later term is
+    #     at most the current one;
+    # (b) once the power goes subnormal it never grows again (|x| < 1
+    #     and rounding is monotone), so a later term is at most
+    #     |c| * cutoff^k * (smallest normal), `tail`;
+    # (c) the current term and tail are below a quarter ulp of total,
+    #     under half the float spacing on either side of it.
+    # A later term that would overflow makes tail infinite, so the
+    # stop never fires where the full loop gives inf, nan or raises.
+    try:
+        tail = abs(const_part) * (cutoff ** i_degree if i_degree else 1) * sys.float_info.min
+    except OverflowError:
+        tail = math.inf
     total = 0.0
     power = _pow_val(base_val, s.start)
     for i in range(s.start, cutoff + 1):
-        total += const_part * (i ** i_degree if i_degree else 1) * power
+        term = const_part * (i ** i_degree if i_degree else 1) * power
+        total += term
+        if not i & 15 and i and tail * 4 < math.ulp(total) \
+                and abs(term) * 4 < math.ulp(total) \
+                and ((i + 1) / i) ** i_degree * abs(base_val) < 1 - 1e-12:
+            break
         power *= base_val
     return total
 

@@ -1,13 +1,15 @@
 """Expression construction and float evaluation semantics."""
 
 import dataclasses
+import math
+import struct
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from derivkit.errors import NonIntegerPow, UnboundSymbol
-from derivkit.expr import (Add, App, Const, Deriv, Div, Expr, Mul, Neg,
+from derivkit.expr import (SERIES_CUTOFF, Add, App, Const, Deriv, Div, Expr, Mul, Neg,
                            Pow, SeriesSum, Sub, Var, children, eval_expr,
                            free_vars, map_children, subst_vars, substitute,
                            unfold_lets)
@@ -73,6 +75,46 @@ def test_weighted_series_converges():
     s = SeriesSum("i", 1, Mul(Var("i"), Pow(Var("x"), "i")))
     got = eval_expr(s, {"x": 0.5}, series_cutoff=2000)
     assert abs(got - 2.0) < 1e-12
+
+
+def _reference_series(c, k, x, start):
+    """sum[i>=start](c * i^k * x^i) term by term to SERIES_CUTOFF, with
+    the float operations of the closed loop and no early stop."""
+    total = 0.0
+    power = x ** start
+    for i in range(start, SERIES_CUTOFF + 1):
+        total += c * (i ** k if k else 1) * power
+        power *= x
+    return total
+
+
+_SMALLEST_NORMAL = 2.2250738585072014e-308
+_bases = st.one_of(
+    st.floats(-1, 1),
+    st.floats(-_SMALLEST_NORMAL, _SMALLEST_NORMAL),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 5e-324, -5e-324, 0.7, -0.7,
+                     1 - 2 ** -53, 2.0, -1.5, math.inf, -math.inf, math.nan]))
+_constants = st.builds(lambda sign, c: sign * c, st.sampled_from([1.0, -1.0]),
+                       st.one_of(st.floats(5e-324, 1e308),
+                                 st.sampled_from([5e-324, 1e-310, 1.0, 1e290, 1e305, 1e308])))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from([0, 1]), st.integers(0, 3), _bases, _constants)
+def test_series_early_stop_is_the_full_partial_sum(start, k, x, c):
+    # the closed loop stops once no later term can change the sum; the
+    # value must still be the whole partial sum, bit for bit, sign of
+    # zero, inf and nan included
+    body = Pow(Var("x"), "i")
+    for _ in range(k):
+        body = Mul(Var("i"), body)
+    got = eval_expr(SeriesSum("i", start, Mul(Var("c"), body)), {"c": c, "x": x})
+    want = _reference_series(c, k, x, start)
+    if math.isnan(want):
+        assert math.isnan(got)
+    else:
+        assert struct.pack("<d", got) == struct.pack("<d", want)
 
 
 def test_app_and_deriv_eval():
