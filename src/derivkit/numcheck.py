@@ -7,11 +7,18 @@ so agreement between the two routes is evidence, not circularity.
 Every goal but a divergence claim takes one path: the theory is
 grounded into real arithmetic without function symbols, and its claims
 are compared on environments drawn by rejection sampling against its
-hypotheses. An equation with a bare name on one side defines that name;
-each other equation that does not hold is solved for the latest-declared
-name it is linear in, found by probing, without replay. Disequalities
-are rejected with a safety margin so sampled identities stay well
-conditioned.
+hypotheses. Names are drawn in declaration order. A hypothesis
+`left < right` with `right - left` of degree 1 in its latest-declared
+name bounds that name, which is then drawn only inside the half-line
+the bound gives at the names drawn before it. An equation with a bare name on one side
+defines that name; each other equation that does not hold is solved for
+the latest-declared name it is linear in, found by probing, without
+replay. Every candidate is then checked against every hypothesis, so the
+bounds change which candidates are proposed, never which are accepted.
+Disequalities are rejected with a safety margin so sampled identities
+stay well conditioned. A series is summed to SERIES_CUTOFF terms; the
+closed loop of `eval_expr` stops early only when no later term can
+change the sum, so the value is exactly that partial sum.
 
 A divergence claim gets left-approach tables, and one judge,
 `divergence_witness`, passes a table only when it is finite,
@@ -193,13 +200,84 @@ def _admitter(names: Sequence[str], hyps: Sequence[Formula]
     return lambda env: _solve(env, defs, rest, rank) and _verify_hyps(env, hyps)
 
 
+def _bound_plan(names: Sequence[str], hyps: Sequence[Formula]
+                ) -> Dict[str, List[Tuple[Expr, Expr]]]:
+    """The linear bounds to draw each name inside. A hypothesis
+    `left < right`, other than `0 < name`, that mentions no name the
+    equations define or may solve, bounds its latest-declared name v
+    when `right - left` is of degree 1 in v: it holds where
+    c0 + c1*v > 0, with c0 and c1 over earlier names."""
+    rank = {n: i for i, n in enumerate(names)}
+    defs, rest = _equation_plan([f for f in hyps if isinstance(f, EqF)], rank)
+    solved = set(defs).union(*(fv for _, _, fv in rest))
+    plan: Dict[str, List[Tuple[Expr, Expr]]] = {}
+    for f in hyps:
+        if not isinstance(f, Lt) or _positive_names([f]):
+            continue
+        gap = Sub(f.right, f.left)
+        fv = free_vars(gap)
+        if not fv or not fv <= rank.keys() or fv & solved:
+            continue
+        v = max(fv, key=rank.__getitem__)
+        p = _as_poly(gap, v, {})
+        if p is not None and len(p) == 2:
+            plan.setdefault(v, []).append((p[0], p[1]))
+    return plan
+
+
+def _cut(lo: float, hi: float, bounds: Sequence[Tuple[Expr, Expr]],
+         env: Dict[str, float]) -> Tuple[float, float]:
+    """(lo, hi) cut to the half-line of each bound c0 + c1*v > 0 at
+    env; a bound whose coefficients are not finite, or whose c1 is 0,
+    cuts nothing."""
+    for c0, c1 in bounds:
+        try:
+            a, b = eval_expr(c0, env), eval_expr(c1, env)
+        except (DerivkitError, ArithmeticError):
+            continue
+        if math.isfinite(a) and math.isfinite(b) and b != 0:
+            if b > 0:
+                lo = max(lo, -a / b)
+            else:
+                hi = min(hi, -a / b)
+    return lo, hi
+
+
+def _draw(rng: random.Random, ranges) -> Optional[Dict[str, float]]:
+    """One candidate: each name uniform in its range, cut by its bounds
+    at the names drawn before it; None when a cut leaves nothing."""
+    env: Dict[str, float] = {}
+    for n, (lo, hi), bounds in ranges:
+        if bounds:
+            lo, hi = _cut(lo, hi, bounds, env)
+            if not lo < hi:
+                return None
+        env[n] = rng.uniform(lo, hi)
+    return env
+
+
 def sample_envs(names: Sequence[str], hyps: Sequence[Formula],
                 plan: SamplePlan, check_name: str,
                 extra_reject: Optional[Callable[[Dict[str, float]], bool]] = None
                 ) -> List[Dict[str, float]]:
-    """Environments over `names` satisfying every hypothesis."""
+    """Environments over `names` satisfying every hypothesis.
+
+    Names are drawn in declaration order, each from its range cut by
+    the bounds of `_bound_plan`. Every candidate is then solved and
+    checked against every hypothesis, so a bound changes which
+    candidates are proposed, never which are accepted. A name whose
+    bounds mention no other name has one range on every draw; when
+    that range is empty, RejectionStarvation comes before any draw."""
     rng = _rng(plan.seed, check_name)
     positive = _positive_names(hyps)
+    bounds = _bound_plan(names, hyps)
+    ranges = [(n, _POSITIVE_RANGE if n in positive else _DEFAULT_RANGE, bounds.get(n, ()))
+              for n in names]
+    for n, (lo, hi), bs in ranges:
+        if bs and not any(free_vars(c0) | free_vars(c1) for c0, c1 in bs):
+            lo, hi = _cut(lo, hi, bs, {})
+            if not lo < hi:
+                raise RejectionStarvation(f"{check_name}: the hypotheses leave {n} no value")
     admit = _admitter(names, hyps)
     envs: List[Dict[str, float]] = []
     draws = 0
@@ -208,9 +286,8 @@ def sample_envs(names: Sequence[str], hyps: Sequence[Formula],
         if draws > _DRAW_LIMIT:
             raise RejectionStarvation(
                 f"{check_name}: {len(envs)} of {plan.count} samples in {_DRAW_LIMIT} draws")
-        env = {n: rng.uniform(*(_POSITIVE_RANGE if n in positive else _DEFAULT_RANGE))
-               for n in names}
-        if not admit(env):
+        env = _draw(rng, ranges)
+        if env is None or not admit(env):
             continue
         if extra_reject is not None and extra_reject(env):
             continue
@@ -276,6 +353,32 @@ def _pmul(p: list, q: list) -> list:
 def _compose(p: list, q: list) -> list:
     """p(q(u)), by Horner's rule."""
     return reduce(lambda acc, c: _padd(_pmul(acc, q), [c]), reversed(p[:-1]), [p[-1]])
+
+
+def _as_poly(e: Expr, u: str, polys: Dict[object, list]) -> Optional[list]:
+    """e as a polynomial in u, or None; `polys` gives the functions
+    with a polynomial definition."""
+    if u not in free_vars(e) and _no_states(e):
+        return [e]
+    if e == Var(u):
+        return [_ZERO, _ONE]
+    parts = [_as_poly(c, u, polys) for c in children(e)]
+    if None in parts:
+        return None
+    if isinstance(e, App):
+        return None if e.fn not in polys else _compose(polys[e.fn], parts[0])
+    if isinstance(e, Pow):
+        return reduce(_pmul, [parts[0]] * e.exp, [_ONE]) \
+            if isinstance(e.exp, int) and e.exp >= 0 else None
+    if isinstance(e, (Neg, Sub)):
+        parts[-1] = _pmul([Const(-1)], parts[-1])
+    if isinstance(e, (Add, Sub, Neg)):
+        return reduce(_padd, parts)
+    if isinstance(e, Mul):
+        return _pmul(*parts)
+    if isinstance(e, Div) and len(parts[1]) == 1:
+        return [Div(c, parts[1][0]) for c in parts[0]]
+    return None
 
 
 class _Grounder:
@@ -350,32 +453,8 @@ class _Grounder:
         if isinstance(f, Forall) and len(f.binders) == 1 and isinstance(f.body, EqF):
             lhs, u = f.body.left, f.binders[0][0]
             if isinstance(lhs, App) and lhs.arg == Var(u) and lhs.fn not in self.polys:
-                p = self._as_poly(f.body.right, u)
+                p = _as_poly(f.body.right, u, self.polys)
                 return None if p is None else (lhs.fn, p)
-        return None
-
-    def _as_poly(self, e: Expr, u: str) -> Optional[list]:
-        """e as a polynomial in u, or None."""
-        if u not in free_vars(e) and _no_states(e):
-            return [e]
-        if e == Var(u):
-            return [_ZERO, _ONE]
-        parts = [self._as_poly(c, u) for c in children(e)]
-        if None in parts:
-            return None
-        if isinstance(e, App):
-            return None if e.fn not in self.polys else _compose(self.polys[e.fn], parts[0])
-        if isinstance(e, Pow):
-            return reduce(_pmul, [parts[0]] * e.exp, [_ONE]) \
-                if isinstance(e.exp, int) and e.exp >= 0 else None
-        if isinstance(e, (Neg, Sub)):
-            parts[-1] = _pmul([Const(-1)], parts[-1])
-        if isinstance(e, (Add, Sub, Neg)):
-            return reduce(_padd, parts)
-        if isinstance(e, Mul):
-            return _pmul(*parts)
-        if isinstance(e, Div) and len(parts[1]) == 1:
-            return [Div(c, parts[1][0]) for c in parts[0]]
         return None
 
     def expr(self, e: Expr) -> Expr:

@@ -668,16 +668,42 @@ def test_limit_witness_solves_a_fact_nonlinear_in_the_latest_constant():
     assert r.soundness == NUMERIC_CERTIFIED
 
 
+CONTRADICTORY_FACTS = theory(
+    "  vars P : Real",
+    "  const C : Real",
+    "  hyp h1 : 0 < C",
+    "  hyp h2 : C < 0",
+    "  let w := C / (1 - P)",
+    "  goal diverges_left(w, 1)",
+    "  proof", "    limit_witness 8", "  qed")
+
+
 def test_limit_witness_with_contradictory_facts_finds_no_assignment():
-    r = run(theory(
-        "  vars P : Real",
-        "  const C : Real",
-        "  hyp h1 : 0 < C",
-        "  hyp h2 : C < 0",
-        "  let w := C / (1 - P)",
-        "  goal diverges_left(w, 1)",
-        "  proof", "    limit_witness 8", "  qed"))
+    r = run(CONTRADICTORY_FACTS)
     assert r.failure == (1, "StepFailed: no admissible constant assignment found")
+
+
+def test_contradictory_constant_facts_fail_before_any_draw(monkeypatch):
+    # `C < 0` leaves C no value in its positive range on every draw, so
+    # the sampler gives up at once: only the sign-grid corners of C are
+    # ever solved and checked
+    from derivkit import numcheck
+
+    seen = []
+    real = numcheck._admitter
+
+    def watched(names, hyps):
+        admit = real(names, hyps)
+
+        def counted(env):
+            seen.append(dict(env))
+            return admit(env)
+        return counted
+
+    monkeypatch.setattr(numcheck, "_admitter", watched)
+    r = run(CONTRADICTORY_FACTS)
+    assert r.failure == (1, "StepFailed: no admissible constant assignment found")
+    assert seen == [{"C": 1e-3}, {"C": 1.0}, {"C": 10.0}]
 
 
 @pytest.mark.parametrize("seed", [0, 42])
