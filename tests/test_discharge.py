@@ -171,7 +171,7 @@ SIGN_RULES = [
      "content-pos(hyp hx; hyp hy1)"),
     ("pos-content-neg", [hxn, hy1], pos(Sub(Mul(x, y), x)),
      "content-neg(hyp hxn; hyp hy1)"),
-    ("pos-quotient-pos", [hy, hx1], pos(Sub(Div(Const(1), y), Div(x, y))),
+    ("pos-content-pos-of-quotients", [hy, hx1], pos(Sub(Div(Const(1), y), Div(x, y))),
      "content-pos(both-pos(literal; hyp hy); hyp hx1)"),
     ("pos-quotient-pos-split", [hy, lt1("hxy1", Mul(x, y))], pos(Sub(Div(Const(1), y), x)),
      "quotient-pos(hyp hxy1; hyp hy)"),
@@ -211,22 +211,23 @@ SIGN_RULES = [
     ("nonneg-sum-nonneg", [hx1], pos(Add(one_minus_x, Add(sq(y), sq(z)))),
      "above(hx1; sum-nonneg)"),
     # e <= 0
-    ("nonpos-negate", [hw1, hxn, hz], pos(Add(one_minus_w, Div(Mul(x, Neg(sq(y))), z))),
+    ("nonpos-nonneg-pos-neg-both-pos", [hw1, hxn, hz],
+     pos(Add(one_minus_w, Div(Mul(x, Neg(sq(y))), z))),
      "above(hw1; negate(nonpos-nonneg(pos-neg(both-pos(literal; hyp hz); hyp hxn); "
      "even-pow)))"),
-    ("nonpos-nonneg-nonpos", [hw1, hx, hzn], pos(Add(one_minus_w, Div(Mul(x, Neg(sq(y))), z))),
+    ("nonpos-nonneg-neg-pos", [hw1, hx, hzn], pos(Add(one_minus_w, Div(Mul(x, Neg(sq(y))), z))),
      "above(hw1; negate(nonpos-nonneg(neg-pos(pos-neg(literal; hyp hzn); hyp hx); "
      "even-pow)))"),
     ("nonpos-nonpos-nonneg", [hx1, hbn], pos(Sub(one_minus_x, Mul(b, sq(y)))),
      "above(hx1; negate(nonpos-nonneg(hyp hbn; even-pow)))"),
-    ("nonpos-odd-pow", [hw1, hz], pos(Add(one_minus_w, Div(Pow(Neg(sq(y)), 3), Neg(z)))),
+    ("nonpos-nonneg-pos-neg", [hw1, hz], pos(Add(one_minus_w, Div(Pow(Neg(sq(y)), 3), Neg(z)))),
      "above(hw1; negate(nonpos-nonneg(pos-neg(literal; hyp hz); even-pow)))"),
     ("nonpos-odd-pow-denominator", [hw1],
      pos(Sub(one_minus_w, Div(Const(1), Pow(Neg(sq(y)), 3)))),
      "above(hw1; negate(nonneg-nonpos(literal; odd-pow(negate(even-pow)))))"),
     ("nonpos-nonneg-by-node", [hx1, hxn], pos(Sub(one_minus_x, Mul(Mul(x, y), y))),
      "above(hx1; negate(nonpos-nonneg(hyp hxn; even-pow)))"),
-    ("nonpos-sum-nonpos", [hw1, hxn, hz],
+    ("nonneg-sum-nonneg-of-quotient", [hw1, hxn, hz],
      pos(Add(one_minus_w, Div(Mul(x, Add(Neg(sq(y)), Neg(sq(v)))), z))),
      "above(hw1; sum-nonneg)"),
     ("nonpos-sum-nonpos-denominator", [hw1, hxn],
@@ -250,7 +251,7 @@ SIGN_RULES = [
     ("ne0-neg-sign", [hxn], Ne0(x), "neg-sign(hyp hxn)"),
     ("ne0-content", [nx, ("ny1", Ne0(Add(y, Const(1))))], Ne0(Add(Mul(x, y), x)),
      "content(hyp nx; hyp ny1)"),
-    ("ne0-quotient", [("ny", Ne0(y)), ("n1x", Ne0(one_minus_x))],
+    ("ne0-content-of-quotients", [("ny", Ne0(y)), ("n1x", Ne0(one_minus_x))],
      Ne0(Sub(Div(Const(1), y), Div(x, y))),
      "content(factors(literal; hyp ny); hyp n1x)"),
     ("ne0-quotient-split", [("ny", Ne0(y)), ("n1xy", Ne0(Sub(Const(1), Mul(x, y))))],
