@@ -14,10 +14,11 @@ working tree and for a `git archive` of REV, the script
   by wrapping them, so the parent needs no counter of its own);
 - runs the numeric oracle (`numcheck.run_suite`, seed 0, 100 samples) on
   every builtin and records its wall time, its label and its candidate
-  draws per kept sample: the calls of the equation solver that
-  `sample_envs` runs once per draw (`_solve`, or `_solve_equations`
-  before it), over the samples reported, or `null` for a suite that
-  draws no environments;
+  draws per kept sample: the calls of `_draw`, which `sample_envs`
+  makes once per candidate, over the samples reported, or `null` for a
+  suite that draws no environments. A tree without `_draw` counts the
+  equation solver (`_solve`, or `_solve_equations` before it), which
+  ran once per candidate there;
 - runs `perfbench/run.py` on all three workloads in `--pairs` pairs of
   parent and change, alternating which side runs first, and keeps the
   metrics of every run, each side's median and quartiles and how many
@@ -85,13 +86,15 @@ T.build_pool(0)
 pool_s = round(time.perf_counter() - t0, 3)
 
 import derivkit.numcheck as N
-solver = "_solve" if hasattr(N, "_solve") else "_solve_equations"
+# one call per candidate: `_draw` where the tree has it, else the solver
+# that the parent ran once per candidate
+counted = next(f for f in ("_draw", "_solve", "_solve_equations") if hasattr(N, f))
 draws = [0]
-solve = getattr(N, solver)
-def counted_solve(*a, **k):
+real = getattr(N, counted)
+def counted_draw(*a, **k):
     draws[0] += 1
-    return solve(*a, **k)
-setattr(N, solver, counted_solve)
+    return real(*a, **k)
+setattr(N, counted, counted_draw)
 suites = []
 for entry in T.registry():
     th = T.load_theory(entry.name)

@@ -248,10 +248,9 @@ def _draw(rng: random.Random, ranges) -> Optional[Dict[str, float]]:
     at the names drawn before it; None when a cut leaves nothing."""
     env: Dict[str, float] = {}
     for n, (lo, hi), bounds in ranges:
-        if bounds:
-            lo, hi = _cut(lo, hi, bounds, env)
-            if not lo < hi:
-                return None
+        lo, hi = _cut(lo, hi, bounds, env)
+        if not lo < hi:
+            return None
         env[n] = rng.uniform(lo, hi)
     return env
 
@@ -274,7 +273,7 @@ def sample_envs(names: Sequence[str], hyps: Sequence[Formula],
     ranges = [(n, _POSITIVE_RANGE if n in positive else _DEFAULT_RANGE, bounds.get(n, ()))
               for n in names]
     for n, (lo, hi), bs in ranges:
-        if bs and not any(free_vars(c0) | free_vars(c1) for c0, c1 in bs):
+        if not any(free_vars(c0) | free_vars(c1) for c0, c1 in bs):
             lo, hi = _cut(lo, hi, bs, {})
             if not lo < hi:
                 raise RejectionStarvation(f"{check_name}: the hypotheses leave {n} no value")
