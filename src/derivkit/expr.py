@@ -263,8 +263,8 @@ def _series_fast(s: SeriesSum, env: Dict[str, float], cutoff: int):
     #     |c| * cutoff^k * (smallest normal), `tail`;
     # (c) the current term and tail are below a quarter ulp of total,
     #     under half the float spacing on either side of it.
-    # A later term that would overflow makes tail infinite, so the
-    # stop never fires where the full loop gives inf, nan or raises.
+    # A later term that would overflow makes tail infinite, so a later
+    # inf, nan or OverflowError comes out as in the full loop.
     try:
         tail = abs(const_part) * (cutoff ** i_degree if i_degree else 1) * sys.float_info.min
     except OverflowError:
