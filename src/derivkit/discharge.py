@@ -71,10 +71,6 @@ def _signed_terms(e: Expr, sign: int = 1):
     return [(sign, e)]
 
 
-def _pkey(p: Poly) -> tuple:
-    return tuple(sorted(p.terms.items()))
-
-
 class _Unhandled(Exception):
     """A node the exact evaluator does not take."""
 
@@ -185,7 +181,7 @@ class _Discharger:
         shape-directed. The active set breaks self-referential loops."""
         if self._refuted(kind, e):
             return None
-        pk = (kind, self._scope, _pkey(self._apoly(e)))
+        pk = (kind, self._scope, self._apoly(e).key())
         got = self._hit.get(pk)
         if got is not None:
             return got
@@ -427,7 +423,7 @@ class _Discharger:
         return self._expr_of(mpoly), self._expr_of(q)
 
     def _rat_split(self, e: Expr):
-        R = Normalizer(rational=True)
+        R = Normalizer()
         n, d = R.norm_raw(e)
         if d.is_const():
             return None

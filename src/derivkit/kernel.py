@@ -7,11 +7,12 @@ the hypotheses in scope. Nothing in here trusts the script: a check
 that returns accepted constitutes a derivation of the goal from the
 hypotheses under the total-division reading of expressions.
 
-Rewriting and goal closure compare subterms by atom-mode canonical
-form (division and applications opaque), which keeps them sound
-without side conditions. Clearing denominators, in field_normalize
-and in lemma application, switches to rational form and pays for it
-with one nonzeroness obligation per denominator crossed.
+Every comparison (rewriting, goal closure, hypothesis matching, the
+antiderivative rate) uses atom-mode canonical form (division and
+applications opaque), which is sound without side conditions. Only
+`_rational_forms` clears denominators, for field_normalize, lemma
+application and the antiderivative schemas; it pays with one
+nonzeroness obligation per distinct denominator crossed.
 
 The one numeric step, limit_witness, is the exception: its verdict is
 numeric_certified. It takes its constant assignments from the oracle's
@@ -151,32 +152,37 @@ class _State:
         self.soundness = SYMBOLIC
 
 
-def _formula_key(f: Formula, N: Normalizer, unfold, depth: int = 0) -> tuple:
+def _formula_key(f: Formula, N: Normalizer, depth: int = 0) -> tuple:
     if isinstance(f, EqF):
-        return ("eq", N.atom_key(unfold(f.left)), N.atom_key(unfold(f.right)))
+        return ("eq", N.atom_key(f.left), N.atom_key(f.right))
     if isinstance(f, Ne0):
-        return ("ne0", N.atom_key(unfold(f.arg)))
+        return ("ne0", N.atom_key(f.arg))
     if isinstance(f, Lt):
-        return ("lt", N.atom_key(unfold(f.left)), N.atom_key(unfold(f.right)))
+        return ("lt", N.atom_key(f.left), N.atom_key(f.right))
     if isinstance(f, Forall):
         body = f.body
         for i, (b, _) in enumerate(f.binders):
             body = subst_formula(body, b, Var(f"@b{depth + i}"))
         return ("all", tuple(s for _, s in f.binders),
-                _formula_key(body, N, unfold, depth + len(f.binders)))
+                _formula_key(body, N, depth + len(f.binders)))
     if isinstance(f, Exists):
         b, s = f.binder
         body = subst_formula(f.body, b, Var(f"@b{depth}"))
-        return ("ex", s, _formula_key(body, N, unfold, depth + 1))
+        return ("ex", s, _formula_key(body, N, depth + 1))
     if isinstance(f, Implies):
-        return ("imp", _formula_key(f.ante, N, unfold, depth),
-                _formula_key(f.cons, N, unfold, depth))
+        return ("imp", _formula_key(f.ante, N, depth),
+                _formula_key(f.cons, N, depth))
     if isinstance(f, And):
-        return ("and", _formula_key(f.left, N, unfold, depth),
-                _formula_key(f.right, N, unfold, depth))
+        return ("and", _formula_key(f.left, N, depth),
+                _formula_key(f.right, N, depth))
     if isinstance(f, DivergesLeftAt):
-        return ("dvg", f.fn_name, N.atom_key(unfold(f.point)))
+        return ("dvg", f.fn_name, N.atom_key(f.point))
     raise TypeError(f"not a formula: {f!r}")
+
+
+def _ring_equal(ctx: _Ctx, g: EqF) -> bool:
+    N = Normalizer()
+    return N.atom_key(ctx.unfold_expr(g.left)) == N.atom_key(ctx.unfold_expr(g.right))
 
 
 # ---------------------------------------------------------------------------
@@ -242,19 +248,21 @@ def _do_unfold(state: _State, step: Unfold, idx: int) -> List[str]:
     return []
 
 
-def _dedupe_denominators(dens: List[Expr], N: Normalizer) -> List[Expr]:
+def _rational_forms(ctx: _Ctx, exprs: List[Expr], idx: int):
+    """The canonical rational forms of exprs, in one table, and the
+    printed `!= 0` obligation of each distinct denominator they cross
+    (a nonzero literal needs none), each one discharged."""
+    R = Normalizer()
+    forms = [R.norm(e) for e in exprs]
     seen = set()
-    out = []
-    for d in dens:
-        if isinstance(d, Const):
-            if d.value != 0:
-                continue
-        k = N.atom_key(d)
-        if k in seen:
+    obls = []
+    for d in R.denominators:
+        k = R.atom_key(d)
+        if k in seen or isinstance(d, Const) and d.value != 0:
             continue
         seen.add(k)
-        out.append(d)
-    return out
+        obls.append(_discharge_or_fail(ctx, Ne0(d), idx))
+    return R, forms, obls
 
 
 def _do_field_normalize(state: _State, idx: int) -> List[str]:
@@ -262,15 +270,9 @@ def _do_field_normalize(state: _State, idx: int) -> List[str]:
     g = state.goal
     if not isinstance(g, EqF):
         raise StepFailed(idx, "field_normalize needs an equational goal")
-    L = ctx.unfold_expr(g.left)
-    R = ctx.unfold_expr(g.right)
-    Rn = Normalizer(rational=True)
-    nL, dL = Rn.norm(L)
-    nR, dR = Rn.norm(R)
-    obls = []
-    for d in _dedupe_denominators(Rn.denominators, Rn):
-        obls.append(_discharge_or_fail(ctx, Ne0(d), idx))
-    state.goal = EqF(Rn.to_expr(nL * dR), Rn.to_expr(nR * dL))
+    R, [(nL, dL), (nR, dR)], obls = _rational_forms(
+        ctx, [ctx.unfold_expr(g.left), ctx.unfold_expr(g.right)], idx)
+    state.goal = EqF(R.to_expr(nL * dR), R.to_expr(nR * dL))
     return obls
 
 
@@ -278,9 +280,7 @@ def _do_ring(state: _State, idx: int) -> List[str]:
     g = state.goal
     if not isinstance(g, EqF):
         raise StepFailed(idx, "ring needs an equational goal")
-    N = Normalizer()
-    ctx = state.ctx
-    if N.atom_key(ctx.unfold_expr(g.left)) != N.atom_key(ctx.unfold_expr(g.right)):
+    if not _ring_equal(state.ctx, g):
         raise StepFailed(idx, "sides are not equal as ring expressions")
     state.closed = True
     return []
@@ -353,21 +353,16 @@ def _do_apply(state: _State, step: ApplyLemma, idx: int,
     lem = entry.theory
     lem_ctx = _Ctx(lem)
     N = Normalizer()
-    current = {_formula_key(ctx.unfold_formula(f), N, lambda e: e)
-               for f in ctx.hyps.values()}
+    current = {_formula_key(ctx.unfold_formula(f), N) for f in ctx.hyps.values()}
     for hn, hf in lem.hyps:
-        k = _formula_key(lem_ctx.unfold_formula(hf), N, lambda e: e)
-        if k not in current:
+        if _formula_key(lem_ctx.unfold_formula(hf), N) not in current:
             raise StepFailed(idx, f"hypothesis {hn!r} of {step.name!r} is not present")
     g = state.goal
     lg = lem_ctx.unfold_formula(lem.goal)
     if isinstance(g, EqF) and isinstance(lg, EqF):
-        R = Normalizer(rational=True)
-        ng, dg = R.norm(Sub(ctx.unfold_expr(g.left), ctx.unfold_expr(g.right)))
-        nl, dl = R.norm(Sub(lg.left, lg.right))
-        obls = []
-        for d in _dedupe_denominators(R.denominators, R):
-            obls.append(_discharge_or_fail(ctx, Ne0(d), idx))
+        _, [(ng, dg), (nl, dl)], obls = _rational_forms(
+            ctx, [Sub(ctx.unfold_expr(g.left), ctx.unfold_expr(g.right)),
+                  Sub(lg.left, lg.right)], idx)
         if nl.is_zero():
             if not ng.is_zero():
                 raise StepFailed(idx, f"lemma {step.name!r} is trivial but the goal is not")
@@ -489,9 +484,8 @@ def _do_deriv_rule(state: _State, step: DerivRule, idx: int) -> List[str]:
             v = fv[0]
             N = Normalizer()
             p = N.atom_poly(body)
-            for pv in p.vars():
-                if pv.startswith("@") and v in free_vars(N._reps[pv]):
-                    raise StepFailed(idx, f"{e.fn.fn!r} is not polynomial in {v!r}")
+            if v in N.opaque_names(p):
+                raise StepFailed(idx, f"{e.fn.fn!r} is not polynomial in {v!r}")
             shape = _classify_poly(p, v)
             if shape is None:
                 raise StepFailed(idx, f"no derivative rule covers {e.fn.fn!r}")
@@ -565,23 +559,21 @@ def _antideriv_parts(state: _State, idx: int):
             and isinstance(lhs.arg, Var) and lhs.arg.name == t):
         raise StepFailed(idx, "left side must be a function applied to the bound variable")
     F = lhs.fn
-    R = Normalizer(rational=True)
-    num, den = R.norm(ctx.unfold_expr(g.body.right))
-    obls = [_discharge_or_fail(ctx, Ne0(d), idx)
-            for d in _dedupe_denominators(R.denominators, R)]
-    if not (den.is_const() and den.const_value() != 0):
+    # a canonical denominator that is constant is 1
+    R, [(rhs_p, den)], obls = _rational_forms(ctx, [ctx.unfold_expr(g.body.right)], idx)
+    if not den.is_const():
         raise StepFailed(idx, "right side must have a constant denominator")
-    rhs_p = num.scale(Fraction(1) / den.const_value())
-    for pv in rhs_p.vars():
-        if pv.startswith("@") and t in free_vars(R._reps[pv]):
-            raise StepFailed(idx, "opaque terms on the right must not involve the bound variable")
+    if t in R.opaque_names(rhs_p):
+        raise StepFailed(idx, "opaque terms on the right must not involve the bound variable")
     return ctx, t, F, R, rhs_p, obls
 
 
 def _deriv_hyp_matches(ctx: _Ctx, F: str, t: str, R: Normalizer,
                        want: Poly) -> bool:
     """Is there a hypothesis forall u, deriv(F)(u) = rhs whose chased
-    closed form equals `want` (written in the bound variable t)?"""
+    closed form equals `want` (written in the bound variable t) in atom
+    mode? Atom-mode equality needs no side condition, so a rate such
+    as x / x does not match 1."""
     for f in ctx.hyps.values():
         if not (isinstance(f, Forall) and len(f.binders) == 1
                 and isinstance(f.body, EqF)):
@@ -594,12 +586,7 @@ def _deriv_hyp_matches(ctx: _Ctx, F: str, t: str, R: Normalizer,
             continue
         closed = _chase(f.body.right, u, ctx)
         want_expr = substitute(R.to_expr(want), t, Var(u))
-        try:
-            nw, dw = R.norm(ctx.unfold_expr(want_expr))
-            nc, dc = R.norm(ctx.unfold_expr(closed))
-        except DerivkitError:
-            continue
-        if nw == nc and dw == dc:
+        if R.atom_key(ctx.unfold_expr(want_expr)) == R.atom_key(ctx.unfold_expr(closed)):
             return True
     return False
 
@@ -613,8 +600,6 @@ def _do_antideriv_const(state: _State, idx: int) -> List[str]:
     f0 = R.atom_poly(App(F, Const(Fraction(0))))
     if c0 != f0:
         raise StepFailed(idx, "constant term must be the function's value at zero")
-    if t in {v for v in c1.vars() if not v.startswith("@")}:
-        raise StepFailed(idx, "slope must not involve the bound variable")
     if not _deriv_hyp_matches(ctx, F, t, R, c1):
         raise StepFailed(idx, f"no hypothesis gives a constant derivative for {F!r}")
     state.closed = True
@@ -676,12 +661,15 @@ def _do_limit_witness(state: _State, step: LimitDivergenceWitness,
     try:
         envs = witness_envs(names, [f for f in facts
                                     if formula_free_vars(f) <= consts], seed)
+        for env in envs:
+            rep = divergence_witness(body, pvar, eval_expr(point, env), step.depth, env)
+            if not rep.verdict:
+                raise StepFailed(idx, rep.reason)
     except RejectionStarvation:
         raise StepFailed(idx, "no admissible constant assignment found") from None
-    for env in envs:
-        rep = divergence_witness(body, pvar, eval_expr(point, env), step.depth, env)
-        if not rep.verdict:
-            raise StepFailed(idx, rep.reason)
+    except ArithmeticError as e:
+        raise StepFailed(idx, "the divergence check cannot be evaluated "
+                              f"({type(e).__name__})") from None
     state.closed = True
     state.soundness = NUMERIC_CERTIFIED
     return obls
@@ -697,8 +685,7 @@ def _goal_holds(state: _State) -> bool:
     g = state.goal
     ctx = state.ctx
     if isinstance(g, EqF):
-        N = Normalizer()
-        return N.atom_key(ctx.unfold_expr(g.left)) == N.atom_key(ctx.unfold_expr(g.right))
+        return _ring_equal(ctx, g)
     if isinstance(g, (Ne0, Lt)):
         try:
             discharge(ctx.facts(), ctx.unfold_formula(g))

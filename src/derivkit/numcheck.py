@@ -243,6 +243,15 @@ def _cut(lo: float, hi: float, bounds: Sequence[Tuple[Expr, Expr]],
     return lo, hi
 
 
+def _unmet(c0: Expr, c1: Expr) -> bool:
+    """Constant coefficients of a bound no value meets: c1 is 0 and
+    c0 <= 0."""
+    try:
+        return eval_expr(c1, {}) == 0 and eval_expr(c0, {}) <= 0
+    except (DerivkitError, ArithmeticError):
+        return False
+
+
 def _draw(rng: random.Random, ranges) -> Optional[Dict[str, float]]:
     """One candidate: each name uniform in its range, cut by its bounds
     at the names drawn before it; None when a cut leaves nothing."""
@@ -266,7 +275,8 @@ def sample_envs(names: Sequence[str], hyps: Sequence[Formula],
     checked against every hypothesis, so a bound changes which
     candidates are proposed, never which are accepted. A name whose
     bounds mention no other name has one range on every draw; when
-    that range is empty, RejectionStarvation comes before any draw."""
+    that range is empty, or a bound c0 + 0*v > 0 has c0 <= 0,
+    RejectionStarvation comes before any draw."""
     rng = _rng(plan.seed, check_name)
     positive = _positive_names(hyps)
     bounds = _bound_plan(names, hyps)
@@ -275,7 +285,7 @@ def sample_envs(names: Sequence[str], hyps: Sequence[Formula],
     for n, (lo, hi), bs in ranges:
         if not any(free_vars(c0) | free_vars(c1) for c0, c1 in bs):
             lo, hi = _cut(lo, hi, bs, {})
-            if not lo < hi:
+            if not lo < hi or any(_unmet(c0, c1) for c0, c1 in bs):
                 raise RejectionStarvation(f"{check_name}: the hypotheses leave {n} no value")
     admit = _admitter(names, hyps)
     envs: List[Dict[str, float]] = []

@@ -1,18 +1,19 @@
 """Canonical forms for expressions, with two treatments of division.
 
-Atom mode reads a/b as a * inv(b) and x^-k as inv(x)^k, and keeps
-every reciprocal inv(e), SeriesSum, and App node opaque: each one
-becomes a synthetic ring variable keyed by the canonical forms of its
-children. Under total division inv(e) is 1/e, and 0 where e is 0, so
-a constant folds in as its reciprocal and inv(0) is 0. Equality of
-atom-mode forms therefore implies pointwise equality under the
-total-division semantics, with no side conditions. This is the mode
-used for matching and for closing goals.
+Atom mode (`atom_poly`, `atom_key`) reads a/b as a * inv(b) and x^-k
+as inv(x)^k, and keeps every reciprocal inv(e), SeriesSum, and App
+node opaque: each one becomes a synthetic ring variable keyed by the
+canonical forms of its children. Under total division inv(e) is 1/e,
+and 0 where e is 0, so a constant folds in as its reciprocal and
+inv(0) is 0. Equality of atom-mode forms therefore implies pointwise
+equality under the total-division semantics, with no side conditions.
+This is the mode used for matching and for closing goals.
 
-Rational mode instead clears Div through num/den arithmetic. That is
-only sound where the denominators are nonzero, so the normalizer
-records every syntactic denominator it divides through; callers must
-discharge a nonzeroness obligation for each one.
+Rational mode (`norm`, `norm_raw`, `key`) instead clears Div through
+num/den arithmetic. That is only sound where the denominators are
+nonzero, so the normalizer records every syntactic denominator it
+divides through; callers must discharge a nonzeroness obligation for
+each one.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from fractions import Fraction
 from typing import Dict, List, Tuple
 
 from .expr import (Add, App, Const, Deriv, Div, Expr, Mul, Neg, Pow, SeriesSum,
-                   Sub, Var, map_children)
+                   Sub, Var, free_vars, map_children)
 from .poly import Poly, _gl_key, divexact, poly_gcd, rational_content
 
 RatPair = Tuple[Poly, Poly]
@@ -66,8 +67,7 @@ class Normalizer:
     expressions a single comparison or rewrite needs to relate, so
     that equal opaque subterms receive the same synthetic variable."""
 
-    def __init__(self, rational: bool = False):
-        self.rational = rational
+    def __init__(self):
         self._atoms: Dict[tuple, str] = {}
         self._reps: Dict[str, Expr] = {}
         self.denominators: List[Expr] = []
@@ -75,25 +75,27 @@ class Normalizer:
     # -- public API --------------------------------------------------
 
     def norm(self, e: Expr) -> RatPair:
-        return rat_canon(*self._norm(e, self.rational))
+        """Canonical rational form; records the denominators crossed."""
+        return rat_canon(*self._norm(e, True))
 
     def norm_raw(self, e: Expr) -> RatPair:
         """Uncancelled num/den pair; exact for nonzeroness splitting."""
-        return self._norm(e, self.rational)
+        return self._norm(e, True)
 
     def key(self, e: Expr) -> tuple:
         n, d = self.norm(e)
         return n.key(), d.key()
 
     def atom_key(self, e: Expr) -> tuple:
-        """Canonical atom-mode key, regardless of this instance's mode."""
-        n, d = rat_canon(*self._norm(e, False))
-        return n.key(), d.key()
+        return self.atom_poly(e).key()
 
     def atom_poly(self, e: Expr) -> Poly:
-        n, d = rat_canon(*self._norm(e, False))
-        assert d.is_const() and d.const_value() == 1
-        return n
+        return self._norm(e, False)[0]
+
+    def opaque_names(self, p: Poly) -> set:
+        """The free names inside the opaque atoms of p."""
+        return set().union(*(free_vars(self._reps[v]) for v in p.vars()
+                             if v in self._reps))
 
     # -- internals ---------------------------------------------------
 

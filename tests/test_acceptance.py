@@ -299,7 +299,7 @@ def test_criterion_8_normalizer_vs_sampling(report):
             e2 = _equal_variant(rng, e1)
         else:
             e2 = Add(e1, Const(Fraction(rng.choice((-1, 1)), 997)))
-        nf = Normalizer(rational=True)
+        nf = Normalizer()
         nf_equal = nf.key(e1) == nf.key(e2)
         names = sorted(free_vars(e1) | free_vars(e2))
         residual = 0.0

@@ -454,6 +454,29 @@ def test_deep_or_overflowing_input_has_no_traceback(tmp_path, cli_env, goal, cod
         assert "Failed (numeric: OverflowError" in r.stdout
 
 
+OVERFLOWING_WITNESS = {
+    # the table is evaluated at a point near 10^400
+    "table": ("hyp hC : 0 < C", "1 / (C^400 - P)", "C^400"),
+    # checking the fact at a sign-grid corner overflows
+    "fact": ("hyp hbig : 0 < C^400", "C / (1 - P)", "1"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(OVERFLOWING_WITNESS))
+def test_limit_witness_overflow_fails_the_step(tmp_path, cli_env, name):
+    hyp, body, point = OVERFLOWING_WITNESS[name]
+    script = (f"theory ov\n  vars P : Real\n  const C : Real\n  {hyp}\n"
+              f"  let w := {body}\n  goal diverges_left(w, {point})\n"
+              "  proof\n    limit_witness 8\n  qed\n")
+    path = write(tmp_path, "ov.deriv", script)
+    r = subprocess.run([sys.executable, "-m", "derivkit", "check", path],
+                       capture_output=True, text=True, env=cli_env, timeout=120)
+    assert r.returncode == 1
+    assert "Traceback" not in r.stderr
+    assert ("StepFailed: the divergence check cannot be evaluated "
+            "(OverflowError) at step 1") in r.stdout
+
+
 def test_long_flat_sum_is_checked_by_kernel_and_oracle(tmp_path, cli_env):
     # the oracle walks the goal with an explicit stack, so a flat sum
     # the kernel can normalize does not overflow it

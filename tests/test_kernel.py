@@ -376,6 +376,60 @@ def test_apply_inequality_lemma_adds_hypothesis():
     assert r.accepted
 
 
+# a lemma whose hypotheses are an existential, an implication, a
+# conjunction and a divergence claim; a consumer must hold each of them
+SHAPED_LEMMA = theory(
+    "  vars x : Real",
+    "  hyp he : exists y, x = y * y",
+    "  hyp hi : 0 < x -> x != 0",
+    "  hyp ha : 0 < x /\\ x < 1",
+    "  let w := 1 / (1 - x)",
+    "  hyp hd : diverges_left(w, 1)",
+    "  goal x * 2 = 2 * x",
+    "  proof", "    ring", "  qed").replace("theory t", "theory shaped")
+
+SHAPED_HYPS = {
+    "he": "exists y, x = y * y",
+    "hi": "0 < x -> x != 0",
+    "ha": "0 < x /\\ x < 1",
+    "hd": "diverges_left(w, 1)",
+}
+
+
+def _apply_shaped(**hyps):
+    lem = parse_theory(SHAPED_LEMMA)
+    assert check_theory(lem).accepted
+    return run(theory(
+        "  vars x : Real",
+        "  let w := 1 / (1 - x)",
+        *(f"  hyp {n}' : {hyps.get(n, f)}" for n, f in SHAPED_HYPS.items()),
+        "  goal x + x = 2 * x",
+        "  proof", "    apply shaped", "  qed"),
+        pool={"shaped": LemmaEntry(lem, True)})
+
+
+def test_apply_matches_compound_lemma_hypotheses():
+    r = _apply_shaped()
+    assert r.accepted, r.failure
+
+
+def test_apply_matches_an_existential_under_a_renamed_binder():
+    r = _apply_shaped(he="exists z, x = z * z")
+    assert r.accepted, r.failure
+
+
+@pytest.mark.parametrize("name, changed", [
+    ("he", "exists y, x = y * y * y"),
+    ("hi", "0 < x -> x - 1 != 0"),
+    ("ha", "0 < x /\\ x < 2"),
+    ("hd", "diverges_left(w, 2)"),
+])
+def test_apply_rejects_a_compound_hypothesis_with_another_body(name, changed):
+    r = _apply_shaped(**{name: changed})
+    assert r.failure == (
+        1, f"StepFailed: hypothesis {name!r} of 'shaped' is not present")
+
+
 # -- series steps -------------------------------------------------------------
 
 
@@ -580,6 +634,22 @@ def test_antideriv_lists_its_denominator_obligation():
         "  proof", "    antideriv", "  qed"))
     assert r.accepted
     assert r.steps[0].obligations == ["2 * k != 0"]
+
+
+@pytest.mark.parametrize("rate, goal, step", [
+    ("x / x", "F(t) = 1 * t + F(0)", "antideriv_const"),
+    ("2 * u * x / x", "F(t) = t^2 + F(0)", "antideriv"),
+])
+def test_antideriv_rate_is_matched_without_cancelling(rate, goal, step):
+    # x / x is 0, not 1, where x is 0, and nothing here says x != 0
+    r = run(theory(
+        "  fns F : State->Real",
+        "  const x : Real",
+        f"  hyp hd : forall u, deriv(F)(u) = {rate}",
+        f"  goal forall t, {goal}",
+        "  proof", f"    {step}", "  qed"))
+    assert r.failure[0] == 1
+    assert r.failure[1].startswith("StepFailed: no hypothesis")
 
 
 # -- divergence witness --------------------------------------------------------

@@ -128,9 +128,12 @@ def test_equation_nonlinear_in_its_latest_name_is_solved_for_another():
         assert abs(e["c"] * e["c"] - e["x"] - 1.0) <= 1e-9 * max(1.0, abs(e["x"]))
 
 
-def test_unsatisfiable_hypotheses_starve():
+def test_unsatisfiable_hypotheses_starve(monkeypatch):
+    # x < x gives the bound 0 + (1 - 1) * x > 0, which no x meets
+    draws = _counting_draws(monkeypatch)
     with pytest.raises(RejectionStarvation):
         sample_envs(["x"], [Lt(x, x)], plan(count=1), "never")
+    assert draws[0] == 0
 
 
 # -- identity and series checks -------------------------------------------------
