@@ -94,7 +94,3 @@ class CyclicDependency(DerivkitError):
 
 class RejectionStarvation(DerivkitError):
     """Sampler could not find points satisfying the hypotheses."""
-
-
-class NonConvergent(DerivkitError):
-    """A truncated series failed to settle within the cutoff."""

@@ -1,9 +1,13 @@
 """Symbolic expression trees with exact rational constants.
 
-Nodes are frozen dataclasses, so structural equality and hashing come
-for free and every tree is safe to share. Numeric literals are stored
-as `fractions.Fraction`; floats are rejected at construction time to
-keep the symbolic layer exact.
+Every syntax tree node derives from `Node`: a class annotates its
+fields and lists them as its slots, and `Node` gives the class its
+constructor, structural equality, a cached hash and a printed form.
+Assigning a field raises AttributeError, so every tree is safe to
+share. A child is a field that holds an `Expr` or a `Formula`; the one
+`children` and `map_children` walk both kinds of tree. Numeric literals
+are stored as `fractions.Fraction`; floats are rejected at construction
+time to keep the symbolic layer exact.
 
 Division is total: a zero denominator evaluates to 0. Downstream code
 that needs real division is responsible for discharging the matching
@@ -14,26 +18,96 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
+from operator import is_
 from typing import Callable, Dict, Sequence, Tuple, Union
 
 from .errors import NonIntegerPow, UnboundSymbol
 
+_setattr = object.__setattr__
 
-class Expr:
+
+class Node:
+    """An immutable record with one slot per field, compared field by
+    field and hashed once.
+
+    A subclass annotates its fields and lists them, in the same order,
+    as its `__slots__`, with any defaults in `_defaults`. It gets an
+    `__init__` with those parameters, which calls `__post_init__` last
+    when the class has one, and `_values`, the field values in order.
+    """
+
+    __slots__ = ("_hash",)
+    _fields = ()
+    _defaults = {}
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        fields = cls.__dict__.get("__slots__")
+        if fields is None or tuple(fields) != tuple(cls.__annotations__):
+            raise TypeError(f"{cls.__name__}.__slots__ must list its annotated fields")
+        if not fields:
+            return
+        cls._fields = fields
+        defaults = cls._defaults
+        params = ", ".join(f"{f}=_defaults[{f!r}]" if f in defaults else f for f in fields)
+        sets = "".join(f"\n    _setattr(self, {f!r}, {f})" for f in fields)
+        post = "\n    self.__post_init__()" if hasattr(cls, "__post_init__") else ""
+        values = "".join(f"self.{f}, " for f in fields)
+        # generated per class: a loop over the fields in one shared
+        # __init__ makes construction up to twice as slow
+        scope = {"_setattr": _setattr, "_defaults": defaults}
+        exec(f"def __init__(self, {params}):{sets}{post}\n"
+             f"def _values(self):\n    return ({values})\n", scope)
+        for fn in (scope["__init__"], scope["_values"]):
+            fn.__qualname__ = f"{cls.__qualname__}.{fn.__name__}"
+            setattr(cls, fn.__name__, fn)
+
+    def _values(self) -> tuple:
+        return ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        h = getattr(self, "_hash", None)
+        if h is None:
+            h = hash(self._values())
+            _setattr(self, "_hash", h)
+        return h
+
+    def __repr__(self):
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+
+class Expr(Node):
     """Base class for expression nodes."""
 
     __slots__ = ()
 
 
-@dataclass(frozen=True)
+class Formula(Node):
+    """Base class for formula nodes; they live in `formula`."""
+
+    __slots__ = ()
+
+
 class Var(Expr):
+    __slots__ = ("name",)
     name: str
 
 
-@dataclass(frozen=True)
 class Const(Expr):
+    __slots__ = ("value",)
     value: Fraction
 
     def __post_init__(self):
@@ -43,36 +117,35 @@ class Const(Expr):
             object.__setattr__(self, "value", Fraction(self.value))
 
 
-@dataclass(frozen=True)
 class Add(Expr):
+    __slots__ = ("left", "right")
     left: Expr
     right: Expr
 
 
-@dataclass(frozen=True)
 class Sub(Expr):
+    __slots__ = ("left", "right")
     left: Expr
     right: Expr
 
 
-@dataclass(frozen=True)
 class Mul(Expr):
+    __slots__ = ("left", "right")
     left: Expr
     right: Expr
 
 
-@dataclass(frozen=True)
 class Div(Expr):
+    __slots__ = ("left", "right")
     left: Expr
     right: Expr
 
 
-@dataclass(frozen=True)
 class Neg(Expr):
+    __slots__ = ("arg",)
     arg: Expr
 
 
-@dataclass(frozen=True)
 class Pow(Expr):
     """Power with an integer exponent, or a series index name.
 
@@ -80,6 +153,7 @@ class Pow(Expr):
     SeriesSum that binds that name.
     """
 
+    __slots__ = ("base", "exp")
     base: Expr
     exp: Union[int, str]
 
@@ -88,10 +162,10 @@ class Pow(Expr):
             raise NonIntegerPow(f"exponent must be int or index name, got {self.exp!r}")
 
 
-@dataclass(frozen=True)
 class SeriesSum(Expr):
     """sum over index = start, start+1, ... of body; start is 0 or 1."""
 
+    __slots__ = ("index", "start", "body")
     index: str
     start: int
     body: Expr
@@ -101,59 +175,45 @@ class SeriesSum(Expr):
             raise ValueError(f"series start must be 0 or 1, got {self.start}")
 
 
-@dataclass(frozen=True)
-class Deriv:
+class Deriv(Node):
     """Marker for the derivative of a named function symbol.
 
     Not itself an Expr; it only appears in the head position of App.
     """
 
+    __slots__ = ("fn",)
     fn: str
 
 
-@dataclass(frozen=True)
 class App(Expr):
+    __slots__ = ("fn", "arg")
     fn: Union[str, Deriv]
     arg: Expr
 
 
-def children(e: Expr) -> tuple:
-    """The child expressions of e, left to right; none for a leaf."""
-    if isinstance(e, (Add, Sub, Mul, Div)):
-        return (e.left, e.right)
-    if isinstance(e, Neg):
-        return (e.arg,)
-    if isinstance(e, Pow):
-        return (e.base,)
-    if isinstance(e, SeriesSum):
-        return (e.body,)
-    if isinstance(e, App):
-        return (e.arg,)
-    if isinstance(e, (Var, Const)):
-        return ()
-    raise TypeError(f"not an expression: {e!r}")
+def children(node: Node) -> tuple:
+    """The child expressions and formulas of node, in field order; none
+    for a leaf."""
+    if not isinstance(node, Node):
+        raise TypeError(f"not a syntax tree node: {node!r}")
+    fn: Union[str, Deriv]
+    arg: Expr
+    return tuple([v for v in node._values() if isinstance(v, (Expr, Formula))])
 
 
-def map_children(e: Expr, fn: Callable[[Expr], Expr]) -> Expr:
-    """e rebuilt with fn applied to each child; a leaf comes back as is.
+def map_children(node: Node, fn: Callable) -> Node:
+    """node rebuilt with fn applied to each child; when fn returns every
+    child as it was (a leaf has none), node comes back as is.
 
-    Everything that is not a child (a series index and start, an
-    exponent, a function head) is kept. Walkers handle the nodes they
-    care about and pass the rest through here.
+    Every field that is not a child (a series index and start, an
+    exponent, a function head, quantifier binders) is kept. Walkers
+    handle the nodes they care about and pass the rest through here.
     """
-    if isinstance(e, (Add, Sub, Mul, Div)):
-        return type(e)(fn(e.left), fn(e.right))
-    if isinstance(e, Neg):
-        return Neg(fn(e.arg))
-    if isinstance(e, Pow):
-        return Pow(fn(e.base), e.exp)
-    if isinstance(e, SeriesSum):
-        return SeriesSum(e.index, e.start, fn(e.body))
-    if isinstance(e, App):
-        return App(e.fn, fn(e.arg))
-    if isinstance(e, (Var, Const)):
-        return e
-    raise TypeError(f"not an expression: {e!r}")
+    if not isinstance(node, Node):
+        raise TypeError(f"not a syntax tree node: {node!r}")
+    values = node._values()
+    new = [fn(v) if isinstance(v, (Expr, Formula)) else v for v in values]
+    return node if all(map(is_, new, values)) else type(node)(*new)
 
 
 def free_vars(e: Expr) -> set:

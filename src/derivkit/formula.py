@@ -1,127 +1,95 @@
 """Quantified formulas over expressions, plus the theory object model.
 
-Everything here is a frozen dataclass built from tuples, so whole
-theories compare structurally. The parser produces these objects, the
-printer consumes them, and the checker walks them; none of the three
-needs private knowledge of the others.
+Formulas, proof steps and theories are `expr.Node` records built from
+tuples, so whole theories compare structurally, and `expr.children` and
+`expr.map_children` walk formulas as they walk expressions. The parser
+produces these objects, the printer consumes them, and the checker
+walks them; none of the three needs private knowledge of the others.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Tuple
 
 from .errors import ArityMismatch
-from .expr import Expr, Var, free_vars, substitute
+from .expr import (Expr, Formula, Node, SeriesSum, Var, children, free_vars,
+                   map_children, substitute)
 
 REAL = "Real"
 STATE = "State"
 
 
-class Formula:
-    __slots__ = ()
-
-
-@dataclass(frozen=True)
 class EqF(Formula):
+    __slots__ = ("left", "right")
     left: Expr
     right: Expr
 
 
-@dataclass(frozen=True)
 class Ne0(Formula):
+    __slots__ = ("arg",)
     arg: Expr
 
 
-@dataclass(frozen=True)
 class Lt(Formula):
+    __slots__ = ("left", "right")
     left: Expr
     right: Expr
 
 
-@dataclass(frozen=True)
 class Forall(Formula):
+    __slots__ = ("binders", "body")
     binders: Tuple[Tuple[str, str], ...]
     body: Formula
 
 
-@dataclass(frozen=True)
 class Exists(Formula):
+    __slots__ = ("binder", "body")
     binder: Tuple[str, str]
     body: Formula
 
 
-@dataclass(frozen=True)
 class Implies(Formula):
+    __slots__ = ("ante", "cons")
     ante: Formula
     cons: Formula
 
 
-@dataclass(frozen=True)
 class And(Formula):
+    __slots__ = ("left", "right")
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True)
 class DivergesLeftAt(Formula):
     """The named let-bound expression grows without bound as its free
     variable approaches `point` from the left."""
 
+    __slots__ = ("fn_name", "point")
     fn_name: str
     point: Expr
 
 
-def formula_children(f: Formula) -> tuple:
-    """The direct parts of f, expressions and subformulas, left to right."""
-    if isinstance(f, (EqF, Lt, And)):
-        return (f.left, f.right)
-    if isinstance(f, Ne0):
-        return (f.arg,)
-    if isinstance(f, (Forall, Exists)):
-        return (f.body,)
-    if isinstance(f, Implies):
-        return (f.ante, f.cons)
-    if isinstance(f, DivergesLeftAt):
-        return (f.point,)
-    raise TypeError(f"not a formula: {f!r}")
-
-
-def map_formula_children(f: Formula, fn: Callable) -> Formula:
-    """f rebuilt with fn applied to each direct part; binders are kept."""
-    if isinstance(f, (EqF, Lt, And)):
-        return type(f)(fn(f.left), fn(f.right))
-    if isinstance(f, Ne0):
-        return Ne0(fn(f.arg))
-    if isinstance(f, Forall):
-        return Forall(f.binders, fn(f.body))
-    if isinstance(f, Exists):
-        return Exists(f.binder, fn(f.body))
-    if isinstance(f, Implies):
-        return Implies(fn(f.ante), fn(f.cons))
-    if isinstance(f, DivergesLeftAt):
-        return DivergesLeftAt(f.fn_name, fn(f.point))
-    raise TypeError(f"not a formula: {f!r}")
-
-
-def bound_names(f: Formula) -> set:
-    """The names f itself binds: its quantifier's binders, if any."""
-    if isinstance(f, Forall):
-        return {b for b, _ in f.binders}
-    if isinstance(f, Exists):
-        return {f.binder[0]}
+def bound_names(x: Node) -> set:
+    """The names x itself binds: a quantifier's binders or a series
+    index, if any."""
+    if isinstance(x, Forall):
+        return {b for b, _ in x.binders}
+    if isinstance(x, Exists):
+        return {x.binder[0]}
+    if isinstance(x, SeriesSum):
+        return {x.index}
     return set()
 
 
 def map_formula(f: Formula, fn: Callable[[Expr], Expr]) -> Formula:
     """f with fn applied to every expression in it, blind to binders."""
-    return map_formula_children(
+    return map_children(
         f, lambda p: fn(p) if isinstance(p, Expr) else map_formula(p, fn))
 
 
 def formula_free_vars(f: Formula) -> set:
     fv = set()
-    for p in formula_children(f):
+    for p in children(f):
         fv |= free_vars(p) if isinstance(p, Expr) else formula_free_vars(p)
     return fv - bound_names(f)
 
@@ -158,7 +126,7 @@ def subst_formula(f: Formula, name: str, value: Expr) -> Formula:
             body = subst_formula(body, b, Var(nb))
             b = nb
         return Exists((b, sort), subst_formula(body, name, value))
-    return map_formula_children(
+    return map_children(
         f, lambda p: substitute(p, name, value) if isinstance(p, Expr)
         else subst_formula(p, name, value))
 
@@ -179,84 +147,80 @@ def instantiate_forall(f: Formula, terms) -> Formula:
 # proof steps
 
 
-class Step:
+class Step(Node):
+    """Base class for proof steps."""
+
     __slots__ = ()
 
 
-@dataclass(frozen=True)
 class RewriteWith(Step):
+    __slots__ = ("hyp", "reverse")
+    _defaults = {"reverse": False}
     hyp: str
-    reverse: bool = False
+    reverse: bool
 
 
-@dataclass(frozen=True)
 class Unfold(Step):
+    __slots__ = ("name",)
     name: str
 
 
-@dataclass(frozen=True)
 class FieldNormalize(Step):
-    pass
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
 class RingClose(Step):
-    pass
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
 class Intro(Step):
+    __slots__ = ("names",)
     names: Tuple[str, ...]
 
 
-@dataclass(frozen=True)
 class Specialize(Step):
+    __slots__ = ("hyp", "terms")
     hyp: str
     terms: Tuple[Expr, ...]
 
 
-@dataclass(frozen=True)
 class ExistsIntro(Step):
+    __slots__ = ("witness",)
     witness: Expr
 
 
-@dataclass(frozen=True)
 class ApplyLemma(Step):
+    __slots__ = ("name",)
     name: str
 
 
-@dataclass(frozen=True)
 class SeriesGeom(Step):
-    pass
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
 class SeriesGeomWeighted(Step):
-    pass
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
 class IndexShift(Step):
-    pass
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
 class DerivRule(Step):
+    __slots__ = ("rule",)
     rule: str
 
 
-@dataclass(frozen=True)
 class AntiderivConst(Step):
-    pass
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
 class Antideriv(Step):
-    pass
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
 class LimitDivergenceWitness(Step):
+    __slots__ = ("depth",)
     depth: int
 
 
@@ -264,8 +228,9 @@ class LimitDivergenceWitness(Step):
 # theories
 
 
-@dataclass(frozen=True)
-class Theory:
+class Theory(Node):
+    __slots__ = ("name", "var_decls", "fn_decls", "const_decls", "hyps",
+                 "lets", "goal", "steps")
     name: str
     var_decls: Tuple[Tuple[str, str], ...]
     fn_decls: Tuple[str, ...]
@@ -274,6 +239,10 @@ class Theory:
     lets: Tuple[Tuple[str, Expr], ...]
     goal: Formula
     steps: Tuple[Step, ...]
+
+    def replace(self, **changes) -> Theory:
+        """This theory with the named fields changed."""
+        return Theory(**dict(zip(self._fields, self._values()), **changes))
 
     def uses_state(self) -> bool:
         return bool(self.fn_decls) or any(s == STATE for _, s in self.var_decls)

@@ -23,7 +23,6 @@ left-approach table judged by `numcheck.divergence_witness`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
@@ -32,7 +31,7 @@ from .errors import (ArityMismatch, DerivkitError, DuplicateName,
                      GoalNotClosed, NotDerivable, ObligationFailed,
                      RejectionStarvation, SearchBudgetExhausted, StepFailed,
                      UnboundSymbol)
-from .expr import (Add, App, Const, Deriv, Div, Expr, Mul, Pow,
+from .expr import (Add, App, Const, Deriv, Div, Expr, Mul, Node, Pow,
                    SeriesSum, Sub, Var, children, eval_expr, free_vars,
                    map_children, subst_vars, substitute, unfold_lets)
 from .formula import (And, Antideriv, AntiderivConst, ApplyLemma,
@@ -41,8 +40,8 @@ from .formula import (And, Antideriv, AntiderivConst, ApplyLemma,
                       Intro, LimitDivergenceWitness, Lt, Ne0, REAL,
                       RewriteWith, RingClose, SeriesGeom, SeriesGeomWeighted,
                       Specialize, STATE, Theory, Unfold, bound_names,
-                      formula_children, formula_free_vars, instantiate_forall,
-                      map_formula, subst_formula)
+                      formula_free_vars, instantiate_forall, map_formula,
+                      subst_formula)
 from .numcheck import divergence_witness, witness_envs
 from .parser import print_formula, print_step
 from .poly import Poly, derivative, divexact
@@ -52,24 +51,25 @@ SYMBOLIC = "symbolic"
 NUMERIC_CERTIFIED = "numeric_certified"
 
 
-@dataclass
-class StepRecord:
+class StepRecord(Node):
+    __slots__ = ("step", "goal_after", "obligations")
     step: str
     goal_after: str
     obligations: List[str]
 
 
-@dataclass
-class CheckResult:
+class CheckResult(Node):
+    __slots__ = ("name", "accepted", "soundness", "steps", "failure")
+    _defaults = {"failure": None}
     name: str
     accepted: bool
     soundness: str
     steps: List[StepRecord]
-    failure: Optional[Tuple[Optional[int], str]] = None
+    failure: Optional[Tuple[Optional[int], str]]
 
 
-@dataclass
-class LemmaEntry:
+class LemmaEntry(Node):
+    __slots__ = ("theory", "accepted")
     theory: Theory
     accepted: bool
 
@@ -133,14 +133,8 @@ class _Ctx:
             fn = x.fn.fn if isinstance(x.fn, Deriv) else x.fn
             if fn not in self.fns:
                 raise UnboundSymbol(fn)
-        if isinstance(x, Expr):
-            parts = children(x)
-            if isinstance(x, SeriesSum):
-                bound = bound | {x.index}
-        else:
-            parts = formula_children(x)
-            bound = bound | bound_names(x)
-        for p in parts:
+        bound = bound | bound_names(x)
+        for p in children(x):
             self.check_symbols(p, bound)
 
 

@@ -33,19 +33,17 @@ import hashlib
 import itertools
 import math
 import random
-from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import reduce
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from .errors import DerivkitError, NonConvergent, RejectionStarvation
+from .errors import DerivkitError, RejectionStarvation
 from .expr import (SERIES_CUTOFF, Add, App, Const, Deriv, Div, Expr, Mul, Neg,
-                   Pow, SeriesSum, Sub, Var, children, eval_expr, free_vars,
-                   map_children, subst_vars, unfold_lets)
+                   Node, Pow, SeriesSum, Sub, Var, children, eval_expr,
+                   free_vars, map_children, subst_vars, unfold_lets)
 from .formula import (REAL, STATE, And, DivergesLeftAt, EqF, Exists, Forall,
                       Formula, Implies, Lt, Ne0, Theory, bound_names,
-                      formula_children, instantiate_forall, map_formula,
-                      subst_formula)
+                      instantiate_forall, map_formula, subst_formula)
 
 _NE0_MARGIN = 1e-3
 _DRAW_LIMIT = 100_000
@@ -59,25 +57,27 @@ _FRESH_POINTS = 3
 _MAX_INSTANCES = 4096
 
 
-@dataclass
-class SamplePlan:
-    seed: int = 0
-    count: int = 100
+class SamplePlan(Node):
+    __slots__ = ("seed", "count")
+    _defaults = {"seed": 0, "count": 100}
+    seed: int
+    count: int
 
     def __post_init__(self):
         if self.count < 1:
             raise ValueError("sample count must be at least 1")
 
 
-@dataclass
-class NumericReport:
+class NumericReport(Node):
+    __slots__ = ("seed", "samples", "worst_residual", "passed", "label", "table")
+    _defaults = {"label": "", "table": ()}
     seed: int
     samples: int
     worst_residual: float
     passed: bool
-    label: str = ""
+    label: str
     # the first left-approach table of a divergence check
-    table: List[float] = field(default_factory=list)
+    table: Sequence[float]
 
 
 def _rng(seed: int, name: str) -> random.Random:
@@ -273,10 +273,11 @@ def sample_envs(names: Sequence[str], hyps: Sequence[Formula],
     Names are drawn in declaration order, each from its range cut by
     the bounds of `_bound_plan`. Every candidate is then solved and
     checked against every hypothesis, so a bound changes which
-    candidates are proposed, never which are accepted. A name whose
-    bounds mention no other name has one range on every draw; when
-    that range is empty, or a bound c0 + 0*v > 0 has c0 <= 0,
-    RejectionStarvation comes before any draw."""
+    candidates are proposed, never which are accepted; a candidate
+    whose solving or checking raises ArithmeticError is rejected. A
+    name whose bounds mention no other name has one range on every
+    draw; when that range is empty, or a bound c0 + 0*v > 0 has
+    c0 <= 0, RejectionStarvation comes before any draw."""
     rng = _rng(plan.seed, check_name)
     positive = _positive_names(hyps)
     bounds = _bound_plan(names, hyps)
@@ -296,7 +297,11 @@ def sample_envs(names: Sequence[str], hyps: Sequence[Formula],
             raise RejectionStarvation(
                 f"{check_name}: {len(envs)} of {plan.count} samples in {_DRAW_LIMIT} draws")
         env = _draw(rng, ranges)
-        if env is None or not admit(env):
+        try:
+            if env is None or not admit(env):
+                continue
+        except ArithmeticError:
+            # a candidate the hypotheses cannot be evaluated at decides nothing
             continue
         if extra_reject is not None and extra_reject(env):
             continue
@@ -313,7 +318,8 @@ def witness_envs(names: Sequence[str], hyps: Sequence[Formula],
     Solving can map corners onto one assignment (a name an equation
     defines gets its value from the others); each distinct one comes
     once, where it first occurs. Raises RejectionStarvation when the
-    sampler finds no eight."""
+    sampler finds no eight, and ArithmeticError when a corner cannot be
+    evaluated, so the witness fails closed there."""
     positive = _positive_names(hyps)
     grids = [(1e-3, 1.0, 10.0) if n in positive else (-10.0, -1.0, 1.0, 10.0)
              for n in names]
@@ -431,7 +437,7 @@ class _Grounder:
 
     def _closed_args(self, f: Formula, bound: frozenset) -> None:
         bound = bound | bound_names(f)
-        for part in formula_children(f):
+        for part in children(f):
             if isinstance(part, Expr):
                 self.points += [n.arg for n in _nodes(part) if isinstance(n, App)
                                 and free_vars(n.arg) <= self.known - bound]
@@ -524,7 +530,7 @@ def _ground(theory: Theory):
         return None
     used, stack = set(), g.hyps + g.claims
     while stack:
-        for part in formula_children(stack.pop()):
+        for part in children(stack.pop()):
             if isinstance(part, Expr):
                 used.update(n.name for n in _nodes(part) if isinstance(n, Var))
     # an argument is grounded before its application is named, so
@@ -541,15 +547,9 @@ def _ground(theory: Theory):
 # checks
 
 
-def identity_check(claims: Sequence[EqF], names: Sequence[str],
-                   hyps: Sequence[Formula], plan: SamplePlan,
-                   check_name: str = "identity") -> NumericReport:
-    """Both sides of every claim compared on sampled environments."""
-    return _compare(claims, sample_envs(names, hyps, plan, check_name), plan.seed)
-
-
 def _compare(claims: Sequence[EqF], envs: Sequence[Dict[str, float]],
              seed: int) -> NumericReport:
+    """Both sides of every claim compared on each environment."""
     worst = 0.0
     ok = True
     for env in envs:
@@ -564,55 +564,8 @@ def _compare(claims: Sequence[EqF], envs: Sequence[Dict[str, float]],
     return NumericReport(seed, len(envs), worst, ok, "identity")
 
 
-def series_truncation_check(s: SeriesSum, closed: Expr, env: Dict[str, float],
-                            cutoffs: Sequence[int] = (10, 50, 100, 500, 1000, 2000)
-                            ) -> List[float]:
-    """Truncation-error table |partial(N) - closed| over the cutoffs.
-
-    Raises NonConvergent if the table increases beyond rounding slack.
-    """
-    cval = eval_expr(closed, env, max(cutoffs))
-    errors = [abs(eval_expr(s, env, n) - cval) for n in cutoffs]
-    slack = 4e-16 * max(1.0, abs(cval))
-    for a, b in zip(errors, errors[1:]):
-        if b > a + slack:
-            raise NonConvergent(f"truncation error grew from {a!r} to {b!r}")
-    return errors
-
-
-Vec3 = Tuple[float, float, float]
-
-
-def dot(u: Vec3, v: Vec3) -> float:
-    return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
-
-
-@dataclass(frozen=True)
-class VecFn3:
-    """Three polynomial component functions of time; coefficient
-    tuples are constant term first, so differentiation is exact."""
-    coeffs: Tuple[Tuple[float, ...], Tuple[float, ...], Tuple[float, ...]]
-
-    def eval(self, t: float) -> Vec3:
-        out = []
-        for axis in self.coeffs:
-            acc = 0.0
-            for c in reversed(axis):
-                acc = acc * t + c
-            out.append(acc)
-        return (out[0], out[1], out[2])
-
-    def deriv(self) -> "VecFn3":
-        return VecFn3(tuple(tuple(k * axis[k] for k in range(1, len(axis)))
-                            or (0.0,) for axis in self.coeffs))
-
-    @staticmethod
-    def from_constant_acceleration(a: Vec3, v0: Vec3, x0: Vec3) -> "VecFn3":
-        return VecFn3(tuple((x0[i], v0[i], a[i] / 2.0) for i in range(3)))
-
-
-@dataclass
-class DivergenceReport:
+class DivergenceReport(Node):
+    __slots__ = ("values", "reason")
     values: List[float]
     reason: Optional[str]
 
@@ -737,7 +690,7 @@ def _suite_divergence(theory: Theory, plan: SamplePlan) -> NumericReport:
     body, var, names, point_e = _divergence_parts(theory)
     # the witness runs on ten environments at most; sample_envs is
     # prefix-stable, so drawing only those keeps the same ten
-    few = replace(plan, count=min(plan.count, 10))
+    few = SamplePlan(plan.seed, min(plan.count, 10))
     envs = sample_envs(names, _unfolded_hyps(theory), few, theory.name)
     reps = [divergence_witness(body, var, eval_expr(point_e, env), 8, env)
             for env in envs]

@@ -31,8 +31,7 @@ from .formula import (And, Antideriv, AntiderivConst, ApplyLemma,
                       FieldNormalize, Forall, Formula, Implies, IndexShift,
                       Intro, LimitDivergenceWitness, Lt, Ne0, REAL,
                       RewriteWith, RingClose, SeriesGeom, SeriesGeomWeighted,
-                      Specialize, STATE, Step, Theory, Unfold, bound_names,
-                      formula_children)
+                      Specialize, STATE, Step, Theory, Unfold, bound_names)
 
 RESERVED = {
     "theory", "vars", "fns", "const", "hyp", "let", "goal", "proof", "qed",
@@ -497,17 +496,10 @@ def _binder_sort(name: str, body: Formula) -> str:
     """A binder that ever appears directly as a function argument is a
     state; anything else is a real."""
 
-    def in_expr(e: Expr) -> bool:
-        if isinstance(e, App) and isinstance(e.arg, Var) and e.arg.name == name:
+    def walk(x) -> bool:
+        if isinstance(x, App) and isinstance(x.arg, Var) and x.arg.name == name:
             return True
-        if isinstance(e, SeriesSum) and e.index == name:
-            return False
-        return any(map(in_expr, children(e)))
-
-    def walk(f: Formula) -> bool:
-        return name not in bound_names(f) and any(
-            in_expr(p) if isinstance(p, Expr) else walk(p)
-            for p in formula_children(f))
+        return name not in bound_names(x) and any(map(walk, children(x)))
 
     return STATE if walk(body) else REAL
 
@@ -549,42 +541,35 @@ def _validate(theory: Theory, clause_lines) -> None:
     let_names = [n for n, _ in theory.lets]
     all_lets = set(let_names)
 
-    def walk_expr(e: Expr, scope: set, indices: set, line: int):
-        if isinstance(e, Var):
-            if e.name not in scope:
-                raise UndeclaredSymbol(e.name, line)
-        elif isinstance(e, App):
-            if isinstance(e.fn, Deriv):
+    def walk(x, scope: set, indices: set, line: int):
+        if isinstance(x, Var):
+            if x.name not in scope:
+                raise UndeclaredSymbol(x.name, line)
+        elif isinstance(x, App):
+            if isinstance(x.fn, Deriv):
                 # derivatives apply to declared functions and to
                 # let-bound expressions alike
-                if e.fn.fn not in fns and e.fn.fn not in all_lets:
-                    raise UndeclaredSymbol(e.fn.fn, line)
-            elif e.fn not in fns:
-                raise UndeclaredSymbol(e.fn, line)
-        elif isinstance(e, SeriesSum):
-            scope, indices = scope | {e.index}, indices | {e.index}
-        for c in children(e):
-            walk_expr(c, scope, indices, line)
-        if isinstance(e, Pow) and isinstance(e.exp, str) and e.exp not in indices:
-            raise UndeclaredSymbol(e.exp, line)
-
-    def walk_formula(f: Formula, scope: set, line: int):
-        if isinstance(f, DivergesLeftAt) and f.fn_name not in all_lets:
-            raise UndeclaredSymbol(f.fn_name, line)
-        scope = scope | bound_names(f)
-        for p in formula_children(f):
-            if isinstance(p, Expr):
-                walk_expr(p, scope, set(), line)
-            else:
-                walk_formula(p, scope, line)
+                if x.fn.fn not in fns and x.fn.fn not in all_lets:
+                    raise UndeclaredSymbol(x.fn.fn, line)
+            elif x.fn not in fns:
+                raise UndeclaredSymbol(x.fn, line)
+        elif isinstance(x, SeriesSum):
+            indices = indices | {x.index}
+        elif isinstance(x, DivergesLeftAt) and x.fn_name not in all_lets:
+            raise UndeclaredSymbol(x.fn_name, line)
+        scope = scope | bound_names(x)
+        for c in children(x):
+            walk(c, scope, indices, line)
+        if isinstance(x, Pow) and isinstance(x.exp, str) and x.exp not in indices:
+            raise UndeclaredSymbol(x.exp, line)
 
     for i, (n, body) in enumerate(theory.lets):
         scope = base | set(let_names[:i])
-        walk_expr(body, scope, set(), line_of.get(("let", n), 0))
+        walk(body, scope, set(), line_of.get(("let", n), 0))
     full = base | all_lets
     for n, f in theory.hyps:
-        walk_formula(f, full, line_of.get(("hyp", n), 0))
-    walk_formula(theory.goal, full, line_of.get(("goal", ""), 0))
+        walk(f, full, set(), line_of.get(("hyp", n), 0))
+    walk(theory.goal, full, set(), line_of.get(("goal", ""), 0))
 
 
 # ---------------------------------------------------------------------------

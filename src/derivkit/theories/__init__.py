@@ -9,23 +9,24 @@ accepted, eighteen symbolically and brunauer_27 by numeric witness.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from importlib import resources
+import os
 from typing import Collection, Dict, List, Optional, Tuple
 
 from ..errors import CyclicDependency
+from ..expr import Node
 from ..formula import Theory
 from ..kernel import CheckResult, LemmaEntry, LemmaPool, check_theory
 from ..parser import parse_theory
 
 
-@dataclass(frozen=True)
-class TheoryEntry:
+class TheoryEntry(Node):
+    __slots__ = ("name", "script", "depends_on", "citation", "reconstructed")
+    _defaults = {"reconstructed": False}
     name: str
     script: str
     depends_on: Tuple[str, ...]
     citation: str
-    reconstructed: bool = False
+    reconstructed: bool
 
 
 _SPECS: List[Tuple[str, Tuple[str, ...], str, bool]] = [
@@ -71,7 +72,9 @@ _SPECS: List[Tuple[str, Tuple[str, ...], str, bool]] = [
 
 
 def load_script(name: str) -> str:
-    return (resources.files(__package__) / (name + ".deriv")).read_text("utf-8")
+    path = os.path.join(os.path.dirname(__file__), name + ".deriv")
+    with open(path, encoding="utf-8") as fh:
+        return fh.read()
 
 
 def registry() -> List[TheoryEntry]:

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+import derivkit
 from derivkit import cli, theories
 from derivkit.cli import main
 from derivkit.formula import ApplyLemma
@@ -475,6 +476,31 @@ def test_limit_witness_overflow_fails_the_step(tmp_path, cli_env, name):
     assert "Traceback" not in r.stderr
     assert ("StepFailed: the divergence check cannot be evaluated "
             "(OverflowError) at step 1") in r.stdout
+
+
+def test_hypothesis_that_overflows_at_a_sample_is_a_rejected_sample(tmp_path, cli_env):
+    # 0 < C^400 overflows for |C| above about 5.9; those draws are
+    # rejected, so the true claim passes the oracle
+    path = write(tmp_path, "big.deriv", "theory big_hyp\n  vars x : Real\n"
+                 "  const C : Real\n  hyp hbig : 0 < C^400\n"
+                 "  goal x * C = C * x\n  proof\n    ring\nqed\n")
+    r = subprocess.run([sys.executable, "-m", "derivkit", "check", path],
+                       capture_output=True, text=True, env=cli_env, timeout=120)
+    assert r.returncode == 0, r.stdout + r.stderr
+    assert "big_hyp: Accepted (Symbolic)" in r.stdout
+
+
+def test_cli_import_loads_no_dataclasses_inspect_or_resources(cli_env):
+    code = ("import derivkit.cli, sys; print(' '.join(m for m in "
+            "('dataclasses', 'inspect', 'importlib.resources') if m in sys.modules))")
+    r = subprocess.run([sys.executable, "-S", "-c", code],
+                       capture_output=True, text=True, env=cli_env, timeout=120)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.strip() == ""
+    package = Path(derivkit.__file__).parent
+    mentions = [str(p) for p in package.rglob("*") if p.is_file()
+                and "__pycache__" not in p.parts and b"dataclass" in p.read_bytes()]
+    assert mentions == []
 
 
 def test_long_flat_sum_is_checked_by_kernel_and_oracle(tmp_path, cli_env):

@@ -1,6 +1,5 @@
 """Expression construction and float evaluation semantics."""
 
-import dataclasses
 import math
 import struct
 from fractions import Fraction
@@ -9,10 +8,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from derivkit.errors import NonIntegerPow, UnboundSymbol
-from derivkit.expr import (SERIES_CUTOFF, Add, App, Const, Deriv, Div, Expr, Mul, Neg,
-                           Pow, SeriesSum, Sub, Var, children, eval_expr,
-                           free_vars, map_children, subst_vars, substitute,
-                           unfold_lets)
+from derivkit.expr import (SERIES_CUTOFF, Add, App, Const, Deriv, Div, Expr,
+                           Formula, Mul, Neg, Node, Pow, SeriesSum, Sub, Var,
+                           children, eval_expr, free_vars, map_children,
+                           subst_vars, substitute, unfold_lets)
+from derivkit.formula import (And, Antideriv, AntiderivConst, ApplyLemma,
+                              DerivRule, DivergesLeftAt, EqF, Exists,
+                              ExistsIntro, FieldNormalize, Forall, Implies,
+                              IndexShift, Intro, LimitDivergenceWitness, Lt,
+                              Ne0, RewriteWith, RingClose, SeriesGeom,
+                              SeriesGeomWeighted, Specialize, Step, Unfold)
 
 
 def ev(e, **vars):
@@ -178,11 +183,109 @@ def test_map_children_identity_rebuilds_the_node(e):
 
 @pytest.mark.parametrize("e", _one_of_each(), ids=repr)
 def test_children_lists_every_child_expression(e):
-    fields = [getattr(e, f.name) for f in dataclasses.fields(e)]
+    fields = [getattr(e, f) for f in e._fields]
     assert list(children(e)) == [v for v in fields if isinstance(v, Expr)]
     seen = []
     map_children(e, lambda c: seen.append(c) or c)
     assert seen == list(children(e))
+
+
+def _one_of_every_kind():
+    a, b = Var("a"), Add(Var("b"), Const(2))
+    eq = EqF(a, b)
+    return _one_of_each() + [
+        Deriv("f"),
+        eq, Ne0(b), Lt(a, b), Forall((("t", "Real"), ("s", "State")), eq),
+        Exists(("t", "Real"), eq), Implies(Lt(a, b), eq), And(eq, Ne0(a)),
+        DivergesLeftAt("w", Const(1)),
+        RewriteWith("h"), RewriteWith("h", reverse=True), Unfold("w"),
+        FieldNormalize(), RingClose(), Intro(("h", "t")), Specialize("h", (a, b)),
+        ExistsIntro(b), ApplyLemma("lem"), SeriesGeom(), SeriesGeomWeighted(),
+        IndexShift(), DerivRule("pow"), AntiderivConst(), Antideriv(),
+        LimitDivergenceWitness(8),
+    ]
+
+
+# the repr each node printed as a frozen dataclass; test ids and
+# messages depend on it
+_B = "Add(left=Var(name='b'), right=Const(value=Fraction(2, 1)))"
+_EQ = f"EqF(left=Var(name='a'), right={_B})"
+_PINNED_REPRS = [
+    "Var(name='x')",
+    "Const(value=Fraction(3, 1))",
+    f"Add(left=Var(name='a'), right={_B})",
+    f"Sub(left=Var(name='a'), right={_B})",
+    f"Mul(left=Var(name='a'), right={_B})",
+    f"Div(left=Var(name='a'), right={_B})",
+    f"Neg(arg={_B})",
+    f"Pow(base={_B}, exp=3)",
+    "Pow(base=Var(name='a'), exp='i')",
+    "SeriesSum(index='i', start=1, body=Pow(base=Var(name='a'), exp='i'))",
+    f"App(fn='f', arg={_B})",
+    f"App(fn=Deriv(fn='f'), arg={_B})",
+    "Deriv(fn='f')",
+    _EQ,
+    f"Ne0(arg={_B})",
+    f"Lt(left=Var(name='a'), right={_B})",
+    f"Forall(binders=(('t', 'Real'), ('s', 'State')), body={_EQ})",
+    f"Exists(binder=('t', 'Real'), body={_EQ})",
+    f"Implies(ante=Lt(left=Var(name='a'), right={_B}), cons={_EQ})",
+    f"And(left={_EQ}, right=Ne0(arg=Var(name='a')))",
+    "DivergesLeftAt(fn_name='w', point=Const(value=Fraction(1, 1)))",
+    "RewriteWith(hyp='h', reverse=False)",
+    "RewriteWith(hyp='h', reverse=True)",
+    "Unfold(name='w')",
+    "FieldNormalize()",
+    "RingClose()",
+    "Intro(names=('h', 't'))",
+    f"Specialize(hyp='h', terms=(Var(name='a'), {_B}))",
+    f"ExistsIntro(witness={_B})",
+    "ApplyLemma(name='lem')",
+    "SeriesGeom()",
+    "SeriesGeomWeighted()",
+    "IndexShift()",
+    "DerivRule(rule='pow')",
+    "AntiderivConst()",
+    "Antideriv()",
+    "LimitDivergenceWitness(depth=8)",
+]
+
+
+def test_every_expression_formula_and_step_kind_has_a_pinned_instance():
+    kinds = _node_kinds(Expr) | _node_kinds(Formula) | _node_kinds(Step) | {Deriv}
+    assert {type(n) for n in _one_of_every_kind()} == kinds
+    assert len(_PINNED_REPRS) == len(_one_of_every_kind())
+
+
+@pytest.mark.parametrize("i", range(len(_PINNED_REPRS)),
+                         ids=[r.split("(", 1)[0] for r in _PINNED_REPRS])
+def test_node_base_keeps_the_dataclass_behaviour(i):
+    node, again = _one_of_every_kind()[i], _one_of_every_kind()[i]
+    assert repr(node) == _PINNED_REPRS[i]
+    assert node is not again and node == again and hash(node) == hash(again)
+    assert hash(node) == hash(tuple(getattr(node, f) for f in node._fields))
+    name = node._fields[0] if node._fields else "extra"
+    with pytest.raises(AttributeError):
+        setattr(node, name, Var("z"))
+    assert node == again
+    # a field that is not a child is not a node, and the traversal
+    # refuses it
+    for value in (getattr(node, f) for f in node._fields):
+        if not isinstance(value, Node):
+            for walk in (children, lambda x: map_children(x, lambda c: c)):
+                with pytest.raises(TypeError):
+                    walk(value)
+
+
+def test_node_constructor_takes_keywords_and_defaults():
+    assert Pow(exp=2, base=Var("x")) == Pow(Var("x"), 2)
+    assert RewriteWith(hyp="h") == RewriteWith("h", False)
+    with pytest.raises(TypeError):
+        Add(Var("x"))
+    with pytest.raises(TypeError):
+        Add(Var("x"), Var("y"), Var("z"))
+    with pytest.raises(TypeError):
+        Add(Var("x"), left=Var("y"))
 
 
 def test_traversal_rejects_non_expressions():

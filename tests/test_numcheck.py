@@ -5,16 +5,16 @@ from fractions import Fraction
 
 import pytest
 
-from derivkit.errors import NonConvergent, RejectionStarvation
+from derivkit.errors import RejectionStarvation
 from derivkit.expr import (Add, Const, Div, Mul, Pow, SeriesSum, Sub, Var)
 from derivkit.formula import EqF, Lt, Ne0
 from derivkit import numcheck
-from derivkit.numcheck import (SamplePlan, VecFn3, divergence_witness, dot,
-                               identity_check,
-                               run_suite, sample_envs,
-                               series_truncation_check, witness_envs)
+from derivkit.numcheck import (SamplePlan, _compare, divergence_witness,
+                               run_suite, sample_envs, witness_envs)
 from derivkit.parser import parse_theory
 from derivkit.theories import load_script, load_theory, registry
+from test_acceptance import (NonConvergent, VecFn3, dot,
+                             series_truncation_check)
 
 x, y = Var("x"), Var("y")
 
@@ -142,7 +142,8 @@ def test_unsatisfiable_hypotheses_starve(monkeypatch):
 def test_identity_check_accepts_equal_sides():
     lhs = Pow(Add(x, Const(1)), 2)
     rhs = Add(Add(Pow(x, 2), Mul(Const(2), x)), Const(1))
-    rep = identity_check([EqF(lhs, rhs)], ["x"], [], plan(), "sq")
+    p = plan()
+    rep = _compare([EqF(lhs, rhs)], sample_envs(["x"], [], p, "sq"), p.seed)
     assert rep.passed
     assert rep.samples == 40
     assert rep.worst_residual <= 1e-12
@@ -150,15 +151,17 @@ def test_identity_check_accepts_equal_sides():
 
 def test_identity_check_flags_small_systematic_error():
     rhs = Add(Mul(Const(2), x), Const(Fraction(1, 10 ** 6)))
-    rep = identity_check([EqF(Mul(Const(2), x), rhs)], ["x"], [], plan(), "off")
+    p = plan()
+    rep = _compare([EqF(Mul(Const(2), x), rhs)], sample_envs(["x"], [], p, "off"), p.seed)
     assert not rep.passed
     assert rep.worst_residual > 0
 
 
 def test_identity_check_fails_a_claim_that_evaluates_to_nan():
     big = Mul(Mul(x, Pow(Const(10), 200)), Pow(Const(10), 200))
-    rep = identity_check([EqF(Sub(big, big), Const(1))], ["x"],
-                         [Lt(Const(1), x)], plan())
+    p = plan()
+    rep = _compare([EqF(Sub(big, big), Const(1))],
+                   sample_envs(["x"], [Lt(Const(1), x)], p, "identity"), p.seed)
     assert not rep.passed
 
 

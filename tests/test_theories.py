@@ -27,6 +27,12 @@ def test_registry_metadata():
             assert dep in names, (e.name, dep)
 
 
+def test_load_script_reads_the_packaged_text():
+    for e in registry():
+        packaged = resources.files("derivkit.theories") / (e.name + ".deriv")
+        assert load_script(e.name) == packaged.read_text("utf-8")
+
+
 def test_registry_scripts_parse_to_matching_names():
     for e in registry():
         assert parse_theory(e.script).name == e.name
