@@ -371,15 +371,18 @@ class _Discharger:
 
     def _terms(self, e: Expr, s: int, strict: bool, depth: int) -> Optional[str]:
         """Every term nonstrict with its sign; when strict, also one term
-        strict, the first one found."""
+        strict, the first one found. A nonstrict trace lists each term's."""
         found = None
+        traces = []
         for ts, term in _signed_terms(e):
-            if self.sign(term, s * ts, False, depth) is None:
+            t = self.sign(term, s * ts, False, depth)
+            if t is None:
                 return None
+            traces.append(t)
             if strict and found is None:
                 found = self.sign(term, s * ts, True, depth)
         if not strict:
-            return f"sum-{_SIGN[s, False]}"
+            return f"sum-{_SIGN[s, False]}({'; '.join(traces)})"
         if found:
             return f"sum-{_SIGN[s, True]}({found})"
         return None

@@ -5,6 +5,10 @@ tuples, so whole theories compare structurally, and `expr.children` and
 `expr.map_children` walk formulas as they walk expressions. The parser
 produces these objects, the printer consumes them, and the checker
 walks them; none of the three needs private knowledge of the others.
+
+`STEPS` is the one list of proof steps, keyword to class. The parser
+looks a step's keyword up there, the printer writes a step as its
+keyword and its fields, and the kernel maps each class to its handler.
 """
 
 from __future__ import annotations
@@ -222,6 +226,18 @@ class Antideriv(Step):
 class LimitDivergenceWitness(Step):
     __slots__ = ("depth",)
     depth: int
+
+
+# the one list of proof steps: the keyword that starts a step's script
+# line, and the class it builds
+STEPS = {
+    "rw": RewriteWith, "unfold": Unfold, "field_normalize": FieldNormalize,
+    "ring": RingClose, "intro": Intro, "specialize": Specialize,
+    "use": ExistsIntro, "apply": ApplyLemma, "series_geom": SeriesGeom,
+    "series_geom_weighted": SeriesGeomWeighted, "index_shift": IndexShift,
+    "deriv_rule": DerivRule, "antideriv_const": AntiderivConst,
+    "antideriv": Antideriv, "limit_witness": LimitDivergenceWitness,
+}
 
 
 # ---------------------------------------------------------------------------

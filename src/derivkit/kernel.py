@@ -1,4 +1,4 @@
-"""The proof checker: contexts, goal states, and the step interpreter.
+"""The proof checker: one check state and one handler per step kind.
 
 A theory is checked by replaying its proof script against the goal.
 Every step either transforms the goal soundly or fails the whole
@@ -6,6 +6,11 @@ check; side conditions raised along the way must be discharged from
 the hypotheses in scope. Nothing in here trusts the script: a check
 that returns accepted constitutes a derivation of the goal from the
 hypotheses under the total-division reading of expressions.
+
+One `_State` holds everything a check works on: the names in scope,
+the hypotheses, the goal, the lemma pool and the seed. `_STEPS` maps
+each step class of `formula.STEPS` to its handler, and every handler
+takes `(state, step, idx)`.
 
 Every comparison (rewriting, goal closure, hypothesis matching, the
 antiderivative rate) uses atom-mode canonical form (division and
@@ -39,7 +44,7 @@ from .formula import (And, Antideriv, AntiderivConst, ApplyLemma,
                       FieldNormalize, Forall, Formula, Implies, IndexShift,
                       Intro, LimitDivergenceWitness, Lt, Ne0, REAL,
                       RewriteWith, RingClose, SeriesGeom, SeriesGeomWeighted,
-                      Specialize, STATE, Theory, Unfold, bound_names,
+                      Specialize, STATE, Step, Theory, Unfold, bound_names,
                       formula_free_vars, instantiate_forall, map_formula,
                       subst_formula)
 from .numcheck import divergence_witness, witness_envs
@@ -77,28 +82,29 @@ class LemmaEntry(Node):
 LemmaPool = Dict[str, LemmaEntry]
 
 
-class _Ctx:
-    """Mutable checking context for one theory."""
+class _State:
+    """Everything one check of a theory works on: the names in scope,
+    the hypotheses, the goal and whether a step closed it, and the
+    lemma pool and seed that steps draw on."""
 
-    def __init__(self, theory: Theory):
-        self.vars: Dict[str, str] = {}
-        self.fns: Dict[str, Tuple[str, str]] = {}
-        self.consts: Dict[str, str] = {}
+    def __init__(self, theory: Theory, pool: Optional[LemmaPool] = None,
+                 seed: int = 0):
+        self.vars: Dict[str, str] = dict(theory.var_decls)
+        self.fns: Dict[str, Tuple[str, str]] = {n: (STATE, REAL) for n in theory.fn_decls}
+        self.consts: Dict[str, str] = {n: REAL for n in theory.const_decls}
         self.lets: Dict[str, Expr] = dict(theory.lets)
         self.hyps: Dict[str, Formula] = {}
-        for n, s in theory.var_decls:
-            self.vars[n] = s
-        for n in theory.fn_decls:
-            self.fns[n] = (STATE, REAL)
-        for n in theory.const_decls:
-            self.consts[n] = REAL
         if theory.uses_state():
             for extra in ("s1", "s2"):
                 if extra not in self.all_names():
                     self.vars[extra] = STATE
-        for n, f in theory.hyps:
-            self.hyps[n] = f
+        self.hyps.update(theory.hyps)
         self.unfolded: Dict[str, Expr] = unfold_lets(theory.lets)
+        self.goal = theory.goal
+        self.closed = False
+        self.soundness = SYMBOLIC
+        self.pool = pool
+        self.seed = seed
 
     def all_names(self) -> set:
         return (set(self.vars) | set(self.fns) | set(self.consts)
@@ -130,20 +136,14 @@ class _Ctx:
                 raise UnboundSymbol(x.name)
             return
         if isinstance(x, App):
-            fn = x.fn.fn if isinstance(x.fn, Deriv) else x.fn
-            if fn not in self.fns:
+            # a derivative applies to a let binding as to a function
+            deriv = isinstance(x.fn, Deriv)
+            fn = x.fn.fn if deriv else x.fn
+            if fn not in self.fns and not (deriv and fn in self.lets):
                 raise UnboundSymbol(fn)
         bound = bound | bound_names(x)
         for p in children(x):
             self.check_symbols(p, bound)
-
-
-class _State:
-    def __init__(self, ctx: _Ctx, goal: Formula):
-        self.ctx = ctx
-        self.goal = goal
-        self.closed = False
-        self.soundness = SYMBOLIC
 
 
 def _formula_key(f: Formula, N: Normalizer, depth: int = 0) -> tuple:
@@ -174,18 +174,18 @@ def _formula_key(f: Formula, N: Normalizer, depth: int = 0) -> tuple:
     raise TypeError(f"not a formula: {f!r}")
 
 
-def _ring_equal(ctx: _Ctx, g: EqF) -> bool:
+def _ring_equal(state: _State, g: EqF) -> bool:
     N = Normalizer()
-    return N.atom_key(ctx.unfold_expr(g.left)) == N.atom_key(ctx.unfold_expr(g.right))
+    return N.atom_key(state.unfold_expr(g.left)) == N.atom_key(state.unfold_expr(g.right))
 
 
 # ---------------------------------------------------------------------------
 # step implementations
 
 
-def _discharge_or_fail(ctx: _Ctx, ob: Formula, idx: int) -> str:
+def _discharge_or_fail(state: _State, ob: Formula, idx: int) -> str:
     try:
-        discharge(ctx.facts(), ob)
+        discharge(state.facts(), ob)
     except NotDerivable:
         raise ObligationFailed(idx, print_formula(ob)) from None
     except SearchBudgetExhausted as e:
@@ -195,20 +195,19 @@ def _discharge_or_fail(ctx: _Ctx, ob: Formula, idx: int) -> str:
 
 
 def _do_rewrite(state: _State, step: RewriteWith, idx: int) -> List[str]:
-    ctx = state.ctx
-    h = ctx.hyps.get(step.hyp)
+    h = state.hyps.get(step.hyp)
     if h is None:
         raise StepFailed(idx, f"unknown hypothesis {step.hyp!r}")
     if not isinstance(h, EqF):
         raise StepFailed(idx, f"hypothesis {step.hyp!r} is not an equation")
     pattern, replacement = (h.right, h.left) if step.reverse else (h.left, h.right)
     N = Normalizer()
-    pkey = N.atom_key(ctx.unfold_expr(pattern))
+    pkey = N.atom_key(state.unfold_expr(pattern))
     total = 0
 
     def rw(x: Expr) -> Expr:
         nonlocal total
-        if N.atom_key(ctx.unfold_expr(x)) == pkey:
+        if N.atom_key(state.unfold_expr(x)) == pkey:
             total += 1
             return replacement
         return map_children(x, rw)
@@ -225,10 +224,9 @@ def _do_rewrite(state: _State, step: RewriteWith, idx: int) -> List[str]:
 
 
 def _do_unfold(state: _State, step: Unfold, idx: int) -> List[str]:
-    ctx = state.ctx
-    if step.name not in ctx.lets:
+    if step.name not in state.lets:
         raise StepFailed(idx, f"{step.name!r} is not a let binding")
-    mapping = {step.name: ctx.lets[step.name]}
+    mapping = {step.name: state.lets[step.name]}
     found = False
 
     def repl(e: Expr) -> Expr:
@@ -242,7 +240,7 @@ def _do_unfold(state: _State, step: Unfold, idx: int) -> List[str]:
     return []
 
 
-def _rational_forms(ctx: _Ctx, exprs: List[Expr], idx: int):
+def _rational_forms(state: _State, exprs: List[Expr], idx: int):
     """The canonical rational forms of exprs, in one table, and the
     printed `!= 0` obligation of each distinct denominator they cross
     (a nonzero literal needs none), each one discharged."""
@@ -255,67 +253,60 @@ def _rational_forms(ctx: _Ctx, exprs: List[Expr], idx: int):
         if k in seen or isinstance(d, Const) and d.value != 0:
             continue
         seen.add(k)
-        obls.append(_discharge_or_fail(ctx, Ne0(d), idx))
+        obls.append(_discharge_or_fail(state, Ne0(d), idx))
     return R, forms, obls
 
 
-def _do_field_normalize(state: _State, idx: int) -> List[str]:
-    ctx = state.ctx
+def _do_field_normalize(state: _State, step: FieldNormalize, idx: int) -> List[str]:
     g = state.goal
     if not isinstance(g, EqF):
         raise StepFailed(idx, "field_normalize needs an equational goal")
     R, [(nL, dL), (nR, dR)], obls = _rational_forms(
-        ctx, [ctx.unfold_expr(g.left), ctx.unfold_expr(g.right)], idx)
+        state, [state.unfold_expr(g.left), state.unfold_expr(g.right)], idx)
     state.goal = EqF(R.to_expr(nL * dR), R.to_expr(nR * dL))
     return obls
 
 
-def _do_ring(state: _State, idx: int) -> List[str]:
+def _do_ring(state: _State, step: RingClose, idx: int) -> List[str]:
     g = state.goal
     if not isinstance(g, EqF):
         raise StepFailed(idx, "ring needs an equational goal")
-    if not _ring_equal(state.ctx, g):
+    if not _ring_equal(state, g):
         raise StepFailed(idx, "sides are not equal as ring expressions")
     state.closed = True
     return []
 
 
 def _do_intro(state: _State, step: Intro, idx: int) -> List[str]:
-    ctx = state.ctx
     for name in step.names:
         g = state.goal
-        if isinstance(g, Implies):
-            if name in ctx.all_names():
-                raise DuplicateName(f"{name!r} is already in scope")
-            ctx.hyps[name] = g.ante
-            state.goal = g.cons
-        elif isinstance(g, Forall):
-            if name in ctx.all_names():
-                raise DuplicateName(f"{name!r} is already in scope")
-            (b, sort), rest = g.binders[0], g.binders[1:]
-            inner: Formula = Forall(rest, g.body) if rest else g.body
-            ctx.vars[name] = sort
-            state.goal = subst_formula(inner, b, Var(name))
-        else:
+        if not isinstance(g, (Implies, Forall)):
             raise StepFailed(idx, f"nothing to introduce for {name!r}")
+        if name in state.all_names():
+            raise DuplicateName(f"{name!r} is already in scope")
+        if isinstance(g, Implies):
+            state.hyps[name] = g.ante
+            state.goal = g.cons
+        else:
+            state.vars[name] = g.binders[0][1]
+            state.goal = instantiate_forall(g, [Var(name)])
     return []
 
 
 def _do_specialize(state: _State, step: Specialize, idx: int) -> List[str]:
-    ctx = state.ctx
-    h = ctx.hyps.get(step.hyp)
+    h = state.hyps.get(step.hyp)
     if h is None:
         raise StepFailed(idx, f"unknown hypothesis {step.hyp!r}")
     for t in step.terms:
-        ctx.check_symbols(t)
+        state.check_symbols(t)
     if isinstance(h, Exists):
         # skolemize once, in place: later specializations of the same
         # hypothesis share the witness constant
         b, sort = h.binder
-        fresh = ctx.fresh(b)
-        ctx.vars[fresh] = sort
+        fresh = state.fresh(b)
+        state.vars[fresh] = sort
         h = subst_formula(h.body, b, Var(fresh))
-        ctx.hyps[step.hyp] = h
+        state.hyps[step.hyp] = h
     if not isinstance(h, Forall):
         raise StepFailed(idx, f"hypothesis {step.hyp!r} is not universally quantified")
     try:
@@ -323,9 +314,9 @@ def _do_specialize(state: _State, step: Specialize, idx: int) -> List[str]:
     except ArityMismatch:
         raise StepFailed(idx, f"too many terms for {step.hyp!r}") from None
     k = 1
-    while f"{step.hyp}_{k}" in ctx.all_names():
+    while f"{step.hyp}_{k}" in state.all_names():
         k += 1
-    ctx.hyps[f"{step.hyp}_{k}"] = inst
+    state.hyps[f"{step.hyp}_{k}"] = inst
     return []
 
 
@@ -333,30 +324,28 @@ def _do_use(state: _State, step: ExistsIntro, idx: int) -> List[str]:
     g = state.goal
     if not isinstance(g, Exists):
         raise StepFailed(idx, "use needs an existential goal")
-    state.ctx.check_symbols(step.witness)
+    state.check_symbols(step.witness)
     state.goal = subst_formula(g.body, g.binder[0], step.witness)
     return []
 
 
-def _do_apply(state: _State, step: ApplyLemma, idx: int,
-              pool: Optional[LemmaPool]) -> List[str]:
-    ctx = state.ctx
-    entry = (pool or {}).get(step.name)
+def _do_apply(state: _State, step: ApplyLemma, idx: int) -> List[str]:
+    entry = (state.pool or {}).get(step.name)
     if entry is None or not entry.accepted:
         raise StepFailed(idx, f"lemma {step.name!r} is not available")
     lem = entry.theory
-    lem_ctx = _Ctx(lem)
+    lem_state = _State(lem)
     N = Normalizer()
-    current = {_formula_key(ctx.unfold_formula(f), N) for f in ctx.hyps.values()}
+    current = {_formula_key(state.unfold_formula(f), N) for f in state.hyps.values()}
     for hn, hf in lem.hyps:
-        if _formula_key(lem_ctx.unfold_formula(hf), N) not in current:
+        if _formula_key(lem_state.unfold_formula(hf), N) not in current:
             raise StepFailed(idx, f"hypothesis {hn!r} of {step.name!r} is not present")
     g = state.goal
-    lg = lem_ctx.unfold_formula(lem.goal)
+    lg = lem_state.unfold_formula(lem.goal)
     if isinstance(g, EqF) and isinstance(lg, EqF):
         _, [(ng, dg), (nl, dl)], obls = _rational_forms(
-            ctx, [Sub(ctx.unfold_expr(g.left), ctx.unfold_expr(g.right)),
-                  Sub(lg.left, lg.right)], idx)
+            state, [Sub(state.unfold_expr(g.left), state.unfold_expr(g.right)),
+                    Sub(lg.left, lg.right)], idx)
         if nl.is_zero():
             if not ng.is_zero():
                 raise StepFailed(idx, f"lemma {step.name!r} is trivial but the goal is not")
@@ -367,15 +356,15 @@ def _do_apply(state: _State, step: ApplyLemma, idx: int,
                     idx, f"goal difference is not a multiple of {step.name!r}")
         state.closed = True
         return obls
-    if step.name in ctx.all_names():
+    if step.name in state.all_names():
         raise DuplicateName(f"{step.name!r} is already in scope")
-    ctx.check_symbols(lg)
-    ctx.hyps[step.name] = lg
+    state.check_symbols(lg)
+    state.hyps[step.name] = lg
     return []
 
 
-def _series_bases(state: _State, idx: int, weighted: bool) -> List[str]:
-    ctx = state.ctx
+def _do_series(state: _State, step: Step, idx: int) -> List[str]:
+    weighted = isinstance(step, SeriesGeomWeighted)
     g = state.goal
     if not isinstance(g, EqF):
         raise StepFailed(idx, "series steps need an equational goal")
@@ -430,17 +419,17 @@ def _series_bases(state: _State, idx: int, weighted: bool) -> List[str]:
     N = Normalizer()
     seen = set()
     for b in bases:
-        ub = ctx.unfold_expr(b)
+        ub = state.unfold_expr(b)
         k = N.atom_key(ub)
         if k in seen:
             continue
         seen.add(k)
-        obls.append(_discharge_or_fail(ctx, Lt(Const(Fraction(0)), ub), idx))
-        obls.append(_discharge_or_fail(ctx, Lt(ub, Const(Fraction(1))), idx))
+        obls.append(_discharge_or_fail(state, Lt(Const(Fraction(0)), ub), idx))
+        obls.append(_discharge_or_fail(state, Lt(ub, Const(Fraction(1))), idx))
     return obls
 
 
-def _do_index_shift(state: _State, idx: int) -> List[str]:
+def _do_index_shift(state: _State, step: IndexShift, idx: int) -> List[str]:
     g = state.goal
     if not isinstance(g, EqF):
         raise StepFailed(idx, "index_shift needs an equational goal")
@@ -461,7 +450,6 @@ def _do_index_shift(state: _State, idx: int) -> List[str]:
 
 
 def _do_deriv_rule(state: _State, step: DerivRule, idx: int) -> List[str]:
-    ctx = state.ctx
     g = state.goal
     if not isinstance(g, EqF):
         raise StepFailed(idx, "deriv_rule needs an equational goal")
@@ -469,8 +457,8 @@ def _do_deriv_rule(state: _State, step: DerivRule, idx: int) -> List[str]:
 
     def expand(e: Expr) -> Expr:
         nonlocal count
-        if isinstance(e, App) and isinstance(e.fn, Deriv) and e.fn.fn in ctx.lets:
-            body = ctx.unfolded[e.fn.fn]
+        if isinstance(e, App) and isinstance(e.fn, Deriv) and e.fn.fn in state.lets:
+            body = state.unfolded[e.fn.fn]
             fv = sorted(free_vars(body))
             if len(fv) != 1:
                 raise StepFailed(
@@ -513,7 +501,7 @@ def _classify_poly(p: Poly, v: str) -> Optional[str]:
     return None
 
 
-def _chase(e: Expr, u: str, ctx: _Ctx, hops: int = 3) -> Expr:
+def _chase(e: Expr, u: str, state: _State, hops: int = 3) -> Expr:
     """Follow pointwise definitions: while e is g(u) and some
     hypothesis says forall w, g(w) = rhs, replace e by rhs[w := u]."""
     cur = e
@@ -522,7 +510,7 @@ def _chase(e: Expr, u: str, ctx: _Ctx, hops: int = 3) -> Expr:
                 and isinstance(cur.arg, Var) and cur.arg.name == u):
             return cur
         nxt = None
-        for f in ctx.hyps.values():
+        for f in state.hyps.values():
             if isinstance(f, Forall) and len(f.binders) == 1 \
                     and isinstance(f.body, EqF):
                 w = f.binders[0][0]
@@ -542,7 +530,6 @@ def _antideriv_parts(state: _State, idx: int):
     forall t, F(t) = rhs with rhs rational over a constant denominator
     and every opaque subterm free of t. The last part is the printed
     `!= 0` obligation of each denominator cleared."""
-    ctx = state.ctx
     g = state.goal
     if not (isinstance(g, Forall) and len(g.binders) == 1
             and isinstance(g.body, EqF)):
@@ -554,21 +541,21 @@ def _antideriv_parts(state: _State, idx: int):
         raise StepFailed(idx, "left side must be a function applied to the bound variable")
     F = lhs.fn
     # a canonical denominator that is constant is 1
-    R, [(rhs_p, den)], obls = _rational_forms(ctx, [ctx.unfold_expr(g.body.right)], idx)
+    R, [(rhs_p, den)], obls = _rational_forms(state, [state.unfold_expr(g.body.right)], idx)
     if not den.is_const():
         raise StepFailed(idx, "right side must have a constant denominator")
     if t in R.opaque_names(rhs_p):
         raise StepFailed(idx, "opaque terms on the right must not involve the bound variable")
-    return ctx, t, F, R, rhs_p, obls
+    return t, F, R, rhs_p, obls
 
 
-def _deriv_hyp_matches(ctx: _Ctx, F: str, t: str, R: Normalizer,
+def _deriv_hyp_matches(state: _State, F: str, t: str, R: Normalizer,
                        want: Poly) -> bool:
     """Is there a hypothesis forall u, deriv(F)(u) = rhs whose chased
     closed form equals `want` (written in the bound variable t) in atom
     mode? Atom-mode equality needs no side condition, so a rate such
     as x / x does not match 1."""
-    for f in ctx.hyps.values():
+    for f in state.hyps.values():
         if not (isinstance(f, Forall) and len(f.binders) == 1
                 and isinstance(f.body, EqF)):
             continue
@@ -578,15 +565,15 @@ def _deriv_hyp_matches(ctx: _Ctx, F: str, t: str, R: Normalizer,
                 and lhs.fn.fn == F and isinstance(lhs.arg, Var)
                 and lhs.arg.name == u):
             continue
-        closed = _chase(f.body.right, u, ctx)
+        closed = _chase(f.body.right, u, state)
         want_expr = substitute(R.to_expr(want), t, Var(u))
-        if R.atom_key(ctx.unfold_expr(want_expr)) == R.atom_key(ctx.unfold_expr(closed)):
+        if R.atom_key(state.unfold_expr(want_expr)) == R.atom_key(state.unfold_expr(closed)):
             return True
     return False
 
 
-def _do_antideriv_const(state: _State, idx: int) -> List[str]:
-    ctx, t, F, R, rhs_p, obls = _antideriv_parts(state, idx)
+def _do_antideriv_const(state: _State, step: AntiderivConst, idx: int) -> List[str]:
+    t, F, R, rhs_p, obls = _antideriv_parts(state, idx)
     if rhs_p.degree_in(t) > 1:
         raise StepFailed(idx, "right side must be linear in the bound variable")
     c1 = rhs_p.coeff_in(t, 1)
@@ -594,14 +581,14 @@ def _do_antideriv_const(state: _State, idx: int) -> List[str]:
     f0 = R.atom_poly(App(F, Const(Fraction(0))))
     if c0 != f0:
         raise StepFailed(idx, "constant term must be the function's value at zero")
-    if not _deriv_hyp_matches(ctx, F, t, R, c1):
+    if not _deriv_hyp_matches(state, F, t, R, c1):
         raise StepFailed(idx, f"no hypothesis gives a constant derivative for {F!r}")
     state.closed = True
     return obls
 
 
-def _do_antideriv(state: _State, idx: int) -> List[str]:
-    ctx, t, F, R, rhs_p, obls = _antideriv_parts(state, idx)
+def _do_antideriv(state: _State, step: Antideriv, idx: int) -> List[str]:
+    t, F, R, rhs_p, obls = _antideriv_parts(state, idx)
     f0 = R.atom_poly(App(F, Const(Fraction(0))))
     f0_var = next(iter(f0.terms))
     if rhs_p.terms.get(f0_var) != 1:
@@ -612,7 +599,7 @@ def _do_antideriv(state: _State, idx: int) -> List[str]:
     if not G.coeff_in(t, 0).is_zero():
         raise StepFailed(idx, "right side must vanish at zero apart from the initial value")
     dG = derivative(G, t)
-    if not _deriv_hyp_matches(ctx, F, t, R, dG):
+    if not _deriv_hyp_matches(state, F, t, R, dG):
         raise StepFailed(idx, f"no hypothesis matches the derivative of the right side for {F!r}")
     state.closed = True
     return obls
@@ -622,39 +609,38 @@ def _do_antideriv(state: _State, idx: int) -> List[str]:
 
 
 def _do_limit_witness(state: _State, step: LimitDivergenceWitness,
-                      idx: int, seed: int) -> List[str]:
-    ctx = state.ctx
+                      idx: int) -> List[str]:
     g = state.goal
     if not isinstance(g, DivergesLeftAt):
         raise StepFailed(idx, "limit_witness needs a divergence goal")
-    if g.fn_name not in ctx.lets:
+    if g.fn_name not in state.lets:
         raise StepFailed(idx, f"{g.fn_name!r} is not a let binding")
-    body = ctx.unfolded[g.fn_name]
-    point = ctx.unfold_expr(g.point)
+    body = state.unfolded[g.fn_name]
+    point = state.unfold_expr(g.point)
     fv = free_vars(body)
-    approach = [v for v in fv if v in ctx.vars]
+    approach = [v for v in fv if v in state.vars]
     if len(approach) != 1:
         raise StepFailed(idx, "the diverging expression needs exactly one free variable")
     pvar = approach[0]
     consts = (fv | free_vars(point)) - {pvar}
-    if any(c not in ctx.consts for c in consts):
+    if any(c not in state.consts for c in consts):
         raise StepFailed(idx, "the approach point must only involve constants")
-    obls = [_discharge_or_fail(ctx, Lt(Const(Fraction(0)), point), idx)]
+    obls = [_discharge_or_fail(state, Lt(Const(Fraction(0)), point), idx)]
 
     # the atomic facts over constants only, and every constant linked
     # to the expression or the point through them
-    facts = [f for _, f in ctx.facts() if isinstance(f, (EqF, Lt, Ne0))
-             and formula_free_vars(f) <= ctx.consts.keys()]
+    facts = [f for _, f in state.facts() if isinstance(f, (EqF, Lt, Ne0))
+             and formula_free_vars(f) <= state.consts.keys()]
     while True:
         more = {v for f in facts if formula_free_vars(f) & consts
                 for v in formula_free_vars(f)} - consts
         if not more:
             break
         consts |= more
-    names = [c for c in ctx.consts if c in consts]
+    names = [c for c in state.consts if c in consts]
     try:
         envs = witness_envs(names, [f for f in facts
-                                    if formula_free_vars(f) <= consts], seed)
+                                    if formula_free_vars(f) <= consts], state.seed)
         for env in envs:
             rep = divergence_witness(body, pvar, eval_expr(point, env), step.depth, env)
             if not rep.verdict:
@@ -677,51 +663,33 @@ def _goal_holds(state: _State) -> bool:
     if state.closed:
         return True
     g = state.goal
-    ctx = state.ctx
     if isinstance(g, EqF):
-        return _ring_equal(ctx, g)
+        return _ring_equal(state, g)
     if isinstance(g, (Ne0, Lt)):
         try:
-            discharge(ctx.facts(), ctx.unfold_formula(g))
+            discharge(state.facts(), state.unfold_formula(g))
             return True
         except (NotDerivable, SearchBudgetExhausted):
             return False
     return False
 
 
-def _run_step(state: _State, step, idx: int, pool: Optional[LemmaPool],
-              seed: int) -> List[str]:
-    if isinstance(step, RewriteWith):
-        return _do_rewrite(state, step, idx)
-    if isinstance(step, Unfold):
-        return _do_unfold(state, step, idx)
-    if isinstance(step, FieldNormalize):
-        return _do_field_normalize(state, idx)
-    if isinstance(step, RingClose):
-        return _do_ring(state, idx)
-    if isinstance(step, Intro):
-        return _do_intro(state, step, idx)
-    if isinstance(step, Specialize):
-        return _do_specialize(state, step, idx)
-    if isinstance(step, ExistsIntro):
-        return _do_use(state, step, idx)
-    if isinstance(step, ApplyLemma):
-        return _do_apply(state, step, idx, pool)
-    if isinstance(step, SeriesGeom):
-        return _series_bases(state, idx, weighted=False)
-    if isinstance(step, SeriesGeomWeighted):
-        return _series_bases(state, idx, weighted=True)
-    if isinstance(step, IndexShift):
-        return _do_index_shift(state, idx)
-    if isinstance(step, DerivRule):
-        return _do_deriv_rule(state, step, idx)
-    if isinstance(step, AntiderivConst):
-        return _do_antideriv_const(state, idx)
-    if isinstance(step, Antideriv):
-        return _do_antideriv(state, idx)
-    if isinstance(step, LimitDivergenceWitness):
-        return _do_limit_witness(state, step, idx, seed)
-    raise StepFailed(idx, f"unknown step {step!r}")
+_STEPS = {
+    RewriteWith: _do_rewrite, Unfold: _do_unfold,
+    FieldNormalize: _do_field_normalize, RingClose: _do_ring, Intro: _do_intro,
+    Specialize: _do_specialize, ExistsIntro: _do_use, ApplyLemma: _do_apply,
+    SeriesGeom: _do_series, SeriesGeomWeighted: _do_series,
+    IndexShift: _do_index_shift, DerivRule: _do_deriv_rule,
+    AntiderivConst: _do_antideriv_const, Antideriv: _do_antideriv,
+    LimitDivergenceWitness: _do_limit_witness,
+}
+
+
+def _run_step(state: _State, step: Step, idx: int) -> List[str]:
+    handler = _STEPS.get(type(step))
+    if handler is None:
+        raise StepFailed(idx, f"unknown step {step!r}")
+    return handler(state, step, idx)
 
 
 def _failure_reason(e: DerivkitError) -> str:
@@ -736,12 +704,11 @@ def check_theory(theory: Theory, pool: Optional[LemmaPool] = None,
                  seed: int = 0) -> CheckResult:
     records: List[StepRecord] = []
     try:
-        ctx = _Ctx(theory)
-        state = _State(ctx, theory.goal)
+        state = _State(theory, pool, seed)
         for idx, step in enumerate(theory.steps, start=1):
             if state.closed:
                 raise StepFailed(idx, "goal is already closed")
-            obls = _run_step(state, step, idx, pool, seed)
+            obls = _run_step(state, step, idx)
             records.append(StepRecord(print_step(step),
                                       print_formula(state.goal), obls))
         if not _goal_holds(state):

@@ -194,10 +194,19 @@ def _verify_hyps(env: Dict[str, float], hyps: Sequence[Formula]) -> bool:
 def _admitter(names: Sequence[str], hyps: Sequence[Formula]
               ) -> Callable[[Dict[str, float]], bool]:
     """A test that solves an environment's equations in place and tells
-    whether it then satisfies every hypothesis."""
+    whether it then satisfies every hypothesis. An environment whose
+    solving or checking raises ArithmeticError is not admitted: a point
+    the hypotheses cannot be evaluated at decides nothing."""
     rank = {n: i for i, n in enumerate(names)}
     defs, rest = _equation_plan([f for f in hyps if isinstance(f, EqF)], rank)
-    return lambda env: _solve(env, defs, rest, rank) and _verify_hyps(env, hyps)
+
+    def admit(env: Dict[str, float]) -> bool:
+        try:
+            return _solve(env, defs, rest, rank) and _verify_hyps(env, hyps)
+        except ArithmeticError:
+            return False
+
+    return admit
 
 
 def _bound_plan(names: Sequence[str], hyps: Sequence[Formula]
@@ -297,11 +306,7 @@ def sample_envs(names: Sequence[str], hyps: Sequence[Formula],
             raise RejectionStarvation(
                 f"{check_name}: {len(envs)} of {plan.count} samples in {_DRAW_LIMIT} draws")
         env = _draw(rng, ranges)
-        try:
-            if env is None or not admit(env):
-                continue
-        except ArithmeticError:
-            # a candidate the hypotheses cannot be evaluated at decides nothing
+        if env is None or not admit(env):
             continue
         if extra_reject is not None and extra_reject(env):
             continue
@@ -317,9 +322,9 @@ def witness_envs(names: Sequence[str], hyps: Sequence[Formula],
     environment, satisfies every hypothesis, then eight sampled ones.
     Solving can map corners onto one assignment (a name an equation
     defines gets its value from the others); each distinct one comes
-    once, where it first occurs. Raises RejectionStarvation when the
-    sampler finds no eight, and ArithmeticError when a corner cannot be
-    evaluated, so the witness fails closed there."""
+    once, where it first occurs. A corner the hypotheses cannot be
+    evaluated at is left out, as a drawn one is. Raises
+    RejectionStarvation when the sampler finds no eight."""
     positive = _positive_names(hyps)
     grids = [(1e-3, 1.0, 10.0) if n in positive else (-10.0, -1.0, 1.0, 10.0)
              for n in names]

@@ -26,12 +26,11 @@ from typing import List, Tuple
 from .errors import DerivSyntaxError, DuplicateName, UndeclaredSymbol
 from .expr import (Add, App, Const, Deriv, Div, Expr, Mul, Neg, Pow, SeriesSum,
                    Sub, Var, children)
-from .formula import (And, Antideriv, AntiderivConst, ApplyLemma,
-                      DivergesLeftAt, DerivRule, EqF, ExistsIntro, Exists,
-                      FieldNormalize, Forall, Formula, Implies, IndexShift,
-                      Intro, LimitDivergenceWitness, Lt, Ne0, REAL,
-                      RewriteWith, RingClose, SeriesGeom, SeriesGeomWeighted,
-                      Specialize, STATE, Step, Theory, Unfold, bound_names)
+from .formula import (And, ApplyLemma, DivergesLeftAt, DerivRule, EqF,
+                      ExistsIntro, Exists, Forall, Formula, Implies, Intro,
+                      LimitDivergenceWitness, Lt, Ne0, REAL, RewriteWith,
+                      Specialize, STATE, STEPS, Step, Theory, Unfold,
+                      bound_names)
 
 RESERVED = {
     "theory", "vars", "fns", "const", "hyp", "let", "goal", "proof", "qed",
@@ -268,56 +267,45 @@ class _Parser:
 
     def parse_step(self) -> Step:
         t = self.expect_ident("proof step")
-        w = t.value
-        if w == "rw":
+        cls = STEPS.get(t.value)
+        if cls is None:
+            raise DerivSyntaxError(f"unknown proof step {t.value!r}", t.line, t.col)
+        if not cls._fields:
+            return cls()
+        if cls is RewriteWith:
             h = self.expect_ident("hypothesis name").value
             if self.at_sym("<-"):
                 self.advance()
                 return RewriteWith(h, True)
             return RewriteWith(h)
-        if w == "unfold":
+        if cls is Unfold:
             return Unfold(self.expect_ident().value)
-        if w == "field_normalize":
-            return FieldNormalize()
-        if w == "ring":
-            return RingClose()
-        if w == "intro":
+        if cls is Intro:
             names = [self.fresh_name().value]
             while self.peek().kind == "ident":
                 names.append(self.fresh_name().value)
             return Intro(tuple(names))
-        if w == "specialize":
+        if cls is Specialize:
             h = self.expect_ident("hypothesis name").value
             terms = [self.parse_expr()]
             while self.peek().kind != "nl":
                 terms.append(self.parse_expr())
             return Specialize(h, tuple(terms))
-        if w == "use":
+        if cls is ExistsIntro:
             return ExistsIntro(self.parse_expr())
-        if w == "apply":
+        if cls is ApplyLemma:
             return ApplyLemma(self.expect_ident("lemma name").value)
-        if w == "series_geom":
-            return SeriesGeom()
-        if w == "series_geom_weighted":
-            return SeriesGeomWeighted()
-        if w == "index_shift":
-            return IndexShift()
-        if w == "deriv_rule":
+        if cls is DerivRule:
             r = self.expect_ident("rule name").value
             if r not in ("const", "id", "pow", "linear", "scalar"):
                 raise DerivSyntaxError(f"unknown derivative rule {r!r}", t.line, t.col)
             return DerivRule(r)
-        if w == "antideriv_const":
-            return AntiderivConst()
-        if w == "antideriv":
-            return Antideriv()
-        if w == "limit_witness":
-            n = self.peek()
-            if n.kind != "number" or "." in n.value:
-                self._fail("limit_witness needs an integer depth")
-            self.advance()
-            return LimitDivergenceWitness(int(n.value))
-        raise DerivSyntaxError(f"unknown proof step {w!r}", t.line, t.col)
+        # the last step with a field, LimitDivergenceWitness
+        n = self.peek()
+        if n.kind != "number" or "." in n.value:
+            self._fail("limit_witness needs an integer depth")
+        self.advance()
+        return LimitDivergenceWitness(int(n.value))
 
     # -- formulas -----------------------------------------------------
 
@@ -698,38 +686,25 @@ def _term_str(e: Expr) -> str:
     return f"({s})"
 
 
+_KEYWORDS = {cls: kw for kw, cls in STEPS.items()}
+
+
+def _field_str(v) -> str:
+    if isinstance(v, bool):
+        return "<-" if v else ""
+    if isinstance(v, tuple):
+        return " ".join(x if isinstance(x, str) else _term_str(x) for x in v)
+    if isinstance(v, Expr):
+        return print_expr(v)
+    return str(v)
+
+
 def print_step(s: Step) -> str:
-    if isinstance(s, RewriteWith):
-        return f"rw {s.hyp} <-" if s.reverse else f"rw {s.hyp}"
-    if isinstance(s, Unfold):
-        return f"unfold {s.name}"
-    if isinstance(s, FieldNormalize):
-        return "field_normalize"
-    if isinstance(s, RingClose):
-        return "ring"
-    if isinstance(s, Intro):
-        return "intro " + " ".join(s.names)
-    if isinstance(s, Specialize):
-        return f"specialize {s.hyp} " + " ".join(_term_str(t) for t in s.terms)
-    if isinstance(s, ExistsIntro):
-        return f"use {print_expr(s.witness)}"
-    if isinstance(s, ApplyLemma):
-        return f"apply {s.name}"
-    if isinstance(s, SeriesGeom):
-        return "series_geom"
-    if isinstance(s, SeriesGeomWeighted):
-        return "series_geom_weighted"
-    if isinstance(s, IndexShift):
-        return "index_shift"
-    if isinstance(s, DerivRule):
-        return f"deriv_rule {s.rule}"
-    if isinstance(s, AntiderivConst):
-        return "antideriv_const"
-    if isinstance(s, Antideriv):
-        return "antideriv"
-    if isinstance(s, LimitDivergenceWitness):
-        return f"limit_witness {s.depth}"
-    raise TypeError(f"not a step: {s!r}")
+    """The step's keyword, then each of its fields by value type."""
+    kw = _KEYWORDS.get(type(s))
+    if kw is None:
+        raise TypeError(f"not a step: {s!r}")
+    return " ".join(p for p in [kw, *map(_field_str, s._values())] if p)
 
 
 def print_theory(t: Theory) -> str:

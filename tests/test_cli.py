@@ -195,6 +195,30 @@ def test_check_semantic_error(tmp_path, capsys):
     assert "invalid input:" in err
 
 
+DERIV_OF_LET = """theory derivlet
+  vars x : Real
+  let w := x * x
+  goal exists k, k = deriv(w)(x)
+  proof
+    use deriv(WITNESS)(x)
+    ring
+  qed
+"""
+
+
+def test_use_takes_the_derivative_of_a_let(tmp_path, capsys):
+    # the kernel's scope check agrees with the parser: deriv applies to
+    # a let binding, and an undeclared name is still unbound
+    p = write(tmp_path, "let.deriv", DERIV_OF_LET.replace("WITNESS", "w"))
+    code, out, err = run_cli(["check", p], capsys)
+    assert (code, err) == (0, "")
+    assert out.startswith("derivlet: Accepted (Symbolic)")
+    p = write(tmp_path, "undeclared.deriv", DERIV_OF_LET.replace("WITNESS", "g"))
+    code, out, _ = run_cli(["check", p], capsys)
+    assert code == 1
+    assert out.startswith("derivlet: Failed (UnboundSymbol: unbound symbol: g)")
+
+
 # -- builtin ----------------------------------------------------------------
 
 
@@ -455,27 +479,43 @@ def test_deep_or_overflowing_input_has_no_traceback(tmp_path, cli_env, goal, cod
         assert "Failed (numeric: OverflowError" in r.stdout
 
 
+def _witness_script(hyps, body, point):
+    return (f"theory ov\n  vars P : Real\n  const C : Real\n{hyps}"
+            f"  let w := {body}\n  goal diverges_left(w, {point})\n"
+            "  proof\n    limit_witness 8\n  qed\n")
+
+
 OVERFLOWING_WITNESS = {
     # the table is evaluated at a point near 10^400
-    "table": ("hyp hC : 0 < C", "1 / (C^400 - P)", "C^400"),
-    # checking the fact at a sign-grid corner overflows
-    "fact": ("hyp hbig : 0 < C^400", "C / (1 - P)", "1"),
+    "table": ("hyp hC : 0 < C", "1 / (C^400 - P)", "C^400",
+              "the divergence check cannot be evaluated (OverflowError)"),
+    # the fact overflows at the corners C = -10 and 10, which are left
+    # out, but it allows a negative C, where the table goes negative
+    "fact": ("hyp hbig : 0 < C^400", "C / (1 - P)", "1",
+             "divergence table goes negative at offset 1e-1"),
 }
 
 
 @pytest.mark.parametrize("name", sorted(OVERFLOWING_WITNESS))
 def test_limit_witness_overflow_fails_the_step(tmp_path, cli_env, name):
-    hyp, body, point = OVERFLOWING_WITNESS[name]
-    script = (f"theory ov\n  vars P : Real\n  const C : Real\n  {hyp}\n"
-              f"  let w := {body}\n  goal diverges_left(w, {point})\n"
-              "  proof\n    limit_witness 8\n  qed\n")
-    path = write(tmp_path, "ov.deriv", script)
+    hyp, body, point, reason = OVERFLOWING_WITNESS[name]
+    path = write(tmp_path, "ov.deriv", _witness_script(f"  {hyp}\n", body, point))
     r = subprocess.run([sys.executable, "-m", "derivkit", "check", path],
                        capture_output=True, text=True, env=cli_env, timeout=120)
     assert r.returncode == 1
     assert "Traceback" not in r.stderr
-    assert ("StepFailed: the divergence check cannot be evaluated "
-            "(OverflowError) at step 1") in r.stdout
+    assert f"StepFailed: {reason} at step 1" in r.stdout
+
+
+def test_limit_witness_leaves_out_a_corner_that_overflows(tmp_path, cli_env):
+    # 0 < C^400 cannot be evaluated at the corner C = 10; the other
+    # corners and the draws certify the divergence
+    hyps = "  hyp hbig : 0 < C^400\n  hyp hC : 0 < C\n"
+    path = write(tmp_path, "ov.deriv", _witness_script(hyps, "C / (1 - P)", "1"))
+    r = subprocess.run([sys.executable, "-m", "derivkit", "check", path],
+                       capture_output=True, text=True, env=cli_env, timeout=120)
+    assert r.returncode == 0, r.stdout + r.stderr
+    assert "ov: Accepted (NumericCertified)" in r.stdout
 
 
 def test_hypothesis_that_overflows_at_a_sample_is_a_rejected_sample(tmp_path, cli_env):

@@ -209,7 +209,7 @@ SIGN_RULES = [
     ("nonneg-negate", [hx1, hzn], pos(Sub(one_minus_x, Mul(z, sq(y)))),
      "above(hx1; negate(nonneg-nonpos(even-pow; hyp hzn)))"),
     ("nonneg-sum-nonneg", [hx1], pos(Add(one_minus_x, Add(sq(y), sq(z)))),
-     "above(hx1; sum-nonneg)"),
+     "above(hx1; sum-nonneg(even-pow; even-pow))"),
     # e <= 0
     ("nonpos-nonneg-pos-neg-both-pos", [hw1, hxn, hz],
      pos(Add(one_minus_w, Div(Mul(x, Neg(sq(y))), z))),
@@ -229,10 +229,13 @@ SIGN_RULES = [
      "above(hx1; negate(nonpos-nonneg(hyp hxn; even-pow)))"),
     ("nonneg-sum-nonneg-of-quotient", [hw1, hxn, hz],
      pos(Add(one_minus_w, Div(Mul(x, Add(Neg(sq(y)), Neg(sq(v)))), z))),
-     "above(hw1; sum-nonneg)"),
+     "above(hw1; sum-nonneg(nonneg-nonpos(both-nonneg(both-pos(literal; hyp hz); "
+     "even-pow); hyp hxn); nonpos-nonneg(pos-neg(both-pos(literal; hyp hz); hyp hxn); "
+     "even-pow)))"),
     ("nonpos-sum-nonpos-denominator", [hw1, hxn],
      pos(Add(one_minus_w, Div(x, Add(Neg(sq(y)), Neg(sq(v)))))),
-     "above(hw1; both-nonpos(nonneg-nonpos(literal; sum-nonpos); hyp hxn))"),
+     "above(hw1; both-nonpos(nonneg-nonpos(literal; sum-nonpos(even-pow; even-pow)); "
+     "hyp hxn))"),
     # a rule that holds for one sign only must not answer for another
     ("neg-no-factor-of", [gt0("hxy", Mul(x, y)), hy], Lt(x, Const(0)), None),
     ("neg-no-above", [hx], Lt(x, Const(0)), None),
