@@ -196,8 +196,6 @@ def children(node: Node) -> tuple:
     for a leaf."""
     if not isinstance(node, Node):
         raise TypeError(f"not a syntax tree node: {node!r}")
-    fn: Union[str, Deriv]
-    arg: Expr
     return tuple([v for v in node._values() if isinstance(v, (Expr, Formula))])
 
 

@@ -9,15 +9,19 @@ walks them; none of the three needs private knowledge of the others.
 `STEPS` is the one list of proof steps, keyword to class. The parser
 looks a step's keyword up there, the printer writes a step as its
 keyword and its fields, and the kernel maps each class to its handler.
+
+The scope rule is here once: the parser checks declarations and the
+kernel checks script terms with `unbound_symbol`, both read
+`Theory.implicit_states`, and `fresh` makes every primed name.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Tuple
+from typing import Callable, Collection, Optional, Tuple
 
 from .errors import ArityMismatch
-from .expr import (Expr, Formula, Node, SeriesSum, Var, children, free_vars,
-                   map_children, substitute)
+from .expr import (App, Deriv, Expr, Formula, Node, Pow, SeriesSum, Var,
+                   children, free_vars, map_children, substitute)
 
 REAL = "Real"
 STATE = "State"
@@ -98,7 +102,42 @@ def formula_free_vars(f: Formula) -> set:
     return fv - bound_names(f)
 
 
-def _fresh(base: str, avoid: set) -> str:
+def unbound_symbol(x: Node, names: Collection[str], fns: Collection[str],
+                   lets: Collection[str]) -> Optional[str]:
+    """The first symbol of the term or formula x that is out of scope,
+    or None. A name must be in `names` or bound by a quantifier or a
+    series index around it; a function head must be in `fns`, and a
+    `deriv` head may also be a let; `diverges_left` must name a let; a
+    symbolic exponent must be the index of an enclosing series, checked
+    after the exponent's base."""
+
+    def walk(x: Node, names, indices) -> Optional[str]:
+        if isinstance(x, Var):
+            if x.name not in names:
+                return x.name
+        elif isinstance(x, App):
+            deriv = isinstance(x.fn, Deriv)
+            fn = x.fn.fn if deriv else x.fn
+            if fn not in fns and not (deriv and fn in lets):
+                return fn
+        elif isinstance(x, DivergesLeftAt) and x.fn_name not in lets:
+            return x.fn_name
+        elif isinstance(x, SeriesSum):
+            indices = indices | {x.index}
+        names = names | bound_names(x)
+        for c in children(x):
+            bad = walk(c, names, indices)
+            if bad is not None:
+                return bad
+        if isinstance(x, Pow) and isinstance(x.exp, str) and x.exp not in indices:
+            return x.exp
+        return None
+
+    return walk(x, frozenset(names), frozenset())
+
+
+def fresh(base: str, avoid: Collection[str]) -> str:
+    """base, primed until it is not in avoid."""
     name = base
     while name in avoid:
         name += "'"
@@ -115,7 +154,7 @@ def subst_formula(f: Formula, name: str, value: Expr) -> Formula:
         body = f.body
         for i, (b, sort) in enumerate(binders):
             if b in vfree:
-                nb = _fresh(b, vfree | formula_free_vars(body) | {x for x, _ in binders})
+                nb = fresh(b, vfree | formula_free_vars(body) | {x for x, _ in binders})
                 body = subst_formula(body, b, Var(nb))
                 binders[i] = (nb, sort)
         return Forall(tuple(binders), subst_formula(body, name, value))
@@ -126,7 +165,7 @@ def subst_formula(f: Formula, name: str, value: Expr) -> Formula:
         vfree = free_vars(value)
         body = f.body
         if b in vfree:
-            nb = _fresh(b, vfree | formula_free_vars(body))
+            nb = fresh(b, vfree | formula_free_vars(body))
             body = subst_formula(body, b, Var(nb))
             b = nb
         return Exists((b, sort), subst_formula(body, name, value))
@@ -260,5 +299,12 @@ class Theory(Node):
         """This theory with the named fields changed."""
         return Theory(**dict(zip(self._fields, self._values()), **changes))
 
-    def uses_state(self) -> bool:
-        return bool(self.fn_decls) or any(s == STATE for _, s in self.var_decls)
+    def implicit_states(self) -> Tuple[str, ...]:
+        """The states s1 and s2, which a theory with functions or State
+        variables has without declaring them; a name it declares is
+        left out."""
+        if not (self.fn_decls or any(s == STATE for _, s in self.var_decls)):
+            return ()
+        declared = ({n for n, _ in self.var_decls} | set(self.fn_decls)
+                    | set(self.const_decls) | {n for n, _ in self.lets})
+        return tuple(n for n in ("s1", "s2") if n not in declared)

@@ -10,7 +10,10 @@ hypotheses under the total-division reading of expressions.
 One `_State` holds everything a check works on: the names in scope,
 the hypotheses, the goal, the lemma pool and the seed. `_STEPS` maps
 each step class of `formula.STEPS` to its handler, and every handler
-takes `(state, step, idx)`.
+takes `(state, step, idx)`. A term a step brings in (a `use` witness,
+`specialize` terms, an applied lemma's conclusion) must pass
+`formula.unbound_symbol`, the parser's scope rule, against the names
+in scope.
 
 Every comparison (rewriting, goal closure, hypothesis matching, the
 antiderivative rate) uses atom-mode canonical form (division and
@@ -37,16 +40,16 @@ from .errors import (ArityMismatch, DerivkitError, DuplicateName,
                      RejectionStarvation, SearchBudgetExhausted, StepFailed,
                      UnboundSymbol)
 from .expr import (Add, App, Const, Deriv, Div, Expr, Mul, Node, Pow,
-                   SeriesSum, Sub, Var, children, eval_expr, free_vars,
-                   map_children, subst_vars, substitute, unfold_lets)
+                   SeriesSum, Sub, Var, eval_expr, free_vars, map_children,
+                   subst_vars, substitute, unfold_lets)
 from .formula import (And, Antideriv, AntiderivConst, ApplyLemma,
                       DivergesLeftAt, DerivRule, EqF, Exists, ExistsIntro,
                       FieldNormalize, Forall, Formula, Implies, IndexShift,
                       Intro, LimitDivergenceWitness, Lt, Ne0, REAL,
                       RewriteWith, RingClose, SeriesGeom, SeriesGeomWeighted,
-                      Specialize, STATE, Step, Theory, Unfold, bound_names,
-                      formula_free_vars, instantiate_forall, map_formula,
-                      subst_formula)
+                      Specialize, STATE, Step, Theory, Unfold,
+                      formula_free_vars, fresh, instantiate_forall,
+                      map_formula, subst_formula, unbound_symbol)
 from .numcheck import divergence_witness, witness_envs
 from .parser import print_formula, print_step
 from .poly import Poly, derivative, divexact
@@ -93,12 +96,8 @@ class _State:
         self.fns: Dict[str, Tuple[str, str]] = {n: (STATE, REAL) for n in theory.fn_decls}
         self.consts: Dict[str, str] = {n: REAL for n in theory.const_decls}
         self.lets: Dict[str, Expr] = dict(theory.lets)
-        self.hyps: Dict[str, Formula] = {}
-        if theory.uses_state():
-            for extra in ("s1", "s2"):
-                if extra not in self.all_names():
-                    self.vars[extra] = STATE
-        self.hyps.update(theory.hyps)
+        self.vars.update((n, STATE) for n in theory.implicit_states())
+        self.hyps: Dict[str, Formula] = dict(theory.hyps)
         self.unfolded: Dict[str, Expr] = unfold_lets(theory.lets)
         self.goal = theory.goal
         self.closed = False
@@ -109,12 +108,6 @@ class _State:
     def all_names(self) -> set:
         return (set(self.vars) | set(self.fns) | set(self.consts)
                 | set(self.lets) | set(self.hyps))
-
-    def fresh(self, base: str) -> str:
-        name = base
-        while name in self.all_names():
-            name += "'"
-        return name
 
     def unfold_expr(self, e: Expr) -> Expr:
         return subst_vars(e, self.unfolded)
@@ -127,23 +120,13 @@ class _State:
     def facts(self) -> List[Tuple[str, Formula]]:
         return [(n, self.unfold_formula(f)) for n, f in self.hyps.items()]
 
-    def check_symbols(self, x, bound: frozenset = frozenset()):
+    def check_symbols(self, x: Node) -> None:
         """Every symbol of a script-supplied term or formula must be in
-        scope; series indices and quantified names bind in their bodies."""
-        if isinstance(x, Var):
-            if x.name not in bound and x.name not in self.vars \
-                    and x.name not in self.consts and x.name not in self.lets:
-                raise UnboundSymbol(x.name)
-            return
-        if isinstance(x, App):
-            # a derivative applies to a let binding as to a function
-            deriv = isinstance(x.fn, Deriv)
-            fn = x.fn.fn if deriv else x.fn
-            if fn not in self.fns and not (deriv and fn in self.lets):
-                raise UnboundSymbol(fn)
-        bound = bound | bound_names(x)
-        for p in children(x):
-            self.check_symbols(p, bound)
+        scope, by the rule the parser applies to declarations."""
+        names = self.vars.keys() | self.consts.keys() | self.lets.keys()
+        bad = unbound_symbol(x, names, self.fns, self.lets)
+        if bad is not None:
+            raise UnboundSymbol(bad)
 
 
 def _formula_key(f: Formula, N: Normalizer, depth: int = 0) -> tuple:
@@ -303,9 +286,9 @@ def _do_specialize(state: _State, step: Specialize, idx: int) -> List[str]:
         # skolemize once, in place: later specializations of the same
         # hypothesis share the witness constant
         b, sort = h.binder
-        fresh = state.fresh(b)
-        state.vars[fresh] = sort
-        h = subst_formula(h.body, b, Var(fresh))
+        name = fresh(b, state.all_names())
+        state.vars[name] = sort
+        h = subst_formula(h.body, b, Var(name))
         state.hyps[step.hyp] = h
     if not isinstance(h, Forall):
         raise StepFailed(idx, f"hypothesis {step.hyp!r} is not universally quantified")
@@ -334,14 +317,18 @@ def _do_apply(state: _State, step: ApplyLemma, idx: int) -> List[str]:
     if entry is None or not entry.accepted:
         raise StepFailed(idx, f"lemma {step.name!r} is not available")
     lem = entry.theory
-    lem_state = _State(lem)
+    lem_lets = unfold_lets(lem.lets)
+
+    def lem_unfold(f: Formula) -> Formula:
+        return map_formula(f, lambda e: subst_vars(e, lem_lets))
+
     N = Normalizer()
     current = {_formula_key(state.unfold_formula(f), N) for f in state.hyps.values()}
     for hn, hf in lem.hyps:
-        if _formula_key(lem_state.unfold_formula(hf), N) not in current:
+        if _formula_key(lem_unfold(hf), N) not in current:
             raise StepFailed(idx, f"hypothesis {hn!r} of {step.name!r} is not present")
     g = state.goal
-    lg = lem_state.unfold_formula(lem.goal)
+    lg = lem_unfold(lem.goal)
     if isinstance(g, EqF) and isinstance(lg, EqF):
         _, [(ng, dg), (nl, dl)], obls = _rational_forms(
             state, [Sub(state.unfold_expr(g.left), state.unfold_expr(g.right)),

@@ -42,7 +42,7 @@ from .expr import (SERIES_CUTOFF, Add, App, Const, Deriv, Div, Expr, Mul, Neg,
                    Node, Pow, SeriesSum, Sub, Var, children, eval_expr,
                    free_vars, map_children, subst_vars, unfold_lets)
 from .formula import (REAL, STATE, And, DivergesLeftAt, EqF, Exists, Forall,
-                      Formula, Implies, Lt, Ne0, Theory, bound_names,
+                      Formula, Implies, Lt, Ne0, Theory, bound_names, fresh,
                       instantiate_forall, map_formula, subst_formula)
 
 _NE0_MARGIN = 1e-3
@@ -116,13 +116,15 @@ def _positive_names(hyps: Sequence[Formula]) -> set:
     return out
 
 
-def _equation_plan(eqs: Sequence[EqF], rank: Dict[str, int]):
-    """Definitions, and the other equations with the definitions
-    substituted. An equation with a bare name on one side that the other
-    side lacks defines it (the later-declared one if both are names)."""
+def _equation_plan(names: Sequence[str], hyps: Sequence[Formula]):
+    """The rank of each name in declaration order, the definitions, and
+    the other equations with the definitions substituted. An equation
+    with a bare name on one side that the other side lacks defines it
+    (the later-declared one if both are names)."""
+    rank = {n: i for i, n in enumerate(names)}
     defs: Dict[str, Expr] = {}
     rest = []
-    for eq in eqs:
+    for eq in (f for f in hyps if isinstance(f, EqF)):
         l, r = subst_vars(eq.left, defs), subst_vars(eq.right, defs)
         sides = [(a.name, b) for a, b in ((l, r), (r, l)) if isinstance(a, Var)
                  and a.name in rank and a.name not in free_vars(b)]
@@ -133,7 +135,8 @@ def _equation_plan(eqs: Sequence[EqF], rank: Dict[str, int]):
         defs = {k: subst_vars(d, {v: e}) for k, d in defs.items()}
         defs[v] = e
     rest = [(subst_vars(l, defs), subst_vars(r, defs)) for l, r in rest]
-    return defs, [(l, r, (free_vars(l) | free_vars(r)) & rank.keys()) for l, r in rest]
+    return rank, defs, [(l, r, (free_vars(l) | free_vars(r)) & rank.keys())
+                        for l, r in rest]
 
 
 def _gap(l: Expr, r: Expr, env: Dict[str, float]) -> float:
@@ -191,14 +194,13 @@ def _verify_hyps(env: Dict[str, float], hyps: Sequence[Formula]) -> bool:
         return False
 
 
-def _admitter(names: Sequence[str], hyps: Sequence[Formula]
+def _admitter(hyps: Sequence[Formula], eqs
               ) -> Callable[[Dict[str, float]], bool]:
-    """A test that solves an environment's equations in place and tells
-    whether it then satisfies every hypothesis. An environment whose
-    solving or checking raises ArithmeticError is not admitted: a point
-    the hypotheses cannot be evaluated at decides nothing."""
-    rank = {n: i for i, n in enumerate(names)}
-    defs, rest = _equation_plan([f for f in hyps if isinstance(f, EqF)], rank)
+    """A test that solves an environment's equations `eqs` in place and
+    tells whether it then satisfies every hypothesis. An environment
+    whose solving or checking raises ArithmeticError is not admitted: a
+    point the hypotheses cannot be evaluated at decides nothing."""
+    rank, defs, rest = eqs
 
     def admit(env: Dict[str, float]) -> bool:
         try:
@@ -209,15 +211,14 @@ def _admitter(names: Sequence[str], hyps: Sequence[Formula]
     return admit
 
 
-def _bound_plan(names: Sequence[str], hyps: Sequence[Formula]
+def _bound_plan(hyps: Sequence[Formula], eqs
                 ) -> Dict[str, List[Tuple[Expr, Expr]]]:
     """The linear bounds to draw each name inside. A hypothesis
     `left < right`, other than `0 < name`, that mentions no name the
-    equations define or may solve, bounds its latest-declared name v
-    when `right - left` is of degree 1 in v: it holds where
+    equations `eqs` define or may solve, bounds its latest-declared name
+    v when `right - left` is of degree 1 in v: it holds where
     c0 + c1*v > 0, with c0 and c1 over earlier names."""
-    rank = {n: i for i, n in enumerate(names)}
-    defs, rest = _equation_plan([f for f in hyps if isinstance(f, EqF)], rank)
+    rank, defs, rest = eqs
     solved = set(defs).union(*(fv for _, _, fv in rest))
     plan: Dict[str, List[Tuple[Expr, Expr]]] = {}
     for f in hyps:
@@ -289,7 +290,8 @@ def sample_envs(names: Sequence[str], hyps: Sequence[Formula],
     c0 <= 0, RejectionStarvation comes before any draw."""
     rng = _rng(plan.seed, check_name)
     positive = _positive_names(hyps)
-    bounds = _bound_plan(names, hyps)
+    eqs = _equation_plan(names, hyps)
+    bounds = _bound_plan(hyps, eqs)
     ranges = [(n, _POSITIVE_RANGE if n in positive else _DEFAULT_RANGE, bounds.get(n, ()))
               for n in names]
     for n, (lo, hi), bs in ranges:
@@ -297,7 +299,7 @@ def sample_envs(names: Sequence[str], hyps: Sequence[Formula],
             lo, hi = _cut(lo, hi, bs, {})
             if not lo < hi or any(_unmet(c0, c1) for c0, c1 in bs):
                 raise RejectionStarvation(f"{check_name}: the hypotheses leave {n} no value")
-    admit = _admitter(names, hyps)
+    admit = _admitter(hyps, eqs)
     envs: List[Dict[str, float]] = []
     draws = 0
     while len(envs) < plan.count:
@@ -328,7 +330,7 @@ def witness_envs(names: Sequence[str], hyps: Sequence[Formula],
     positive = _positive_names(hyps)
     grids = [(1e-3, 1.0, 10.0) if n in positive else (-10.0, -1.0, 1.0, 10.0)
              for n in names]
-    admit = _admitter(names, hyps)
+    admit = _admitter(hyps, _equation_plan(names, hyps))
     corners = [dict(zip(names, c)) for c in itertools.product(*grids)]
     envs = [env for env in corners if admit(env)] \
         + sample_envs(names, hyps, SamplePlan(seed, count=8), "limit_witness")
@@ -434,11 +436,10 @@ class _Grounder:
 
     def _name(self, base: str) -> Var:
         """A fresh sampled name, declared after every earlier one."""
-        while base in self.known:
-            base += "'"
-        self.known.add(base)
-        self.extra.append(base)
-        return Var(base)
+        name = fresh(base, self.known)
+        self.known.add(name)
+        self.extra.append(name)
+        return Var(name)
 
     def _closed_args(self, f: Formula, bound: frozenset) -> None:
         bound = bound | bound_names(f)

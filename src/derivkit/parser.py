@@ -30,7 +30,7 @@ from .formula import (And, ApplyLemma, DivergesLeftAt, DerivRule, EqF,
                       ExistsIntro, Exists, Forall, Formula, Implies, Intro,
                       LimitDivergenceWitness, Lt, Ne0, REAL, RewriteWith,
                       Specialize, STATE, STEPS, Step, Theory, Unfold,
-                      bound_names)
+                      bound_names, unbound_symbol)
 
 RESERVED = {
     "theory", "vars", "fns", "const", "hyp", "let", "goal", "proof", "qed",
@@ -500,64 +500,32 @@ def _validate(theory: Theory, clause_lines) -> None:
     line_of = {}
     for kind, n, line in clause_lines:
         line_of[(kind, n)] = line
-    seen = {}
-    for n, _ in theory.var_decls:
+    let_names = [n for n, _ in theory.lets]
+    seen = set()
+    for n in ([n for n, _ in theory.var_decls] + list(theory.fn_decls)
+              + list(theory.const_decls) + let_names):
         if n in seen:
             raise DuplicateName(f"duplicate declaration of {n!r}")
-        seen[n] = "var"
-    for group, kind in ((theory.fn_decls, "fn"), (theory.const_decls, "const")):
-        for n in group:
-            if n in seen:
-                raise DuplicateName(f"duplicate declaration of {n!r}")
-            seen[n] = kind
-    for n, _ in theory.lets:
-        if n in seen:
-            raise DuplicateName(f"duplicate declaration of {n!r}")
-        seen[n] = "let"
+        seen.add(n)
     hyp_names = set()
     for n, _ in theory.hyps:
         if n in hyp_names or n in seen:
             raise DuplicateName(f"duplicate hypothesis name {n!r}")
         hyp_names.add(n)
 
-    fns = set(theory.fn_decls)
-    base = {n for n, _ in theory.var_decls} | set(theory.const_decls)
-    if theory.uses_state():
-        for extra in ("s1", "s2"):
-            if extra not in seen:
-                base.add(extra)
-    let_names = [n for n, _ in theory.lets]
-    all_lets = set(let_names)
+    def check(x, names: set, line: int) -> None:
+        bad = unbound_symbol(x, names, theory.fn_decls, let_names)
+        if bad is not None:
+            raise UndeclaredSymbol(bad, line)
 
-    def walk(x, scope: set, indices: set, line: int):
-        if isinstance(x, Var):
-            if x.name not in scope:
-                raise UndeclaredSymbol(x.name, line)
-        elif isinstance(x, App):
-            if isinstance(x.fn, Deriv):
-                # derivatives apply to declared functions and to
-                # let-bound expressions alike
-                if x.fn.fn not in fns and x.fn.fn not in all_lets:
-                    raise UndeclaredSymbol(x.fn.fn, line)
-            elif x.fn not in fns:
-                raise UndeclaredSymbol(x.fn, line)
-        elif isinstance(x, SeriesSum):
-            indices = indices | {x.index}
-        elif isinstance(x, DivergesLeftAt) and x.fn_name not in all_lets:
-            raise UndeclaredSymbol(x.fn_name, line)
-        scope = scope | bound_names(x)
-        for c in children(x):
-            walk(c, scope, indices, line)
-        if isinstance(x, Pow) and isinstance(x.exp, str) and x.exp not in indices:
-            raise UndeclaredSymbol(x.exp, line)
-
+    base = ({n for n, _ in theory.var_decls} | set(theory.const_decls)
+            | set(theory.implicit_states()))
     for i, (n, body) in enumerate(theory.lets):
-        scope = base | set(let_names[:i])
-        walk(body, scope, set(), line_of.get(("let", n), 0))
-    full = base | all_lets
+        check(body, base | set(let_names[:i]), line_of.get(("let", n), 0))
+    full = base | set(let_names)
     for n, f in theory.hyps:
-        walk(f, full, set(), line_of.get(("hyp", n), 0))
-    walk(theory.goal, full, set(), line_of.get(("goal", ""), 0))
+        check(f, full, line_of.get(("hyp", n), 0))
+    check(theory.goal, full, line_of.get(("goal", ""), 0))
 
 
 # ---------------------------------------------------------------------------

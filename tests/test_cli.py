@@ -219,6 +219,30 @@ def test_use_takes_the_derivative_of_a_let(tmp_path, capsys):
     assert out.startswith("derivlet: Failed (UnboundSymbol: unbound symbol: g)")
 
 
+USES_27 = """theory uses27
+  vars P : Real
+  const C_L : Real
+  const C_1 : Real
+  const P_0 : Real
+  hyp hCL : 0 < C_L
+  hyp hC1 : 0 < C_1
+  hyp h27 : P_0 = 1 / C_L
+  goal 0 < C_L
+  proof
+    apply brunauer_27
+  qed
+"""
+
+
+def test_applied_lemma_goal_must_name_a_let_in_scope(tmp_path, capsys):
+    # brunauer_27 concludes diverges_left(b26, P_0); this theory has no
+    # let b26, so that conclusion cannot enter its hypotheses
+    code, out, err = run_cli(["check", write(tmp_path, "u.deriv", USES_27)], capsys)
+    assert (code, err) == (1, "")
+    assert out.startswith("uses27: Failed (UnboundSymbol: unbound symbol: b26)")
+    assert "Traceback" not in out
+
+
 # -- builtin ----------------------------------------------------------------
 
 

@@ -2,6 +2,7 @@
 
 import pytest
 
+from derivkit.errors import UndeclaredSymbol
 from derivkit.kernel import (LemmaEntry, NUMERIC_CERTIFIED, SYMBOLIC,
                              check_theory)
 from derivkit.parser import parse_theory
@@ -249,6 +250,46 @@ def test_witness_symbols_are_checked():
     assert not r.accepted
     assert r.failure[0] is None
     assert "z" in r.failure[1]
+
+
+# the parser (a term in a goal) and the kernel (the same term as a `use`
+# witness) follow one scope rule; u is bound by a quantifier, and f
+# makes s1 and s2 implicit states
+SCOPE = ("theory scope", "  vars x : Real", "  fns f : State -> Real",
+         "  let w := x * x")
+
+
+def _parser_unbound(term):
+    try:
+        parse_theory("\n".join(SCOPE + (f"  goal forall u, {term} = {term}",
+                                          "  proof", "  qed")))
+    except UndeclaredSymbol as e:
+        return e.name
+    return None
+
+
+def _kernel_unbound(term):
+    r = run("\n".join(SCOPE + ("  goal forall u, exists k, k = k", "  proof",
+                               "    intro u", f"    use {term}", "  qed")))
+    if r.accepted:
+        return None
+    assert r.failure[1].startswith("UnboundSymbol: unbound symbol: ")
+    return r.failure[1].rsplit(" ", 1)[1]
+
+
+@pytest.mark.parametrize("term, unbound", [
+    ("y", "y"),
+    ("g(x)", "g"),
+    ("deriv(w)(x)", None),
+    ("deriv(v)(x)", "v"),
+    ("x^j", "j"),
+    ("sum[i>=1](x^i)", None),
+    ("u * x", None),
+    ("f(s1)", None),
+])
+def test_parser_and_kernel_share_one_scope_rule(term, unbound):
+    assert _parser_unbound(term) == unbound
+    assert _kernel_unbound(term) == unbound
 
 
 # -- lemma application -------------------------------------------------------
@@ -762,8 +803,8 @@ def test_contradictory_constant_facts_fail_before_any_draw(monkeypatch):
     seen = []
     real = numcheck._admitter
 
-    def watched(names, hyps):
-        admit = real(names, hyps)
+    def watched(hyps, eqs):
+        admit = real(hyps, eqs)
 
         def counted(env):
             seen.append(dict(env))

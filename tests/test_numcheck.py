@@ -25,6 +25,10 @@ def plan(**kw):
     return SamplePlan(**kw)
 
 
+def _bounds(names, hyps):
+    return numcheck._bound_plan(hyps, numcheck._equation_plan(names, hyps))
+
+
 # -- sampling -----------------------------------------------------------------
 
 
@@ -50,7 +54,7 @@ def test_sampling_is_prefix_stable():
     # a smaller count draws the first environments of a larger one,
     # also where a bound cuts the range a name is drawn from
     hyps = [Lt(Const(0), x), Lt(x, Const(1))]
-    assert numcheck._bound_plan(["x", "y"], hyps) == {"x": [(Const(1), Const(-1))]}
+    assert _bounds(["x", "y"], hyps) == {"x": [(Const(1), Const(-1))]}
     assert (sample_envs(["x", "y"], hyps, plan(count=10), "prefix")
             == sample_envs(["x", "y"], hyps, plan(count=100), "prefix")[:10])
 
@@ -71,7 +75,7 @@ def test_linear_bounds_are_drawn_inside(monkeypatch):
     # bet_sequence_math needs 0 < C_L * P < 1: drawing C_L inside the
     # bounds P gives it leaves only the draws with P < 0 to rejection
     names, hyps, _, _ = numcheck._ground(load_theory("bet_sequence_math"))
-    assert set(numcheck._bound_plan(names, hyps)) == {"C_L"}
+    assert set(_bounds(names, hyps)) == {"C_L"}
     draws = _counting_draws(monkeypatch)
     envs = sample_envs(names, hyps, SamplePlan(seed=0, count=100), "bet")
     assert len(envs) == 100
@@ -82,7 +86,7 @@ def test_linear_bounds_are_drawn_inside(monkeypatch):
 
 def test_bound_not_linear_in_its_name_is_left_to_rejection(monkeypatch):
     hyps = [Lt(Mul(x, x), Const(2))]
-    assert numcheck._bound_plan(["x"], hyps) == {}
+    assert _bounds(["x"], hyps) == {}
     draws = _counting_draws(monkeypatch)
     envs = sample_envs(["x"], hyps, plan(count=30), "square")
     assert len(envs) == 30 and draws[0] > 30
@@ -92,7 +96,7 @@ def test_bound_not_linear_in_its_name_is_left_to_rejection(monkeypatch):
 def test_bound_on_an_equation_defined_name_is_left_to_rejection():
     # y is defined by y = 2 * x, so y < 1 cannot cut the range y is drawn from
     hyps = [EqF(y, Mul(Const(2), x)), Lt(y, Const(1))]
-    assert numcheck._bound_plan(["x", "y"], hyps) == {}
+    assert _bounds(["x", "y"], hyps) == {}
     envs = sample_envs(["x", "y"], hyps, plan(count=30), "defined")
     assert len(envs) == 30
     for e in envs:

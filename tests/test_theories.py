@@ -38,13 +38,6 @@ def test_registry_scripts_parse_to_matching_names():
         assert parse_theory(e.script).name == e.name
 
 
-def test_citation_index_covers_registry():
-    text = (resources.files("derivkit.theories") / "citations.txt").read_text("utf-8")
-    lines = set(text.splitlines())
-    for e in registry():
-        assert e.citation in lines, e.citation
-
-
 def test_reconstructed_flags():
     rec = {e.name for e in registry() if e.reconstructed}
     assert rec == {"charles_from_ideal_gas", "avogadro_from_ideal_gas"}
