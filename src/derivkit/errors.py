@@ -34,10 +34,7 @@ class NotDerivable(DerivkitError):
 
 class SearchBudgetExhausted(DerivkitError):
     """A discharge search spent its judgement calls without a proof; the
-    obligation fails. The kernel sets the index of the step that raised
-    the obligation."""
-
-    step_index = None
+    obligation fails, like any other failure of the step that raised it."""
 
 
 class ArityMismatch(DerivkitError):
@@ -67,21 +64,13 @@ class UndeclaredSymbol(DerivkitError):
 
 
 class StepFailed(DerivkitError):
-    """A proof step did not apply to the current goal state."""
-
-    def __init__(self, step_index: int, reason: str):
-        self.step_index = step_index
-        self.reason = reason
-        super().__init__(f"{reason} at step {step_index}")
+    """A proof step did not apply to the current goal state; the message
+    is the reason."""
 
 
 class ObligationFailed(DerivkitError):
-    """A side condition generated by a step could not be discharged."""
-
-    def __init__(self, step_index: int, obligation: str):
-        self.step_index = step_index
-        self.obligation = obligation
-        super().__init__(f"ObligationFailed: {obligation} at step {step_index}")
+    """A side condition generated by a step could not be discharged; the
+    message is the printed obligation."""
 
 
 class GoalNotClosed(DerivkitError):

@@ -186,6 +186,16 @@ def instantiate_forall(f: Formula, terms) -> Formula:
     return cur
 
 
+def pointwise(f: Formula) -> Optional[Tuple[object, str, Expr]]:
+    """(head, u, rhs) when f is `forall u, head(u) = rhs`, head being a
+    function name or a `Deriv`; otherwise None."""
+    if isinstance(f, Forall) and len(f.binders) == 1 and isinstance(f.body, EqF):
+        u, lhs = f.binders[0][0], f.body.left
+        if isinstance(lhs, App) and lhs.arg == Var(u):
+            return lhs.fn, u, f.body.right
+    return None
+
+
 # ---------------------------------------------------------------------------
 # proof steps
 

@@ -10,10 +10,12 @@ hypotheses under the total-division reading of expressions.
 One `_State` holds everything a check works on: the names in scope,
 the hypotheses, the goal, the lemma pool and the seed. `_STEPS` maps
 each step class of `formula.STEPS` to its handler, and every handler
-takes `(state, step, idx)`. A term a step brings in (a `use` witness,
-`specialize` terms, an applied lemma's conclusion) must pass
-`formula.unbound_symbol`, the parser's scope rule, against the names
-in scope.
+takes `(state, step)`. Handlers raise errors that carry no step:
+`check_theory` alone counts the steps, and any `DerivkitError` raised
+while step N runs fails the check at step N. A term a step brings in
+(a `use` witness, `specialize` terms, an applied lemma's conclusion)
+must pass `formula.unbound_symbol`, the parser's scope rule, against
+the names in scope.
 
 Every comparison (rewriting, goal closure, hypothesis matching, the
 antiderivative rate) uses atom-mode canonical form (division and
@@ -49,7 +51,8 @@ from .formula import (And, Antideriv, AntiderivConst, ApplyLemma,
                       RewriteWith, RingClose, SeriesGeom, SeriesGeomWeighted,
                       Specialize, STATE, Step, Theory, Unfold,
                       formula_free_vars, fresh, instantiate_forall,
-                      map_formula, subst_formula, unbound_symbol)
+                      map_formula, pointwise, subst_formula,
+                      unbound_symbol)
 from .numcheck import divergence_witness, witness_envs
 from .parser import print_formula, print_step
 from .poly import Poly, derivative, divexact
@@ -166,23 +169,20 @@ def _ring_equal(state: _State, g: EqF) -> bool:
 # step implementations
 
 
-def _discharge_or_fail(state: _State, ob: Formula, idx: int) -> str:
+def _discharge_or_fail(state: _State, ob: Formula) -> str:
     try:
         discharge(state.facts(), ob)
     except NotDerivable:
-        raise ObligationFailed(idx, print_formula(ob)) from None
-    except SearchBudgetExhausted as e:
-        e.step_index = idx
-        raise
+        raise ObligationFailed(print_formula(ob)) from None
     return print_formula(ob)
 
 
-def _do_rewrite(state: _State, step: RewriteWith, idx: int) -> List[str]:
+def _do_rewrite(state: _State, step: RewriteWith) -> List[str]:
     h = state.hyps.get(step.hyp)
     if h is None:
-        raise StepFailed(idx, f"unknown hypothesis {step.hyp!r}")
+        raise StepFailed(f"unknown hypothesis {step.hyp!r}")
     if not isinstance(h, EqF):
-        raise StepFailed(idx, f"hypothesis {step.hyp!r} is not an equation")
+        raise StepFailed(f"hypothesis {step.hyp!r} is not an equation")
     pattern, replacement = (h.right, h.left) if step.reverse else (h.left, h.right)
     N = Normalizer()
     pkey = N.atom_key(state.unfold_expr(pattern))
@@ -199,16 +199,16 @@ def _do_rewrite(state: _State, step: RewriteWith, idx: int) -> List[str]:
     if isinstance(g, (EqF, Lt, Ne0, DivergesLeftAt)):
         state.goal = map_formula(g, rw)
     else:
-        raise StepFailed(idx, "rewriting needs an unquantified goal")
+        raise StepFailed("rewriting needs an unquantified goal")
     if total == 0:
         side = "right" if step.reverse else "left"
-        raise StepFailed(idx, f"no occurrence of the {side}-hand side of {step.hyp!r}")
+        raise StepFailed(f"no occurrence of the {side}-hand side of {step.hyp!r}")
     return []
 
 
-def _do_unfold(state: _State, step: Unfold, idx: int) -> List[str]:
+def _do_unfold(state: _State, step: Unfold) -> List[str]:
     if step.name not in state.lets:
-        raise StepFailed(idx, f"{step.name!r} is not a let binding")
+        raise StepFailed(f"{step.name!r} is not a let binding")
     mapping = {step.name: state.lets[step.name]}
     found = False
 
@@ -219,11 +219,11 @@ def _do_unfold(state: _State, step: Unfold, idx: int) -> List[str]:
 
     state.goal = map_formula(state.goal, repl)
     if not found:
-        raise StepFailed(idx, f"no occurrence of {step.name!r} in the goal")
+        raise StepFailed(f"no occurrence of {step.name!r} in the goal")
     return []
 
 
-def _rational_forms(state: _State, exprs: List[Expr], idx: int):
+def _rational_forms(state: _State, exprs: List[Expr]):
     """The canonical rational forms of exprs, in one table, and the
     printed `!= 0` obligation of each distinct denominator they cross
     (a nonzero literal needs none), each one discharged."""
@@ -236,35 +236,35 @@ def _rational_forms(state: _State, exprs: List[Expr], idx: int):
         if k in seen or isinstance(d, Const) and d.value != 0:
             continue
         seen.add(k)
-        obls.append(_discharge_or_fail(state, Ne0(d), idx))
+        obls.append(_discharge_or_fail(state, Ne0(d)))
     return R, forms, obls
 
 
-def _do_field_normalize(state: _State, step: FieldNormalize, idx: int) -> List[str]:
+def _do_field_normalize(state: _State, step: FieldNormalize) -> List[str]:
     g = state.goal
     if not isinstance(g, EqF):
-        raise StepFailed(idx, "field_normalize needs an equational goal")
+        raise StepFailed("field_normalize needs an equational goal")
     R, [(nL, dL), (nR, dR)], obls = _rational_forms(
-        state, [state.unfold_expr(g.left), state.unfold_expr(g.right)], idx)
+        state, [state.unfold_expr(g.left), state.unfold_expr(g.right)])
     state.goal = EqF(R.to_expr(nL * dR), R.to_expr(nR * dL))
     return obls
 
 
-def _do_ring(state: _State, step: RingClose, idx: int) -> List[str]:
+def _do_ring(state: _State, step: RingClose) -> List[str]:
     g = state.goal
     if not isinstance(g, EqF):
-        raise StepFailed(idx, "ring needs an equational goal")
+        raise StepFailed("ring needs an equational goal")
     if not _ring_equal(state, g):
-        raise StepFailed(idx, "sides are not equal as ring expressions")
+        raise StepFailed("sides are not equal as ring expressions")
     state.closed = True
     return []
 
 
-def _do_intro(state: _State, step: Intro, idx: int) -> List[str]:
+def _do_intro(state: _State, step: Intro) -> List[str]:
     for name in step.names:
         g = state.goal
         if not isinstance(g, (Implies, Forall)):
-            raise StepFailed(idx, f"nothing to introduce for {name!r}")
+            raise StepFailed(f"nothing to introduce for {name!r}")
         if name in state.all_names():
             raise DuplicateName(f"{name!r} is already in scope")
         if isinstance(g, Implies):
@@ -276,10 +276,10 @@ def _do_intro(state: _State, step: Intro, idx: int) -> List[str]:
     return []
 
 
-def _do_specialize(state: _State, step: Specialize, idx: int) -> List[str]:
+def _do_specialize(state: _State, step: Specialize) -> List[str]:
     h = state.hyps.get(step.hyp)
     if h is None:
-        raise StepFailed(idx, f"unknown hypothesis {step.hyp!r}")
+        raise StepFailed(f"unknown hypothesis {step.hyp!r}")
     for t in step.terms:
         state.check_symbols(t)
     if isinstance(h, Exists):
@@ -291,11 +291,11 @@ def _do_specialize(state: _State, step: Specialize, idx: int) -> List[str]:
         h = subst_formula(h.body, b, Var(name))
         state.hyps[step.hyp] = h
     if not isinstance(h, Forall):
-        raise StepFailed(idx, f"hypothesis {step.hyp!r} is not universally quantified")
+        raise StepFailed(f"hypothesis {step.hyp!r} is not universally quantified")
     try:
         inst = instantiate_forall(h, step.terms)
     except ArityMismatch:
-        raise StepFailed(idx, f"too many terms for {step.hyp!r}") from None
+        raise StepFailed(f"too many terms for {step.hyp!r}") from None
     k = 1
     while f"{step.hyp}_{k}" in state.all_names():
         k += 1
@@ -303,19 +303,19 @@ def _do_specialize(state: _State, step: Specialize, idx: int) -> List[str]:
     return []
 
 
-def _do_use(state: _State, step: ExistsIntro, idx: int) -> List[str]:
+def _do_use(state: _State, step: ExistsIntro) -> List[str]:
     g = state.goal
     if not isinstance(g, Exists):
-        raise StepFailed(idx, "use needs an existential goal")
+        raise StepFailed("use needs an existential goal")
     state.check_symbols(step.witness)
     state.goal = subst_formula(g.body, g.binder[0], step.witness)
     return []
 
 
-def _do_apply(state: _State, step: ApplyLemma, idx: int) -> List[str]:
+def _do_apply(state: _State, step: ApplyLemma) -> List[str]:
     entry = (state.pool or {}).get(step.name)
     if entry is None or not entry.accepted:
-        raise StepFailed(idx, f"lemma {step.name!r} is not available")
+        raise StepFailed(f"lemma {step.name!r} is not available")
     lem = entry.theory
     lem_lets = unfold_lets(lem.lets)
 
@@ -326,21 +326,20 @@ def _do_apply(state: _State, step: ApplyLemma, idx: int) -> List[str]:
     current = {_formula_key(state.unfold_formula(f), N) for f in state.hyps.values()}
     for hn, hf in lem.hyps:
         if _formula_key(lem_unfold(hf), N) not in current:
-            raise StepFailed(idx, f"hypothesis {hn!r} of {step.name!r} is not present")
+            raise StepFailed(f"hypothesis {hn!r} of {step.name!r} is not present")
     g = state.goal
     lg = lem_unfold(lem.goal)
     if isinstance(g, EqF) and isinstance(lg, EqF):
         _, [(ng, dg), (nl, dl)], obls = _rational_forms(
             state, [Sub(state.unfold_expr(g.left), state.unfold_expr(g.right)),
-                    Sub(lg.left, lg.right)], idx)
+                    Sub(lg.left, lg.right)])
         if nl.is_zero():
             if not ng.is_zero():
-                raise StepFailed(idx, f"lemma {step.name!r} is trivial but the goal is not")
+                raise StepFailed(f"lemma {step.name!r} is trivial but the goal is not")
         else:
             q = divexact(ng * dl, nl * dg)
             if q is None:
-                raise StepFailed(
-                    idx, f"goal difference is not a multiple of {step.name!r}")
+                raise StepFailed(f"goal difference is not a multiple of {step.name!r}")
         state.closed = True
         return obls
     if step.name in state.all_names():
@@ -350,11 +349,11 @@ def _do_apply(state: _State, step: ApplyLemma, idx: int) -> List[str]:
     return []
 
 
-def _do_series(state: _State, step: Step, idx: int) -> List[str]:
+def _do_series(state: _State, step: Step) -> List[str]:
     weighted = isinstance(step, SeriesGeomWeighted)
     g = state.goal
     if not isinstance(g, EqF):
-        raise StepFailed(idx, "series steps need an equational goal")
+        raise StepFailed("series steps need an equational goal")
     bases: List[Expr] = []
 
     def match_body(s: SeriesSum) -> Optional[Expr]:
@@ -401,7 +400,7 @@ def _do_series(state: _State, step: Step, idx: int) -> List[str]:
     state.goal = EqF(walk(g.left), walk(g.right))
     if not bases:
         kind = "weighted geometric" if weighted else "geometric"
-        raise StepFailed(idx, f"no {kind} series in the goal")
+        raise StepFailed(f"no {kind} series in the goal")
     obls = []
     N = Normalizer()
     seen = set()
@@ -411,15 +410,15 @@ def _do_series(state: _State, step: Step, idx: int) -> List[str]:
         if k in seen:
             continue
         seen.add(k)
-        obls.append(_discharge_or_fail(state, Lt(Const(Fraction(0)), ub), idx))
-        obls.append(_discharge_or_fail(state, Lt(ub, Const(Fraction(1))), idx))
+        obls.append(_discharge_or_fail(state, Lt(Const(Fraction(0)), ub)))
+        obls.append(_discharge_or_fail(state, Lt(ub, Const(Fraction(1)))))
     return obls
 
 
-def _do_index_shift(state: _State, step: IndexShift, idx: int) -> List[str]:
+def _do_index_shift(state: _State, step: IndexShift) -> List[str]:
     g = state.goal
     if not isinstance(g, EqF):
-        raise StepFailed(idx, "index_shift needs an equational goal")
+        raise StepFailed("index_shift needs an equational goal")
     count = 0
 
     def walk(e: Expr) -> Expr:
@@ -432,14 +431,14 @@ def _do_index_shift(state: _State, step: IndexShift, idx: int) -> List[str]:
 
     state.goal = EqF(walk(g.left), walk(g.right))
     if count == 0:
-        raise StepFailed(idx, "no zero-based series in the goal")
+        raise StepFailed("no zero-based series in the goal")
     return []
 
 
-def _do_deriv_rule(state: _State, step: DerivRule, idx: int) -> List[str]:
+def _do_deriv_rule(state: _State, step: DerivRule) -> List[str]:
     g = state.goal
     if not isinstance(g, EqF):
-        raise StepFailed(idx, "deriv_rule needs an equational goal")
+        raise StepFailed("deriv_rule needs an equational goal")
     count = 0
 
     def expand(e: Expr) -> Expr:
@@ -448,19 +447,17 @@ def _do_deriv_rule(state: _State, step: DerivRule, idx: int) -> List[str]:
             body = state.unfolded[e.fn.fn]
             fv = sorted(free_vars(body))
             if len(fv) != 1:
-                raise StepFailed(
-                    idx, f"{e.fn.fn!r} must have exactly one free variable")
+                raise StepFailed(f"{e.fn.fn!r} must have exactly one free variable")
             v = fv[0]
             N = Normalizer()
             p = N.atom_poly(body)
             if v in N.opaque_names(p):
-                raise StepFailed(idx, f"{e.fn.fn!r} is not polynomial in {v!r}")
+                raise StepFailed(f"{e.fn.fn!r} is not polynomial in {v!r}")
             shape = _classify_poly(p, v)
             if shape is None:
-                raise StepFailed(idx, f"no derivative rule covers {e.fn.fn!r}")
+                raise StepFailed(f"no derivative rule covers {e.fn.fn!r}")
             if shape != step.rule:
-                raise StepFailed(
-                    idx, f"top rule is {shape!r}, not {step.rule!r}")
+                raise StepFailed(f"top rule is {shape!r}, not {step.rule!r}")
             d = N.to_expr(derivative(p, v))
             count += 1
             return substitute(d, v, expand(e.arg))
@@ -468,7 +465,7 @@ def _do_deriv_rule(state: _State, step: DerivRule, idx: int) -> List[str]:
 
     state.goal = EqF(expand(g.left), expand(g.right))
     if count == 0:
-        raise StepFailed(idx, "no derivative of a let binding in the goal")
+        raise StepFailed("no derivative of a let binding in the goal")
     return []
 
 
@@ -494,25 +491,18 @@ def _chase(e: Expr, u: str, state: _State, hops: int = 3) -> Expr:
     cur = e
     for _ in range(hops):
         if not (isinstance(cur, App) and isinstance(cur.fn, str)
-                and isinstance(cur.arg, Var) and cur.arg.name == u):
+                and cur.arg == Var(u)):
             return cur
-        nxt = None
-        for f in state.hyps.values():
-            if isinstance(f, Forall) and len(f.binders) == 1 \
-                    and isinstance(f.body, EqF):
-                w = f.binders[0][0]
-                lhs = f.body.left
-                if isinstance(lhs, App) and lhs.fn == cur.fn \
-                        and isinstance(lhs.arg, Var) and lhs.arg.name == w:
-                    nxt = substitute(f.body.right, w, Var(u))
-                    break
-        if nxt is None:
+        d = next((d for d in map(pointwise, state.hyps.values())
+                  if d is not None and d[0] == cur.fn), None)
+        if d is None:
             return cur
-        cur = nxt
+        _, w, rhs = d
+        cur = substitute(rhs, w, Var(u))
     return cur
 
 
-def _antideriv_parts(state: _State, idx: int):
+def _antideriv_parts(state: _State):
     """Shared analysis for the antiderivative schemas: the goal must be
     forall t, F(t) = rhs with rhs rational over a constant denominator
     and every opaque subterm free of t. The last part is the printed
@@ -520,19 +510,17 @@ def _antideriv_parts(state: _State, idx: int):
     g = state.goal
     if not (isinstance(g, Forall) and len(g.binders) == 1
             and isinstance(g.body, EqF)):
-        raise StepFailed(idx, "goal must be a single universal equation")
-    t = g.binders[0][0]
-    lhs = g.body.left
-    if not (isinstance(lhs, App) and isinstance(lhs.fn, str)
-            and isinstance(lhs.arg, Var) and lhs.arg.name == t):
-        raise StepFailed(idx, "left side must be a function applied to the bound variable")
-    F = lhs.fn
+        raise StepFailed("goal must be a single universal equation")
+    d = pointwise(g)
+    if d is None or not isinstance(d[0], str):
+        raise StepFailed("left side must be a function applied to the bound variable")
+    F, t, rhs = d
     # a canonical denominator that is constant is 1
-    R, [(rhs_p, den)], obls = _rational_forms(state, [state.unfold_expr(g.body.right)], idx)
+    R, [(rhs_p, den)], obls = _rational_forms(state, [state.unfold_expr(rhs)])
     if not den.is_const():
-        raise StepFailed(idx, "right side must have a constant denominator")
+        raise StepFailed("right side must have a constant denominator")
     if t in R.opaque_names(rhs_p):
-        raise StepFailed(idx, "opaque terms on the right must not involve the bound variable")
+        raise StepFailed("opaque terms on the right must not involve the bound variable")
     return t, F, R, rhs_p, obls
 
 
@@ -542,52 +530,46 @@ def _deriv_hyp_matches(state: _State, F: str, t: str, R: Normalizer,
     closed form equals `want` (written in the bound variable t) in atom
     mode? Atom-mode equality needs no side condition, so a rate such
     as x / x does not match 1."""
-    for f in state.hyps.values():
-        if not (isinstance(f, Forall) and len(f.binders) == 1
-                and isinstance(f.body, EqF)):
+    for d in map(pointwise, state.hyps.values()):
+        if d is None or d[0] != Deriv(F):
             continue
-        u = f.binders[0][0]
-        lhs = f.body.left
-        if not (isinstance(lhs, App) and isinstance(lhs.fn, Deriv)
-                and lhs.fn.fn == F and isinstance(lhs.arg, Var)
-                and lhs.arg.name == u):
-            continue
-        closed = _chase(f.body.right, u, state)
+        _, u, rhs = d
+        closed = _chase(rhs, u, state)
         want_expr = substitute(R.to_expr(want), t, Var(u))
         if R.atom_key(state.unfold_expr(want_expr)) == R.atom_key(state.unfold_expr(closed)):
             return True
     return False
 
 
-def _do_antideriv_const(state: _State, step: AntiderivConst, idx: int) -> List[str]:
-    t, F, R, rhs_p, obls = _antideriv_parts(state, idx)
+def _do_antideriv_const(state: _State, step: AntiderivConst) -> List[str]:
+    t, F, R, rhs_p, obls = _antideriv_parts(state)
     if rhs_p.degree_in(t) > 1:
-        raise StepFailed(idx, "right side must be linear in the bound variable")
+        raise StepFailed("right side must be linear in the bound variable")
     c1 = rhs_p.coeff_in(t, 1)
     c0 = rhs_p.coeff_in(t, 0)
     f0 = R.atom_poly(App(F, Const(Fraction(0))))
     if c0 != f0:
-        raise StepFailed(idx, "constant term must be the function's value at zero")
+        raise StepFailed("constant term must be the function's value at zero")
     if not _deriv_hyp_matches(state, F, t, R, c1):
-        raise StepFailed(idx, f"no hypothesis gives a constant derivative for {F!r}")
+        raise StepFailed(f"no hypothesis gives a constant derivative for {F!r}")
     state.closed = True
     return obls
 
 
-def _do_antideriv(state: _State, step: Antideriv, idx: int) -> List[str]:
-    t, F, R, rhs_p, obls = _antideriv_parts(state, idx)
+def _do_antideriv(state: _State, step: Antideriv) -> List[str]:
+    t, F, R, rhs_p, obls = _antideriv_parts(state)
     f0 = R.atom_poly(App(F, Const(Fraction(0))))
     f0_var = next(iter(f0.terms))
     if rhs_p.terms.get(f0_var) != 1:
-        raise StepFailed(idx, "value at zero must appear exactly once on the right")
+        raise StepFailed("value at zero must appear exactly once on the right")
     G = rhs_p - f0
     if f0_var[0][0] in G.vars():
-        raise StepFailed(idx, "value at zero must enter linearly")
+        raise StepFailed("value at zero must enter linearly")
     if not G.coeff_in(t, 0).is_zero():
-        raise StepFailed(idx, "right side must vanish at zero apart from the initial value")
+        raise StepFailed("right side must vanish at zero apart from the initial value")
     dG = derivative(G, t)
     if not _deriv_hyp_matches(state, F, t, R, dG):
-        raise StepFailed(idx, f"no hypothesis matches the derivative of the right side for {F!r}")
+        raise StepFailed(f"no hypothesis matches the derivative of the right side for {F!r}")
     state.closed = True
     return obls
 
@@ -595,24 +577,23 @@ def _do_antideriv(state: _State, step: Antideriv, idx: int) -> List[str]:
 # -- divergence witness ------------------------------------------------
 
 
-def _do_limit_witness(state: _State, step: LimitDivergenceWitness,
-                      idx: int) -> List[str]:
+def _do_limit_witness(state: _State, step: LimitDivergenceWitness) -> List[str]:
     g = state.goal
     if not isinstance(g, DivergesLeftAt):
-        raise StepFailed(idx, "limit_witness needs a divergence goal")
+        raise StepFailed("limit_witness needs a divergence goal")
     if g.fn_name not in state.lets:
-        raise StepFailed(idx, f"{g.fn_name!r} is not a let binding")
+        raise StepFailed(f"{g.fn_name!r} is not a let binding")
     body = state.unfolded[g.fn_name]
     point = state.unfold_expr(g.point)
     fv = free_vars(body)
     approach = [v for v in fv if v in state.vars]
     if len(approach) != 1:
-        raise StepFailed(idx, "the diverging expression needs exactly one free variable")
+        raise StepFailed("the diverging expression needs exactly one free variable")
     pvar = approach[0]
     consts = (fv | free_vars(point)) - {pvar}
     if any(c not in state.consts for c in consts):
-        raise StepFailed(idx, "the approach point must only involve constants")
-    obls = [_discharge_or_fail(state, Lt(Const(Fraction(0)), point), idx)]
+        raise StepFailed("the approach point must only involve constants")
+    obls = [_discharge_or_fail(state, Lt(Const(Fraction(0)), point))]
 
     # the atomic facts over constants only, and every constant linked
     # to the expression or the point through them
@@ -631,11 +612,11 @@ def _do_limit_witness(state: _State, step: LimitDivergenceWitness,
         for env in envs:
             rep = divergence_witness(body, pvar, eval_expr(point, env), step.depth, env)
             if not rep.verdict:
-                raise StepFailed(idx, rep.reason)
+                raise StepFailed(rep.reason)
     except RejectionStarvation:
-        raise StepFailed(idx, "no admissible constant assignment found") from None
+        raise StepFailed("no admissible constant assignment found") from None
     except ArithmeticError as e:
-        raise StepFailed(idx, "the divergence check cannot be evaluated "
+        raise StepFailed("the divergence check cannot be evaluated "
                               f"({type(e).__name__})") from None
     state.closed = True
     state.soundness = NUMERIC_CERTIFIED
@@ -672,36 +653,31 @@ _STEPS = {
 }
 
 
-def _run_step(state: _State, step: Step, idx: int) -> List[str]:
+def _run_step(state: _State, step: Step) -> List[str]:
     handler = _STEPS.get(type(step))
     if handler is None:
-        raise StepFailed(idx, f"unknown step {step!r}")
-    return handler(state, step, idx)
-
-
-def _failure_reason(e: DerivkitError) -> str:
-    if isinstance(e, ObligationFailed):
-        return f"ObligationFailed: {e.obligation}"
-    if isinstance(e, StepFailed):
-        return f"StepFailed: {e.reason}"
-    return f"{type(e).__name__}: {e}"
+        raise StepFailed(f"unknown step {step!r}")
+    return handler(state, step)
 
 
 def check_theory(theory: Theory, pool: Optional[LemmaPool] = None,
                  seed: int = 0) -> CheckResult:
+    """Replay the proof of theory. A failure names the step that raised
+    it; a goal still open after the last step names none."""
     records: List[StepRecord] = []
+    idx = None
     try:
         state = _State(theory, pool, seed)
         for idx, step in enumerate(theory.steps, start=1):
             if state.closed:
-                raise StepFailed(idx, "goal is already closed")
-            obls = _run_step(state, step, idx)
+                raise StepFailed("goal is already closed")
+            obls = _run_step(state, step)
             records.append(StepRecord(print_step(step),
                                       print_formula(state.goal), obls))
+        idx = None
         if not _goal_holds(state):
             raise GoalNotClosed("goal not closed after the final step")
     except DerivkitError as e:
-        step_idx = getattr(e, "step_index", None)
         return CheckResult(theory.name, False, SYMBOLIC, records,
-                           (step_idx, _failure_reason(e)))
+                           (idx, f"{type(e).__name__}: {e}"))
     return CheckResult(theory.name, True, state.soundness, records, None)

@@ -43,7 +43,8 @@ from .expr import (SERIES_CUTOFF, Add, App, Const, Deriv, Div, Expr, Mul, Neg,
                    free_vars, map_children, subst_vars, unfold_lets)
 from .formula import (REAL, STATE, And, DivergesLeftAt, EqF, Exists, Forall,
                       Formula, Implies, Lt, Ne0, Theory, bound_names, fresh,
-                      instantiate_forall, map_formula, subst_formula)
+                      instantiate_forall, map_formula, pointwise,
+                      subst_formula)
 
 _NE0_MARGIN = 1e-3
 _DRAW_LIMIT = 100_000
@@ -418,7 +419,8 @@ class _Grounder:
 
     def __init__(self, theory: Theory):
         self.declared = _theory_names(theory)
-        self.extra = [n for n, s in theory.var_decls if s == STATE]
+        self.extra = [n for n, s in theory.var_decls if s == STATE] \
+            + list(theory.implicit_states())
         self.known = set(self.declared + self.extra)
         self.polys: Dict[object, list] = {}
         self.atoms: Dict[Tuple[object, Expr], str] = {}
@@ -471,12 +473,12 @@ class _Grounder:
     def _pointwise(self, f: Formula):
         """(f or deriv(f), polynomial) when f defines a new function;
         defining either one defines both."""
-        if isinstance(f, Forall) and len(f.binders) == 1 and isinstance(f.body, EqF):
-            lhs, u = f.body.left, f.binders[0][0]
-            if isinstance(lhs, App) and lhs.arg == Var(u) and lhs.fn not in self.polys:
-                p = _as_poly(f.body.right, u, self.polys)
-                return None if p is None else (lhs.fn, p)
-        return None
+        d = pointwise(f)
+        if d is None or d[0] in self.polys:
+            return None
+        head, u, rhs = d
+        p = _as_poly(rhs, u, self.polys)
+        return None if p is None else (head, p)
 
     def expr(self, e: Expr) -> Expr:
         if _no_states(e):

@@ -111,6 +111,27 @@ def test_check_mixed_files_reports_each(tmp_path, capsys):
     assert lines[0].startswith("square_expand: Accepted (Symbolic)")
     assert lines[1].startswith(
         "will_fail: Failed (ObligationFailed: 1 + K * P != 0 at step 2)")
+    assert out.count("at step") == 1
+
+
+IMPLICIT_STATE = """theory implicit_s1
+  fns f : State -> Real
+  hyp h : f(s1) = 2
+  goal f(s1) * f(s1) = 4
+  proof
+    rw h
+    ring
+  qed
+"""
+
+
+def test_check_json_reports_the_oracle_at_an_implicit_state(tmp_path, capsys):
+    code, out, _ = run_cli(["check", "--json", write(tmp_path, "s1.deriv", IMPLICIT_STATE)],
+                           capsys)
+    assert code == 0
+    [rec] = json.loads(out)
+    assert rec["verdict"] == "accepted"
+    assert rec["numeric"] == {"seed": 0, "samples": 100, "worst_residual": 0.0}
 
 
 def test_readme_example_checks(tmp_path, capsys):
@@ -216,7 +237,7 @@ def test_use_takes_the_derivative_of_a_let(tmp_path, capsys):
     p = write(tmp_path, "undeclared.deriv", DERIV_OF_LET.replace("WITNESS", "g"))
     code, out, _ = run_cli(["check", p], capsys)
     assert code == 1
-    assert out.startswith("derivlet: Failed (UnboundSymbol: unbound symbol: g)")
+    assert out.startswith("derivlet: Failed (UnboundSymbol: unbound symbol: g at step 1)")
 
 
 USES_27 = """theory uses27
@@ -239,7 +260,7 @@ def test_applied_lemma_goal_must_name_a_let_in_scope(tmp_path, capsys):
     # let b26, so that conclusion cannot enter its hypotheses
     code, out, err = run_cli(["check", write(tmp_path, "u.deriv", USES_27)], capsys)
     assert (code, err) == (1, "")
-    assert out.startswith("uses27: Failed (UnboundSymbol: unbound symbol: b26)")
+    assert out.startswith("uses27: Failed (UnboundSymbol: unbound symbol: b26 at step 1)")
     assert "Traceback" not in out
 
 

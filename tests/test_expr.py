@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from derivkit import expr
 from derivkit.errors import NonIntegerPow, UnboundSymbol
 from derivkit.expr import (SERIES_CUTOFF, Add, App, Const, Deriv, Div, Expr,
                            Formula, Mul, Neg, Node, Pow, SeriesSum, Sub, Var,
@@ -120,6 +121,17 @@ def test_series_early_stop_is_the_full_partial_sum(start, k, x, c):
         assert math.isnan(got)
     else:
         assert struct.pack("<d", got) == struct.pack("<d", want)
+
+
+def test_series_the_closed_loop_declines_is_summed_term_by_term():
+    # 1 / i^2 does not factor as c * i^k * x^i, so every term is
+    # evaluated with i bound, to SERIES_CUTOFF
+    s = SeriesSum("i", 1, Div(Const(1), Pow(Var("i"), 2)))
+    assert expr._series_fast(s, {}, SERIES_CUTOFF) is None
+    want = 0.0
+    for i in range(1, SERIES_CUTOFF + 1):
+        want += 1.0 / float(i) ** 2
+    assert struct.pack("<d", eval_expr(s, {})) == struct.pack("<d", want)
 
 
 def test_app_and_deriv_eval():

@@ -1,9 +1,9 @@
 """Formula layer: free variables, substitution, instantiation."""
 
-from derivkit.expr import Add, App, Const, Mul, Var
+from derivkit.expr import Add, App, Const, Deriv, Mul, Var
 from derivkit.formula import (EqF, Exists, Forall, Implies, Lt, Ne0, REAL,
                               formula_free_vars, instantiate_forall,
-                              subst_formula)
+                              pointwise, subst_formula)
 
 x, y, z = Var("x"), Var("y"), Var("z")
 
@@ -36,6 +36,13 @@ def test_subst_capture_avoidance():
     assert out.body == EqF(Var(binder), x)
 
 
+def test_subst_renames_an_exists_binder_it_would_capture():
+    # exists y, y = x with x := y + 1 is exists y', y' = y + 1
+    f = Exists(("y", REAL), EqF(y, x))
+    out = subst_formula(f, "x", Add(y, Const(1)))
+    assert out == Exists(("y'", REAL), EqF(Var("y'"), Add(y, Const(1))))
+
+
 def test_instantiate_forall_positional():
     f = Forall((("a", REAL), ("b", REAL)), EqF(Add(Var("a"), Var("b")), z))
     out = instantiate_forall(f, [Const(1), Mul(x, y)])
@@ -51,3 +58,16 @@ def test_instantiate_partial():
 def test_subst_inside_app():
     f = EqF(App("f", x), y)
     assert subst_formula(f, "x", Const(2)) == EqF(App("f", Const(2)), y)
+
+
+def test_pointwise_definitions_of_a_function_or_its_derivative():
+    t = Var("t")
+    rhs = Mul(Const(2), t)
+    assert pointwise(Forall((("t", REAL),), EqF(App("g", t), rhs))) == ("g", "t", rhs)
+    assert pointwise(Forall((("t", REAL),), EqF(App(Deriv("g"), t), rhs))) \
+        == (Deriv("g"), "t", rhs)
+    # not at the bound variable, not one binder, not an equation
+    assert pointwise(Forall((("t", REAL),), EqF(App("g", Add(t, Const(1))), rhs))) is None
+    assert pointwise(Forall((("t", REAL), ("u", REAL)), EqF(App("g", t), rhs))) is None
+    assert pointwise(Forall((("t", REAL),), Lt(App("g", t), rhs))) is None
+    assert pointwise(EqF(App("g", x), rhs)) is None

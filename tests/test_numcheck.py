@@ -350,6 +350,18 @@ def test_applications_and_quantified_goals_are_grounded():
     assert rep2.label == "identity" and rep2.passed
 
 
+IMPLICIT_STATE = ("theory q\n  fns f : State -> Real\n  hyp h : f(s1) = 2\n"
+                  "  goal f(s1) * f(s1) = RHS\n  proof\n    rw h\n    ring\n  qed\n")
+
+
+def test_applications_at_an_implicit_state_are_grounded():
+    # s1 is in scope without a declaration, so f(s1) is a sampled name
+    rep = run_suite(parse_theory(IMPLICIT_STATE.replace("RHS", "4")), plan())
+    assert rep.label == "identity" and rep.passed and rep.samples == 40
+    rep = run_suite(parse_theory(IMPLICIT_STATE.replace("RHS", "5")), plan())
+    assert rep is not None and not rep.passed
+
+
 def _goal_only(goal, decls="  vars x : Real\n  fns g : State -> Real\n"):
     return parse_theory(f"theory q\n{decls}  goal {goal}\n"
                         "  proof\n    use 0\n    ring\n  qed\n")
