@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
@@ -66,8 +67,10 @@ def _to_json(out: Outcome) -> dict:
     d["steps"] = [{"step": r.step, "goal_after": r.goal_after,
                    "obligations": list(r.obligations)} for r in res.steps]
     if numeric is not None:
+        # JSON has no inf or nan: a residual that is not finite is null
+        worst = numeric.worst_residual
         d["numeric"] = {"seed": numeric.seed, "samples": numeric.samples,
-                        "worst_residual": numeric.worst_residual}
+                        "worst_residual": worst if math.isfinite(worst) else None}
     d["ms"] = ms
     return d
 
@@ -92,7 +95,8 @@ def _print_human(out: Outcome) -> None:
 def _emit(outcomes: List[Outcome], args) -> int:
     try:
         if args.json:
-            print(json.dumps([_to_json(o) for o in outcomes], indent=2))
+            print(json.dumps([_to_json(o) for o in outcomes], indent=2,
+                             allow_nan=False))
         else:
             for o in outcomes:
                 _print_human(o)

@@ -17,10 +17,11 @@ hypotheses, and positivity polynomials `b - a` from `a < b` hypotheses.
 All comparisons happen on atom-mode canonical forms, which keep
 division, series, and application nodes opaque.
 
-Before a query is searched it is evaluated exactly at a few refutation
-points: rational assignments that satisfy every fact. The rules are
-sound, so a claim that fails at such a point has no derivation, and the
-query is refused without a search. The points can only refuse.
+Before a query is searched it is evaluated exactly, by the Fraction
+path of `expr.eval_expr`, at a few refutation points: rational
+assignments that satisfy every fact. The rules are sound, so a claim
+that fails at such a point has no derivation, and the query is refused
+without a search. The points can only refuse.
 """
 
 from __future__ import annotations
@@ -29,9 +30,9 @@ import random
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
-from .errors import NotDerivable, SearchBudgetExhausted
-from .expr import (Add, Const, Div, Expr, Mul, Neg, Pow, SeriesSum, Sub, Var,
-                   free_vars)
+from .errors import NoExactValue, NotDerivable, SearchBudgetExhausted
+from .expr import (Add, Div, Expr, Mul, Neg, Pow, SeriesSum, Sub, Var,
+                   eval_expr, free_vars)
 from .formula import Formula, Lt, Ne0
 from .parser import print_formula
 from .poly import Poly, divexact
@@ -41,11 +42,9 @@ _DEPTH = 5
 # raw judgement calls one obligation may make; the corpus needs 36 at
 # most, and no proof in the tests 1,000 even without refutation points
 _BUDGET = 2000
-# refutation points per obligation, draws to find them, and the largest
-# power the exact evaluator takes
+# refutation points per obligation, and draws to find them
 _POINTS = 3
 _DRAWS = 1000
-_MAX_EXP = 12
 # the values a point draws from: n/d for |n| <= 8, 1 <= d <= 8
 _CANDIDATES = sorted({Fraction(n, d) for n in range(-8, 9) for d in range(1, 9)})
 
@@ -71,42 +70,12 @@ def _signed_terms(e: Expr, sign: int = 1):
     return [(sign, e)]
 
 
-class _Unhandled(Exception):
-    """A node the exact evaluator does not take."""
-
-
-def _value(e: Expr, pt: Dict[str, Fraction]) -> Fraction:
-    """e at the point pt, exactly, under total division: a zero
-    denominator or a negative power of zero gives 0."""
-    if isinstance(e, Const):
-        return e.value
-    if isinstance(e, Var):
-        if e.name not in pt:
-            raise _Unhandled(e.name)
-        return pt[e.name]
-    if isinstance(e, Neg):
-        return -_value(e.arg, pt)
-    if isinstance(e, (Add, Sub, Mul, Div)):
-        l, r = _value(e.left, pt), _value(e.right, pt)
-        if isinstance(e, Add):
-            return l + r
-        if isinstance(e, Sub):
-            return l - r
-        if isinstance(e, Mul):
-            return l * r
-        return l / r if r else Fraction(0)
-    if isinstance(e, Pow) and isinstance(e.exp, int) and abs(e.exp) <= _MAX_EXP:
-        b = _value(e.base, pt)
-        return b ** e.exp if b or e.exp >= 0 else Fraction(0)
-    raise _Unhandled(type(e).__name__)
-
-
 def _refutation_points(facts: List[Tuple[str, Formula]],
                        goal: Expr) -> List[Dict[str, Fraction]]:
     """Up to _POINTS assignments to the variables of the facts and goal
     under which every `Lt` fact holds strictly and every `Ne0` fact
     holds, by rejection sampling from a fixed seed. There are none when
-    a fact has a node the evaluator does not take."""
+    a fact has a node exact evaluation does not take."""
     pos = [Sub(f.right, f.left) for _, f in facts if isinstance(f, Lt)]
     ne0 = [f.arg for _, f in facts if isinstance(f, Ne0)]
     names = sorted(free_vars(goal).union(*map(free_vars, pos + ne0)))
@@ -115,11 +84,12 @@ def _refutation_points(facts: List[Tuple[str, Formula]],
     try:
         for _ in range(_DRAWS):
             pt = {n: rng.choice(_CANDIDATES) for n in names}
-            if all(_value(e, pt) > 0 for e in pos) and all(_value(e, pt) for e in ne0):
+            if all(eval_expr(e, pt, exact=True) > 0 for e in pos) \
+                    and all(eval_expr(e, pt, exact=True) for e in ne0):
                 points.append(pt)
                 if len(points) == _POINTS:
                     break
-    except _Unhandled:
+    except NoExactValue:
         return []
     return points
 
@@ -164,8 +134,8 @@ class _Discharger:
         if not self.points or self._scope:
             return False
         try:
-            vals = [_value(e, pt) for pt in self.points]
-        except _Unhandled:
+            vals = [eval_expr(e, pt, exact=True) for pt in self.points]
+        except NoExactValue:
             return False
         if kind == "ne0":
             return 0 in vals

@@ -20,6 +20,11 @@ class UnboundSymbol(DerivkitError):
         super().__init__(f"unbound symbol: {name}")
 
 
+class NoExactValue(DerivkitError):
+    """Exact evaluation met a node it does not take: a series, a power
+    past its cap, a function application or an unbound name."""
+
+
 class NonIntegerPow(DerivkitError):
     """A power node carried a non-integer exponent where an int was required."""
 

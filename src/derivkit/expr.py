@@ -12,6 +12,12 @@ time to keep the symbolic layer exact.
 Division is total: a zero denominator evaluates to 0. Downstream code
 that needs real division is responsible for discharging the matching
 nonzeroness obligation before it rewrites.
+
+`eval_expr` is the one evaluator: in floats for the numeric oracle and
+`limit_witness`, and in exact Fractions for the refutation points of
+`discharge`. `geometric_terms` is the one recognizer of a series body
+c * i^k * x^i, for the float sum's closed loop and the kernel's series
+steps.
 """
 
 from __future__ import annotations
@@ -22,7 +28,7 @@ from fractions import Fraction
 from operator import is_
 from typing import Callable, Dict, Sequence, Tuple, Union
 
-from .errors import NonIntegerPow, UnboundSymbol
+from .errors import NoExactValue, NonIntegerPow, UnboundSymbol
 
 _setattr = object.__setattr__
 
@@ -268,49 +274,65 @@ def unfold_lets(lets: Sequence[Tuple[str, Expr]]) -> Dict[str, Expr]:
     return expanded
 
 
-# terms of a series that eval_expr sums by default
+# terms of a series that eval_expr sums
 SERIES_CUTOFF = 2000
+# the largest power, of either sign, that exact evaluation takes
+_EXACT_MAX_EXP = 12
 
 
-def _pow_val(b: float, n: int) -> float:
+def _pow_val(b, n: int, exact: bool = False):
     if n >= 0:
         return b ** n
     d = b ** (-n)
-    return 0.0 if d == 0.0 else 1.0 / d
+    if d == 0:
+        return Fraction(0) if exact else 0.0
+    return 1 / d
 
 
-def _series_fast(s: SeriesSum, env: Dict[str, float], cutoff: int):
-    """Closed loop for bodies that factor as c * i^k * x^i.
-
-    Returns None when the body has a shape the fast path does not
-    recognize; the caller falls back to per-term substitution.
-    """
+def geometric_terms(s: SeriesSum):
+    """The body of s read as c1 * ... * cm * i^k * x^i in its index i:
+    `(factors, k, x)`, the factors c free of i in the order the float
+    sum multiplies them, or None for a body of any other shape."""
     idx = s.index
     factors = []
+    k = 0
+    base = None
     stack = [s.body]
     while stack:
         f = stack.pop()
         if isinstance(f, Mul):
             stack.append(f.left)
             stack.append(f.right)
-        else:
-            factors.append(f)
-    const_part = 1.0
-    i_degree = 0
-    base_val = None
-    for f in factors:
-        if isinstance(f, Var) and f.name == idx:
-            i_degree += 1
-        elif isinstance(f, Pow) and isinstance(f.exp, str) and f.exp == idx:
-            if base_val is not None or idx in free_vars(f.base):
+        elif isinstance(f, Var) and f.name == idx:
+            k += 1
+        elif isinstance(f, Pow) and f.exp == idx:
+            if base is not None or idx in free_vars(f.base):
                 return None
-            base_val = eval_expr(f.base, env, cutoff)
+            base = f.base
         elif idx not in free_vars(f):
-            const_part *= eval_expr(f, env, cutoff)
+            factors.append(f)
         else:
             return None
-    if base_val is None:
+    if base is None:
         return None
+    return factors, k, base
+
+
+def _series_fast(s: SeriesSum, env: Dict[str, float]):
+    """Closed loop for bodies that factor as c * i^k * x^i.
+
+    Returns None when `geometric_terms` does not recognize the body;
+    the caller falls back to per-term substitution.
+    """
+    terms = geometric_terms(s)
+    if terms is None:
+        return None
+    factors, i_degree, base = terms
+    const_part = 1.0
+    for f in factors:
+        const_part *= eval_expr(f, env)
+    base_val = eval_expr(base, env)
+    cutoff = SERIES_CUTOFF
     # The loop stops once no later term can change total, so the value
     # is exactly the partial sum to cutoff. Every 16 terms it tests:
     # (a) the term ratio ((i+1)/i)^k * |x| is below 1 with room for
@@ -340,38 +362,44 @@ def _series_fast(s: SeriesSum, env: Dict[str, float], cutoff: int):
     return total
 
 
-def eval_expr(e: Expr, env: Dict[str, float],
-              series_cutoff: int = SERIES_CUTOFF) -> float:
-    """Evaluate e to a float, with env giving each free name its value.
+def eval_expr(e: Expr, env: Dict[str, float], exact: bool = False):
+    """Evaluate e, with env giving each free name its value.
 
-    Series are truncated at series_cutoff terms. Division by zero
-    yields 0.0, matching the total-division convention used by the
-    symbolic layer. A function application has no value here and
-    raises UnboundSymbol; callers ground applications first.
+    By default the value is a float and a series is summed to
+    SERIES_CUTOFF terms. With exact=True, env gives Fractions and the
+    value is an exact Fraction; a series, a power past 12 of either
+    sign, a function application or an unbound name raises NoExactValue
+    instead. Division by zero and a negative power of zero yield 0,
+    matching the total-division convention used by the symbolic layer.
+    In floats, a function application has no value and raises
+    UnboundSymbol; callers ground applications first.
     """
     if isinstance(e, Var):
         try:
-            return float(env[e.name])
+            v = env[e.name]
         except KeyError:
-            raise UnboundSymbol(e.name) from None
+            raise (NoExactValue if exact else UnboundSymbol)(e.name) from None
+        return v if exact else float(v)
     if isinstance(e, Const):
-        return float(e.value)
+        return e.value if exact else float(e.value)
     if isinstance(e, Add):
-        return eval_expr(e.left, env, series_cutoff) + eval_expr(e.right, env, series_cutoff)
+        return eval_expr(e.left, env, exact) + eval_expr(e.right, env, exact)
     if isinstance(e, Sub):
-        return eval_expr(e.left, env, series_cutoff) - eval_expr(e.right, env, series_cutoff)
+        return eval_expr(e.left, env, exact) - eval_expr(e.right, env, exact)
     if isinstance(e, Mul):
-        return eval_expr(e.left, env, series_cutoff) * eval_expr(e.right, env, series_cutoff)
+        return eval_expr(e.left, env, exact) * eval_expr(e.right, env, exact)
     if isinstance(e, Div):
-        den = eval_expr(e.right, env, series_cutoff)
-        if den == 0.0:
-            return 0.0
-        return eval_expr(e.left, env, series_cutoff) / den
+        den = eval_expr(e.right, env, exact)
+        if den == 0:
+            return Fraction(0) if exact else 0.0
+        return eval_expr(e.left, env, exact) / den
     if isinstance(e, Neg):
-        return -eval_expr(e.arg, env, series_cutoff)
+        return -eval_expr(e.arg, env, exact)
     if isinstance(e, Pow):
-        b = eval_expr(e.base, env, series_cutoff)
         exp = e.exp
+        if exact and (isinstance(exp, str) or abs(exp) > _EXACT_MAX_EXP):
+            raise NoExactValue(f"power {exp}")
+        b = eval_expr(e.base, env, exact)
         if isinstance(exp, str):
             try:
                 v = env[exp]
@@ -380,16 +408,18 @@ def eval_expr(e: Expr, env: Dict[str, float],
             if v != int(v):
                 raise NonIntegerPow(f"index {exp} bound to non-integer {v}")
             exp = int(v)
-        return _pow_val(b, exp)
+        return _pow_val(b, exp, exact)
+    if exact:
+        raise NoExactValue(type(e).__name__)
     if isinstance(e, SeriesSum):
-        fast = _series_fast(e, env, series_cutoff)
+        fast = _series_fast(e, env)
         if fast is not None:
             return fast
         total = 0.0
         inner = dict(env)
-        for i in range(e.start, series_cutoff + 1):
+        for i in range(e.start, SERIES_CUTOFF + 1):
             inner[e.index] = i
-            total += eval_expr(e.body, inner, series_cutoff)
+            total += eval_expr(e.body, inner)
         return total
     if isinstance(e, App):
         raise UnboundSymbol(f"deriv({e.fn.fn})" if isinstance(e.fn, Deriv) else e.fn)

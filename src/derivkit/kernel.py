@@ -41,9 +41,9 @@ from .errors import (ArityMismatch, DerivkitError, DuplicateName,
                      GoalNotClosed, NotDerivable, ObligationFailed,
                      RejectionStarvation, SearchBudgetExhausted, StepFailed,
                      UnboundSymbol)
-from .expr import (Add, App, Const, Deriv, Div, Expr, Mul, Node, Pow,
-                   SeriesSum, Sub, Var, eval_expr, free_vars, map_children,
-                   subst_vars, substitute, unfold_lets)
+from .expr import (Add, App, Const, Deriv, Div, Expr, Node, Pow, SeriesSum,
+                   Sub, Var, eval_expr, free_vars, geometric_terms,
+                   map_children, subst_vars, substitute, unfold_lets)
 from .formula import (And, Antideriv, AntiderivConst, ApplyLemma,
                       DivergesLeftAt, DerivRule, EqF, Exists, ExistsIntro,
                       FieldNormalize, Forall, Formula, Implies, IndexShift,
@@ -355,42 +355,14 @@ def _do_series(state: _State, step: Step) -> List[str]:
     if not isinstance(g, EqF):
         raise StepFailed("series steps need an equational goal")
     bases: List[Expr] = []
-
-    def match_body(s: SeriesSum) -> Optional[Expr]:
-        if s.start != 1:
-            return None
-        factors = []
-        stack = [s.body]
-        while stack:
-            f = stack.pop()
-            if isinstance(f, Mul):
-                stack.append(f.right)
-                stack.append(f.left)
-            else:
-                factors.append(f)
-        if weighted:
-            if len(factors) != 2:
-                return None
-            if isinstance(factors[0], Var) and factors[0].name == s.index:
-                idx_f, pow_f = factors
-            elif isinstance(factors[1], Var) and factors[1].name == s.index:
-                pow_f, idx_f = factors
-            else:
-                return None
-        else:
-            if len(factors) != 1:
-                return None
-            pow_f = factors[0]
-        if not (isinstance(pow_f, Pow) and pow_f.exp == s.index):
-            return None
-        if s.index in free_vars(pow_f.base):
-            return None
-        return pow_f.base
+    # a body x^i with no other factor, times i when weighted
+    shape = ([], 1 if weighted else 0)
 
     def walk(e: Expr) -> Expr:
-        if isinstance(e, SeriesSum):
-            base = match_body(e)
-            if base is not None:
+        if isinstance(e, SeriesSum) and e.start == 1:
+            terms = geometric_terms(e)
+            if terms is not None and terms[:2] == shape:
+                base = terms[2]
                 bases.append(base)
                 if weighted:
                     return Div(base, Pow(Sub(Const(Fraction(1)), base), 2))

@@ -16,6 +16,7 @@ from typing import Dict, List, Sequence, Tuple
 import pytest
 
 from derivkit.expr import (
+    SERIES_CUTOFF,
     Add,
     Const,
     Div,
@@ -161,6 +162,17 @@ class NonConvergent(Exception):
     """A truncated series failed to settle within the cutoff."""
 
 
+def _partial_sum(s: SeriesSum, env: Dict[str, float], n: int) -> float:
+    """s summed to its term n: eval_expr's own sum at SERIES_CUTOFF, a
+    loop over the terms below it."""
+    if n == SERIES_CUTOFF:
+        return eval_expr(s, env)
+    total = 0.0
+    for i in range(s.start, n + 1):
+        total += eval_expr(s.body, {**env, s.index: i})
+    return total
+
+
 def series_truncation_check(s: SeriesSum, closed, env: Dict[str, float],
                             cutoffs: Sequence[int] = (10, 50, 100, 500, 1000, 2000)
                             ) -> List[float]:
@@ -168,8 +180,8 @@ def series_truncation_check(s: SeriesSum, closed, env: Dict[str, float],
 
     Raises NonConvergent if the table increases beyond rounding slack.
     """
-    cval = eval_expr(closed, env, max(cutoffs))
-    errors = [abs(eval_expr(s, env, n) - cval) for n in cutoffs]
+    cval = eval_expr(closed, env)
+    errors = [abs(_partial_sum(s, env, n) - cval) for n in cutoffs]
     slack = 4e-16 * max(1.0, abs(cval))
     for a, b in zip(errors, errors[1:]):
         if b > a + slack:

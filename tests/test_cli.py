@@ -1,6 +1,7 @@
 """Command line behavior: exit codes, output formats, ordering."""
 
 import json
+import math
 import subprocess
 import sys
 import time
@@ -12,6 +13,7 @@ import derivkit
 from derivkit import cli, theories
 from derivkit.cli import main
 from derivkit.formula import ApplyLemma
+from derivkit.numcheck import NumericReport
 from derivkit.parser import parse_theory
 from derivkit.theories import registry
 
@@ -167,6 +169,47 @@ def test_check_json_shape(tmp_path, capsys):
     assert "numeric" not in bad
     # the steps recorded are those that succeeded before the failure
     assert [s["step"] for s in bad["steps"]] == ["unfold theta"]
+
+
+OVERFLOW_SCRIPT = """\
+theory t
+  vars x : Real
+  goal x^1000 = x^1000
+  proof
+    ring
+  qed
+"""
+
+
+def strict_json(text):
+    """text parsed as RFC 8259 JSON, which has no Infinity or NaN."""
+    def reject(token):
+        raise ValueError(f"not JSON: {token}")
+
+    return json.loads(text, parse_constant=reject)
+
+
+def test_json_writes_a_residual_that_is_not_finite_as_null(tmp_path, capsys):
+    # x^1000 overflows a float at every sample, so the oracle fails
+    # closed with an infinite residual
+    code, out, _ = run_cli(["check", "--json", write(tmp_path, "big.deriv", OVERFLOW_SCRIPT)],
+                           capsys)
+    assert code == 1
+    [rec] = strict_json(out)
+    assert rec["verdict"] == "failed"
+    assert rec["failure"]["step"] == -1
+    assert rec["failure"]["reason"].startswith("numeric: OverflowError")
+    assert rec["numeric"] == {"seed": 0, "samples": 0, "worst_residual": None}
+
+
+def test_json_writes_a_nan_residual_as_null(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "run_suite", lambda theory, plan: NumericReport(
+        plan.seed, plan.count, math.nan, False, "identity"))
+    code, out, _ = run_cli(["check", "--json", write(tmp_path, "ok.deriv", OK_SCRIPT)], capsys)
+    assert code == 1
+    [rec] = strict_json(out)
+    assert rec["failure"] == {"step": -1, "reason": "numeric: identity"}
+    assert rec["numeric"]["worst_residual"] is None
 
 
 def test_check_keeps_input_order(tmp_path, capsys):

@@ -6,9 +6,9 @@ import pytest
 
 import derivkit.discharge as D
 from derivkit.discharge import discharge
-from derivkit.errors import NotDerivable, SearchBudgetExhausted
-from derivkit.expr import (Add, Const, Div, Mul, Neg, Pow, SeriesSum, Sub,
-                           Var)
+from derivkit.errors import NoExactValue, NotDerivable, SearchBudgetExhausted
+from derivkit.expr import (Add, App, Const, Div, Mul, Neg, Pow, SeriesSum, Sub,
+                           Var, eval_expr)
 from derivkit.formula import Lt, Ne0
 
 import gen_obligations
@@ -330,11 +330,25 @@ def test_refutation_skips_what_it_cannot_evaluate():
 
 
 def test_exact_value_is_total():
+    # the exact path of eval_expr, which the refutation points use
     pt = {"x": Fraction(0), "y": Fraction(-3, 2)}
-    assert D._value(Div(y, x), pt) == 0
-    assert D._value(Pow(x, -2), pt) == 0
-    assert D._value(Pow(x, 0), pt) == 1
-    assert D._value(Sub(Pow(y, -1), Neg(Mul(y, y))), pt) == Fraction(-2, 3) + Fraction(9, 4)
+
+    def value(e):
+        v = eval_expr(e, pt, exact=True)
+        assert type(v) is Fraction
+        return v
+
+    assert value(Div(y, x)) == 0
+    assert value(Pow(x, -2)) == 0
+    assert value(Pow(x, 0)) == 1
+    assert value(Sub(Pow(y, -1), Neg(Mul(y, y)))) == Fraction(-2, 3) + Fraction(9, 4)
+    assert value(Pow(y, -12)) == Fraction(2, 3) ** 12
+    # leaves come back as they are, not copied
+    assert eval_expr(y, pt, exact=True) is pt["y"]
+    for declined in (SeriesSum("i", 1, Pow(y, "i")), Pow(y, 13), Pow(y, -13),
+                     Pow(y, "i"), App("f", y), Var("z")):
+        with pytest.raises(NoExactValue):
+            eval_expr(Add(Const(1), declined), pt, exact=True)
 
 
 def test_search_effort_of_the_slowest_corpus_obligation():

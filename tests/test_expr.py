@@ -62,24 +62,29 @@ def test_unbound_symbol():
 
 
 def test_series_partial_sum_cutoff():
-    s = SeriesSum("i", 1, Pow(Var("x"), "i"))
-    assert eval_expr(s, {"x": 0.5}, series_cutoff=3) == 0.5 + 0.25 + 0.125
+    # every term of 1^i is 1, so the sum counts the terms, whether the
+    # closed loop or the term-by-term loop sums them
+    assert eval_expr(SeriesSum("i", 1, Pow(Var("x"), "i")), {"x": 1.0}) == SERIES_CUTOFF
+    assert eval_expr(SeriesSum("i", 1, Var("x")), {"x": 1.0}) == SERIES_CUTOFF
+    # (-1)^i alternates, so the last term is the cutoff's
+    assert eval_expr(SeriesSum("i", 1, Pow(Var("x"), "i")), {"x": -1.0}) == 0.0
 
 
 def test_series_start_zero_includes_head():
-    s = SeriesSum("i", 0, Pow(Var("x"), "i"))
-    assert eval_expr(s, {"x": 0.5}, series_cutoff=2) == 1 + 0.5 + 0.25
+    assert eval_expr(SeriesSum("i", 0, Pow(Var("x"), "i")), {"x": 1.0}) == SERIES_CUTOFF + 1
+    assert eval_expr(SeriesSum("i", 0, Var("x")), {"x": 1.0}) == SERIES_CUTOFF + 1
+    assert eval_expr(SeriesSum("i", 0, Pow(Var("x"), "i")), {"x": -1.0}) == 1.0
 
 
 def test_series_geometric_converges():
     s = SeriesSum("i", 1, Pow(Var("x"), "i"))
-    got = eval_expr(s, {"x": 0.5}, series_cutoff=2000)
+    got = eval_expr(s, {"x": 0.5})
     assert abs(got - 1.0) < 1e-12
 
 
 def test_weighted_series_converges():
     s = SeriesSum("i", 1, Mul(Var("i"), Pow(Var("x"), "i")))
-    got = eval_expr(s, {"x": 0.5}, series_cutoff=2000)
+    got = eval_expr(s, {"x": 0.5})
     assert abs(got - 2.0) < 1e-12
 
 
@@ -127,11 +132,26 @@ def test_series_the_closed_loop_declines_is_summed_term_by_term():
     # 1 / i^2 does not factor as c * i^k * x^i, so every term is
     # evaluated with i bound, to SERIES_CUTOFF
     s = SeriesSum("i", 1, Div(Const(1), Pow(Var("i"), 2)))
-    assert expr._series_fast(s, {}, SERIES_CUTOFF) is None
+    assert expr._series_fast(s, {}) is None
     want = 0.0
     for i in range(1, SERIES_CUTOFF + 1):
         want += 1.0 / float(i) ** 2
     assert struct.pack("<d", eval_expr(s, {})) == struct.pack("<d", want)
+
+
+def test_geometric_terms_reads_the_body_as_factors_index_power_and_base():
+    i, x, c, d = Var("i"), Var("x"), Var("c"), Var("d")
+    xi = Pow(x, "i")
+
+    def terms(body):
+        return expr.geometric_terms(SeriesSum("i", 1, body))
+
+    assert terms(xi) == ([], 0, x)
+    assert terms(Mul(xi, i)) == ([], 1, x)
+    # the factors come right to left, the order the float sum multiplies
+    assert terms(Mul(Mul(c, Mul(i, d)), Mul(xi, i))) == ([d, c], 2, x)
+    for other in (c, Mul(xi, xi), Mul(Add(i, c), xi), Pow(i, "i"), Add(xi, c)):
+        assert terms(other) is None
 
 
 def test_app_and_deriv_eval():

@@ -708,6 +708,59 @@ def test_antideriv_rate_is_matched_without_cancelling(rate, goal, step):
     assert r.failure[1].startswith("StepFailed: no hypothesis")
 
 
+# Refusals of the derivative and antiderivative steps and the goal-shape
+# guards, each with its step and reason. Without the linearity guard of
+# antideriv_const, the first row would be accepted: its right side is
+# quadratic in t while the derivative is 0.
+REFUSALS = {
+    "antideriv_const nonlinear": (
+        "fns F : State->Real", "hyp hd : forall u, deriv(F)(u) = 0",
+        "forall t, F(t) = t^2 + F(0)", "antideriv_const",
+        "right side must be linear in the bound variable"),
+    "antideriv initial value not linear": (
+        "fns F : State->Real", "hyp hd : forall u, deriv(F)(u) = F(0)",
+        "forall t, F(t) = F(0) + t * F(0)", "antideriv",
+        "value at zero must enter linearly"),
+    "antideriv nonzero at zero": (
+        "fns F : State->Real", "hyp hd : forall u, deriv(F)(u) = 1",
+        "forall t, F(t) = F(0) + t + 1", "antideriv",
+        "right side must vanish at zero apart from the initial value"),
+    "antideriv denominator": (
+        "fns F : State->Real\n  const k : Real", "hyp hk : k != 0",
+        "forall t, F(t) = F(0) + t / k", "antideriv",
+        "right side must have a constant denominator"),
+    "antideriv opaque term": (
+        "fns F G : State->Real", "hyp hd : forall u, deriv(F)(u) = 1",
+        "forall t, F(t) = F(0) + G(t)", "antideriv_const",
+        "opaque terms on the right must not involve the bound variable"),
+    "deriv_rule not polynomial": (
+        "vars t u : Real\n  let q := 1 / t", "", "deriv(q)(u) = 0",
+        "deriv_rule const", "'q' is not polynomial in 't'"),
+    "deriv_rule no rule": (
+        "vars t u : Real\n  let q := t^2 + t", "", "deriv(q)(u) = 2 * u + 1",
+        "deriv_rule pow", "no derivative rule covers 'q'"),
+    **{f"{step} order goal": ("vars x : Real", "hyp hx : 0 < x", "0 < x", step,
+                              reason)
+       for step, reason in [
+           ("ring", "ring needs an equational goal"),
+           ("field_normalize", "field_normalize needs an equational goal"),
+           ("index_shift", "index_shift needs an equational goal"),
+           ("deriv_rule const", "deriv_rule needs an equational goal"),
+           ("series_geom", "series steps need an equational goal"),
+           ("series_geom_weighted", "series steps need an equational goal")]},
+}
+
+
+@pytest.mark.parametrize("case", sorted(REFUSALS))
+def test_kernel_refusals(case):
+    decls, hyp, goal, step, reason = REFUSALS[case]
+    r = run(theory(f"  {decls}", f"  {hyp}", f"  goal {goal}",
+                   "  proof", f"    {step}", "  qed"))
+    assert not r.accepted
+    assert r.failure == (1, f"StepFailed: {reason}")
+    assert r.steps == []
+
+
 # -- divergence witness --------------------------------------------------------
 
 

@@ -140,6 +140,17 @@ def test_unsatisfiable_hypotheses_starve(monkeypatch):
     assert draws[0] == 0
 
 
+
+def test_hypotheses_no_draw_meets_starve_at_the_draw_limit(monkeypatch):
+    # x * y < y * x gives y the bound 0 + (x - x) * y > 0, which no
+    # check before the draws catches, so every draw is rejected (with
+    # the full limit of 100,000 this takes about 0.6 s)
+    monkeypatch.setattr(numcheck, "_DRAW_LIMIT", 50)
+    draws = _counting_draws(monkeypatch)
+    with pytest.raises(RejectionStarvation, match="0 of 1 samples in 50 draws"):
+        sample_envs(["x", "y"], [Lt(Mul(x, y), Mul(y, x))], plan(count=1), "starved")
+    assert draws[0] == 50
+
 # -- identity and series checks -------------------------------------------------
 
 
