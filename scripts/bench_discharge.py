@@ -19,6 +19,11 @@ working tree and for a `git archive` of REV, the script
   suite that draws no environments. A tree without `_draw` counts the
   equation solver (`_solve`, or `_solve_equations` before it), which
   ran once per candidate there;
+- runs the CLI calls of the `corpus` and `mutants` workloads of
+  `perfbench/workloads.py` at `--seed` (`builtin --all --json` and one
+  `check --json` over the 68 single-hyp deletions of the builtins) and
+  records, as `json_identical`, whether exit codes and standard output
+  agree once every `"ms"` value is blanked;
 - runs `perfbench/run.py` on all three workloads in `--pairs` pairs of
   parent and change, alternating which side runs first, and keeps the
   metrics of every run, each side's median and quartiles and how many
@@ -34,6 +39,7 @@ import argparse
 import json
 import os
 import platform
+import re
 import statistics
 import subprocess
 import sys
@@ -42,6 +48,7 @@ import time
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 WORKLOADS = ("corpus", "edit_check", "mutants")
+CHILD = "import sys; from derivkit.cli import main; sys.exit(main(sys.argv[1:]))"
 
 # Runs in a child interpreter with the tree's src/ first on sys.path.
 _PROBE = r"""
@@ -68,12 +75,12 @@ def named(th, *a, **k):
 T.check_theory = named
 
 discharge = K.discharge
-def timed(facts, ob):
+def timed(facts, ob, *rest):
     raw[0] = 0
     t0 = time.perf_counter()
     trace = None
     try:
-        trace = discharge(facts, ob)
+        trace = discharge(facts, ob, *rest)
         return trace
     finally:
         rows.append({"theory": theory[0], "obligation": print_formula(ob),
@@ -115,6 +122,31 @@ def probe(tree: str) -> dict:
     out = subprocess.run([sys.executable, "-c", _PROBE], cwd=tree, env=env,
                          check=True, capture_output=True, text=True).stdout
     return json.loads(out.splitlines()[-1])
+
+
+def workload_calls(seed: int, workdir: str) -> list:
+    """(label, argument list) of each call of the corpus and mutants
+    workloads, with the mutants' input files written to workdir."""
+    sys.path.insert(0, os.path.join(ROOT, "perfbench"))
+    import workloads
+    calls = workloads.corpus_calls(seed, workdir) + workloads.mutant_calls(seed, workdir)
+    out = []
+    for call in calls:
+        for path, text in call.files.items():
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        n = len(call.files)
+        label = " ".join(call.args[:len(call.args) - n]) + (f" <{n} files>" if n else "")
+        out.append((label, call.args))
+    return out
+
+
+def cli_output(tree: str, args: list) -> tuple:
+    """Exit code and standard output of one CLI call, every `"ms"` blanked."""
+    env = dict(os.environ, PYTHONPATH=os.path.join(tree, "src"))
+    proc = subprocess.run([sys.executable, "-c", CHILD] + args, cwd=tree, env=env,
+                          capture_output=True, text=True)
+    return proc.returncode, re.sub(r'"ms": \d+', '"ms": null', proc.stdout)
 
 
 def perfbench(tree: str, workload: str, seed: int, seconds: float) -> dict:
@@ -177,6 +209,12 @@ def main() -> int:
         probes = {name: probe(tree) for name, tree in trees.items()}
         traces = {name: [(o["obligation"], o["trace"]) for o in p["obligations"]]
                   for name, p in probes.items()}
+        with tempfile.TemporaryDirectory() as inputs:
+            outputs = [{"args": label, **{name: cli_output(tree, a)
+                                          for name, tree in trees.items()}}
+                       for label, a in workload_calls(args.seed, inputs)]
+        json_calls = [{"args": o["args"], "exit": [o["parent"][0], o["change"][0]],
+                       "identical": o["parent"] == o["change"]} for o in outputs]
         bench = {}
         if not args.skip_perfbench:
             for w in WORKLOADS:
@@ -201,6 +239,8 @@ def main() -> int:
                       "pairs": args.pairs, "workloads": bench},
         "build_pool": {name: summary(p) for name, p in probes.items()},
         "traces_identical": traces["parent"] == traces["change"],
+        "json_identical": all(c["identical"] for c in json_calls),
+        "json_calls": json_calls,
         "suites": [
             {"theory": c["theory"], "parent_label": p["label"], "change_label": c["label"],
              "passed": [p["passed"], c["passed"]],
@@ -220,7 +260,9 @@ def main() -> int:
     with open(os.path.join(ROOT, args.out), "w", encoding="utf-8") as fh:
         json.dump(record, fh, indent=1)
         fh.write("\n")
-    print(json.dumps({"build_pool": record["build_pool"], "suites_s": record["suites_s"]}))
+    print(json.dumps({"build_pool": record["build_pool"], "suites_s": record["suites_s"],
+                      "traces_identical": record["traces_identical"],
+                      "json_identical": record["json_identical"]}))
     return 0
 
 

@@ -21,7 +21,9 @@ Before a query is searched it is evaluated exactly, by the Fraction
 path of `expr.eval_expr`, at a few refutation points: rational
 assignments that satisfy every fact. The rules are sound, so a claim
 that fails at such a point has no derivation, and the query is refused
-without a search. The points can only refuse.
+without a search. The points can only refuse. They depend on nothing
+but the facts and the free names, so a caller that keeps one `points`
+dict across a theory's obligations draws them once per fact set.
 """
 
 from __future__ import annotations
@@ -70,15 +72,20 @@ def _signed_terms(e: Expr, sign: int = 1):
     return [(sign, e)]
 
 
+def _point_key(facts: List[Tuple[str, Formula]], goal: Expr) -> tuple:
+    """The inputs of `_refutation_points`: Lt sides, Ne0 args, names."""
+    pos = tuple(Sub(f.right, f.left) for _, f in facts if isinstance(f, Lt))
+    ne0 = tuple(f.arg for _, f in facts if isinstance(f, Ne0))
+    return pos, ne0, tuple(sorted(free_vars(goal).union(*map(free_vars, pos + ne0))))
+
+
 def _refutation_points(facts: List[Tuple[str, Formula]],
                        goal: Expr) -> List[Dict[str, Fraction]]:
     """Up to _POINTS assignments to the variables of the facts and goal
     under which every `Lt` fact holds strictly and every `Ne0` fact
     holds, by rejection sampling from a fixed seed. There are none when
     a fact has a node exact evaluation does not take."""
-    pos = [Sub(f.right, f.left) for _, f in facts if isinstance(f, Lt)]
-    ne0 = [f.arg for _, f in facts if isinstance(f, Ne0)]
-    names = sorted(free_vars(goal).union(*map(free_vars, pos + ne0)))
+    pos, ne0, names = _point_key(facts, goal)
     rng = random.Random(0)
     points = []
     try:
@@ -95,7 +102,8 @@ def _refutation_points(facts: List[Tuple[str, Formula]],
 
 
 class _Discharger:
-    def __init__(self, facts: List[Tuple[str, Formula]], goal: Expr):
+    def __init__(self, facts: List[Tuple[str, Formula]], goal: Expr,
+                 points: Optional[dict] = None):
         self.N = Normalizer()
         self.ne0_facts: List[Tuple[str, tuple]] = []
         self.pos_facts: List[Tuple[str, Poly]] = []
@@ -105,7 +113,11 @@ class _Discharger:
         self._miss: dict = {}
         self._active: set = set()
         self._polys: dict = {}
-        self.points = _refutation_points(facts, goal)
+        points = {} if points is None else points
+        key = _point_key(facts, goal)
+        if key not in points:
+            points[key] = _refutation_points(facts, goal)
+        self.points = points[key]
         # raw judgement calls, the size of the search
         self.raw_calls = 0
         for name, f in facts:
@@ -389,7 +401,7 @@ class _Discharger:
             if not common:
                 return None
         mono = tuple(sorted(common.items()))
-        mpoly = Poly({mono: Fraction(1)})
+        mpoly = Poly({mono: 1})
         q = divexact(p, mpoly)
         if q is None:
             return None
@@ -403,18 +415,21 @@ class _Discharger:
         return R.to_expr(n), R.to_expr(d)
 
 
-def discharge(facts: List[Tuple[str, Formula]], ob: Formula) -> str:
+def discharge(facts: List[Tuple[str, Formula]], ob: Formula,
+              points: Optional[dict] = None) -> str:
     """Close a Ne0 or Lt obligation from the given facts.
 
     Returns the rule trace; raises NotDerivable when no rule chain
     applies, and SearchBudgetExhausted when the search runs out first.
+    `points`, refutation points by `_point_key`, is a dict the caller
+    may keep across related obligations.
     """
     try:
         if isinstance(ob, Ne0):
-            t = _Discharger(facts, ob.arg).ne0(ob.arg, _DEPTH)
+            t = _Discharger(facts, ob.arg, points).ne0(ob.arg, _DEPTH)
         elif isinstance(ob, Lt):
             goal = Sub(ob.right, ob.left)
-            t = _Discharger(facts, goal).sign(goal, 1, True, _DEPTH)
+            t = _Discharger(facts, goal, points).sign(goal, 1, True, _DEPTH)
         else:
             t = None
     except SearchBudgetExhausted:

@@ -7,8 +7,8 @@ the hypotheses in scope. Nothing in here trusts the script: a check
 that returns accepted constitutes a derivation of the goal from the
 hypotheses under the total-division reading of expressions.
 
-One `_State` holds everything a check works on: the names in scope,
-the hypotheses, the goal, the lemma pool and the seed. `_STEPS` maps
+One `_State` holds everything a check works on: scope, hypotheses,
+goal, lemma pool, seed and refutation points. `_STEPS` maps
 each step class of `formula.STEPS` to its handler, and every handler
 takes `(state, step)`. Handlers raise errors that carry no step:
 `check_theory` alone counts the steps, and any `DerivkitError` raised
@@ -90,8 +90,9 @@ LemmaPool = Dict[str, LemmaEntry]
 
 class _State:
     """Everything one check of a theory works on: the names in scope,
-    the hypotheses, the goal and whether a step closed it, and the
-    lemma pool and seed that steps draw on."""
+    the hypotheses, the goal and whether a step closed it, the lemma
+    pool and seed that steps draw on, and the refutation points that
+    its obligations share (see `discharge`)."""
 
     def __init__(self, theory: Theory, pool: Optional[LemmaPool] = None,
                  seed: int = 0):
@@ -107,6 +108,7 @@ class _State:
         self.soundness = SYMBOLIC
         self.pool = pool
         self.seed = seed
+        self.points: dict = {}
 
     def all_names(self) -> set:
         return (set(self.vars) | set(self.fns) | set(self.consts)
@@ -171,7 +173,7 @@ def _ring_equal(state: _State, g: EqF) -> bool:
 
 def _discharge_or_fail(state: _State, ob: Formula) -> str:
     try:
-        discharge(state.facts(), ob)
+        discharge(state.facts(), ob, state.points)
     except NotDerivable:
         raise ObligationFailed(print_formula(ob)) from None
     return print_formula(ob)
@@ -607,7 +609,7 @@ def _goal_holds(state: _State) -> bool:
         return _ring_equal(state, g)
     if isinstance(g, (Ne0, Lt)):
         try:
-            discharge(state.facts(), state.unfold_formula(g))
+            discharge(state.facts(), state.unfold_formula(g), state.points)
             return True
         except (NotDerivable, SearchBudgetExhausted):
             return False

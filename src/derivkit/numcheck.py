@@ -565,8 +565,11 @@ def _compare(claims: Sequence[EqF], envs: Sequence[Dict[str, float]],
             l = eval_expr(c.left, env)
             r = eval_expr(c.right, env)
             diff = abs(l - r)
-            # written so that a NaN side fails the claim
-            if not diff <= max(_ABS_TOL, _REL_TOL * max(abs(l), abs(r))):
+            if not math.isfinite(diff):
+                # a side that overflows or is NaN fails the claim
+                ok, worst = False, math.inf
+                continue
+            if diff > max(_ABS_TOL, _REL_TOL * max(abs(l), abs(r))):
                 ok = False
             worst = max(worst, diff / max(1.0, abs(l), abs(r)))
     return NumericReport(seed, len(envs), worst, ok, "identity")

@@ -23,7 +23,7 @@ from typing import Dict, List, Tuple
 
 from .expr import (Add, App, Const, Deriv, Div, Expr, Mul, Neg, Pow, SeriesSum,
                    Sub, Var, free_vars, map_children)
-from .poly import Poly, _gl_key, divexact, poly_gcd, rational_content
+from .poly import ONE, Poly, _gl_key, divexact, poly_gcd, primitive_factor
 
 RatPair = Tuple[Poly, Poly]
 
@@ -39,16 +39,13 @@ def rat_canon(num: Poly, den: Poly) -> RatPair:
     latter by the total-division convention).
     """
     if num.is_zero() or den.is_zero():
-        return Poly.zero(), Poly.const(1)
+        return Poly.zero(), ONE
     g = poly_gcd(num, den)
-    if not (g.is_const() and g.const_value() == 1):
+    if g != ONE:
         num = divexact(num, g)
         den = divexact(den, g)
-    c = rational_content(den)
-    _, lead = den.leading()
-    if lead < 0:
-        c = -c
-    return num.scale(Fraction(1) / c), den.scale(Fraction(1) / c)
+    u = primitive_factor(den)
+    return num.scale(u), den.scale(u)
 
 
 def _rename_index(e: Expr, old: str, new: str) -> Expr:
@@ -111,44 +108,36 @@ class Normalizer:
         """1/e: one atom keyed on e's canonical form, or a constant."""
         n = self.atom_poly(e)
         if n.is_const():
-            c = n.const_value()
-            return Poly.const(Fraction(1) / c if c else Fraction(0))
+            return Poly.const(Fraction(1) / n.const_value() if n.terms else 0)
         return self._atom(("inv", n.key()), Div(Const(Fraction(1)), e))
 
     def _norm(self, e: Expr, rational: bool) -> RatPair:
-        one = Poly.const(1)
         if isinstance(e, Var):
-            return Poly.var(e.name), one
+            return Poly.var(e.name), ONE
         if isinstance(e, Const):
-            return Poly.const(e.value), one
+            return Poly.const(e.value), ONE
         if isinstance(e, Neg):
             n, d = self._norm(e.arg, rational)
             return -n, d
-        if isinstance(e, Add):
+        if isinstance(e, Div) and not rational:
+            return self._norm(e.left, False)[0] * self._inv(e.right), ONE
+        if isinstance(e, (Add, Sub, Mul, Div)):
             nl, dl = self._norm(e.left, rational)
             nr, dr = self._norm(e.right, rational)
-            return nl * dr + nr * dl, dl * dr
-        if isinstance(e, Sub):
-            nl, dl = self._norm(e.left, rational)
-            nr, dr = self._norm(e.right, rational)
-            return nl * dr - nr * dl, dl * dr
-        if isinstance(e, Mul):
-            nl, dl = self._norm(e.left, rational)
-            nr, dr = self._norm(e.right, rational)
-            return nl * nr, dl * dr
-        if isinstance(e, Div):
-            if not rational:
-                return self._norm(e.left, False)[0] * self._inv(e.right), one
-            nl, dl = self._norm(e.left, rational)
-            nr, dr = self._norm(e.right, rational)
+            if isinstance(e, Add):
+                return nl * dr + nr * dl, dl * dr
+            if isinstance(e, Sub):
+                return nl * dr - nr * dl, dl * dr
+            if isinstance(e, Mul):
+                return nl * nr, dl * dr
             self.denominators.append(e.right)
             return nl * dr, dl * nr
         if isinstance(e, Pow):
             if isinstance(e.exp, str):
-                return self._atom(("ipow", self.atom_key(e.base), e.exp), e), one
+                return self._atom(("ipow", self.atom_key(e.base), e.exp), e), ONE
             k = e.exp
             if k < 0 and not rational:
-                return self._inv(e.base) ** (-k), one
+                return self._inv(e.base) ** (-k), ONE
             n, d = self._norm(e.base, rational)
             if k >= 0:
                 return n ** k, d ** k
@@ -156,13 +145,13 @@ class Normalizer:
             return d ** (-k), n ** (-k)
         if isinstance(e, SeriesSum):
             body = _rename_index(e.body, e.index, _INDEX_PLACEHOLDER)
-            return self._atom(("series", e.start, self.atom_key(body)), e), one
+            return self._atom(("series", e.start, self.atom_key(body)), e), ONE
         if isinstance(e, App):
             if isinstance(e.fn, Deriv):
                 head = ("dapp", e.fn.fn)
             else:
                 head = ("app", e.fn)
-            return self._atom(head + (self.atom_key(e.arg),), e), one
+            return self._atom(head + (self.atom_key(e.arg),), e), ONE
         raise TypeError(f"not an expression: {e!r}")
 
     # -- reconstruction ----------------------------------------------

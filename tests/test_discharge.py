@@ -307,6 +307,61 @@ def test_refutation_points_change_no_trace_and_hold_for_every_proof(monkeypatch)
             assert true_there, (ob, point, t)
 
 
+def _search(facts, ob, points):
+    """The trace, or None, and the raw judgement calls of one search."""
+    goal = _goal(ob)
+    d = D._Discharger(facts, goal, points)
+    try:
+        t = d.ne0(goal, D._DEPTH) if isinstance(ob, Ne0) else \
+            d.sign(goal, 1, True, D._DEPTH)
+    except SearchBudgetExhausted:
+        t = "budget"
+    return t, d.raw_calls
+
+
+def test_shared_points_leave_every_search_unchanged():
+    cases = [r[1:3] for r in SIGN_RULES] + gen_obligations.cases(0, 50, 2)
+    fresh = [_search(facts, ob, None) for facts, ob in cases]
+    points = {}
+    for _ in range(2):  # the second pass finds every fact set drawn
+        assert [_search(facts, ob, points) for facts, ob in cases] == fresh
+    assert len(points) <= len(cases)
+
+
+def test_shared_points_equal_fresh_ones_for_the_corpus_and_its_mutants(monkeypatch):
+    """Every search of build_pool(0) and of the 68 single-hypothesis
+    mutants of the builtins uses the points a fresh draw gives, and the
+    kernel draws them fewer times than it searches."""
+    from derivkit.kernel import check_theory
+    from derivkit.parser import parse_theory
+    from derivkit.theories import build_pool, registry
+
+    used, draws = [], [0]
+    init, draw = D._Discharger.__init__, D._refutation_points
+
+    def recording_init(self, facts, goal, points=None):
+        init(self, facts, goal, points)
+        used.append((facts, goal, self.points))
+
+    def counted(facts, goal):
+        draws[0] += 1
+        return draw(facts, goal)
+
+    monkeypatch.setattr(D._Discharger, "__init__", recording_init)
+    monkeypatch.setattr(D, "_refutation_points", counted)
+    pool, _ = build_pool(0)
+    mutants = 0
+    for entry in registry():
+        th = parse_theory(entry.script)
+        for k in range(len(th.hyps)):
+            check_theory(th.replace(hyps=th.hyps[:k] + th.hyps[k + 1:]), dict(pool))
+            mutants += 1
+    assert mutants == 68
+    assert draws[0] < len(used)
+    for facts, goal, points in used:
+        assert points == draw(facts, goal)
+
+
 def test_no_refutation_points_from_contradictory_facts():
     d = D._Discharger([hx, hxn], x)
     assert d.points == []

@@ -1,5 +1,6 @@
 """The numeric falsification oracle, exercised directly and per theory."""
 
+import math
 import re
 from fractions import Fraction
 
@@ -178,6 +179,20 @@ def test_identity_check_fails_a_claim_that_evaluates_to_nan():
     rep = _compare([EqF(Sub(big, big), Const(1))],
                    sample_envs(["x"], [Lt(Const(1), x)], p, "identity"), p.seed)
     assert not rep.passed
+
+
+def test_identity_check_fails_closed_when_a_side_is_not_finite():
+    # one side overflows to inf: the tolerance would be inf too, and the
+    # residual inf / inf is NaN
+    big = Mul(Mul(x, Pow(Const(10), 200)), Pow(Const(10), 200))
+    rep = _compare([EqF(big, Const(1))], [{"x": 1.0}], 0)
+    assert not rep.passed and rep.worst_residual == math.inf
+    # both sides inf: their difference is NaN
+    rep = _compare([EqF(x, x)], [{"x": math.inf}], 0)
+    assert not rep.passed and rep.worst_residual == math.inf
+    # a later finite claim keeps the report at inf
+    rep = _compare([EqF(x, x), EqF(Const(1), Const(1))], [{"x": math.nan}], 0)
+    assert not rep.passed and rep.worst_residual == math.inf
 
 
 def test_series_truncation_error_shrinks():
