@@ -127,10 +127,15 @@ def _check_batch(theories: List[Theory], base_pool: LemmaPool,
 
 def cmd_check(args) -> int:
     plan = _plan(args)
+    batches = []
     try:
-        batches = [_load_file(p) for p in args.paths]
+        for path in args.paths:
+            batches.append(_load_file(path))
     except OSError as e:
         print(f"error: {e}", file=sys.stderr)
+        return 2
+    except UnicodeDecodeError as e:
+        print(f"error: {path}: {e}", file=sys.stderr)
         return 2
     except DerivSyntaxError as e:
         print(f"syntax error: {e}", file=sys.stderr)

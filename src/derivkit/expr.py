@@ -254,7 +254,8 @@ def subst_vars(e: Expr, mapping: Dict[str, Expr]) -> Expr:
     """Replace every free Var named in mapping, all at once.
 
     Exponents are left alone, and a SeriesSum hides its own index
-    from the mapping.
+    from the mapping. Like `map_children`, it returns e itself when no
+    name of mapping is free in it.
     """
     if not mapping:
         return e
@@ -262,7 +263,8 @@ def subst_vars(e: Expr, mapping: Dict[str, Expr]) -> Expr:
         return mapping.get(e.name, e)
     if isinstance(e, SeriesSum) and e.index in mapping:
         inner = {k: v for k, v in mapping.items() if k != e.index}
-        return SeriesSum(e.index, e.start, subst_vars(e.body, inner))
+        body = subst_vars(e.body, inner)
+        return e if body is e.body else SeriesSum(e.index, e.start, body)
     return map_children(e, lambda c: subst_vars(c, mapping))
 
 

@@ -146,29 +146,20 @@ def fresh(base: str, avoid: Collection[str]) -> str:
 
 def subst_formula(f: Formula, name: str, value: Expr) -> Formula:
     """Capture-avoiding substitution of value for the free variable name."""
-    if isinstance(f, Forall):
-        if any(b == name for b, _ in f.binders):
+    if isinstance(f, (Forall, Exists)):
+        forall = isinstance(f, Forall)
+        binders = list(f.binders if forall else [f.binder])
+        if any(b == name for b, _ in binders):
             return f
         vfree = free_vars(value)
-        binders = list(f.binders)
         body = f.body
         for i, (b, sort) in enumerate(binders):
             if b in vfree:
                 nb = fresh(b, vfree | formula_free_vars(body) | {x for x, _ in binders})
                 body = subst_formula(body, b, Var(nb))
                 binders[i] = (nb, sort)
-        return Forall(tuple(binders), subst_formula(body, name, value))
-    if isinstance(f, Exists):
-        b, sort = f.binder
-        if b == name:
-            return f
-        vfree = free_vars(value)
-        body = f.body
-        if b in vfree:
-            nb = fresh(b, vfree | formula_free_vars(body))
-            body = subst_formula(body, b, Var(nb))
-            b = nb
-        return Exists((b, sort), subst_formula(body, name, value))
+        body = subst_formula(body, name, value)
+        return Forall(tuple(binders), body) if forall else Exists(binders[0], body)
     return map_children(
         f, lambda p: substitute(p, name, value) if isinstance(p, Expr)
         else subst_formula(p, name, value))
@@ -262,6 +253,10 @@ class IndexShift(Step):
 class DerivRule(Step):
     __slots__ = ("rule",)
     rule: str
+
+    def __post_init__(self):
+        if self.rule not in ("const", "id", "pow", "linear", "scalar"):
+            raise ValueError(f"unknown derivative rule {self.rule!r}")
 
 
 class AntiderivConst(Step):

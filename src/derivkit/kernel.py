@@ -8,11 +8,14 @@ that returns accepted constitutes a derivation of the goal from the
 hypotheses under the total-division reading of expressions.
 
 One `_State` holds everything a check works on: scope, hypotheses,
-goal, lemma pool, seed and refutation points. `_STEPS` maps
-each step class of `formula.STEPS` to its handler, and every handler
-takes `(state, step)`. Handlers raise errors that carry no step:
+goal, lemma pool, seed, refutation points and the running step's
+obligations. `_STEPS` maps each step class of `formula.STEPS` to its
+handler; every handler takes `(state, step)`, changes the state and
+returns nothing. Handlers raise errors that carry no step:
 `check_theory` alone counts the steps, and any `DerivkitError` raised
-while step N runs fails the check at step N. A term a step brings in
+while step N runs fails the check at step N. So too `_discharge_or_fail`
+records each obligation it discharges: step N's are those discharged
+while it ran. A term a step brings in
 (a `use` witness, `specialize` terms, an applied lemma's conclusion)
 must pass `formula.unbound_symbol`, the parser's scope rule, against
 the names in scope.
@@ -34,7 +37,7 @@ left-approach table judged by `numcheck.divergence_witness`.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from .discharge import discharge
 from .errors import (ArityMismatch, DerivkitError, DuplicateName,
@@ -109,6 +112,7 @@ class _State:
         self.pool = pool
         self.seed = seed
         self.points: dict = {}
+        self.obligations: List[str] = []
 
     def all_names(self) -> set:
         return (set(self.vars) | set(self.fns) | set(self.consts)
@@ -171,15 +175,34 @@ def _ring_equal(state: _State, g: EqF) -> bool:
 # step implementations
 
 
-def _discharge_or_fail(state: _State, ob: Formula) -> str:
+def _discharge_or_fail(state: _State, ob: Formula) -> None:
+    """Discharge ob from the hypotheses or fail the step; a discharged
+    obligation is recorded, printed, against the step that raised it."""
     try:
         discharge(state.facts(), ob, state.points)
     except NotDerivable:
         raise ObligationFailed(print_formula(ob)) from None
-    return print_formula(ob)
+    state.obligations.append(print_formula(ob))
 
 
-def _do_rewrite(state: _State, step: RewriteWith) -> List[str]:
+def _equation(state: _State, needs: str) -> EqF:
+    """The goal, which the step that `needs` names requires to be an equation."""
+    if not isinstance(state.goal, EqF):
+        raise StepFailed(f"{needs} an equational goal")
+    return state.goal
+
+
+def _rewrite_goal(state: _State, walk: Callable[[Expr], Expr],
+                  reason: str) -> None:
+    """Apply walk to every expression of the goal; a goal that comes back
+    as the same object, nothing rebuilt, fails the step with reason."""
+    goal = map_formula(state.goal, walk)
+    if goal is state.goal:
+        raise StepFailed(reason)
+    state.goal = goal
+
+
+def _do_rewrite(state: _State, step: RewriteWith) -> None:
     h = state.hyps.get(step.hyp)
     if h is None:
         raise StepFailed(f"unknown hypothesis {step.hyp!r}")
@@ -188,6 +211,7 @@ def _do_rewrite(state: _State, step: RewriteWith) -> List[str]:
     pattern, replacement = (h.right, h.left) if step.reverse else (h.left, h.right)
     N = Normalizer()
     pkey = N.atom_key(state.unfold_expr(pattern))
+    # counted: a replacement that is the very object it matched rewrites
     total = 0
 
     def rw(x: Expr) -> Expr:
@@ -197,72 +221,51 @@ def _do_rewrite(state: _State, step: RewriteWith) -> List[str]:
             return replacement
         return map_children(x, rw)
 
-    g = state.goal
-    if isinstance(g, (EqF, Lt, Ne0, DivergesLeftAt)):
-        state.goal = map_formula(g, rw)
-    else:
+    if not isinstance(state.goal, (EqF, Lt, Ne0, DivergesLeftAt)):
         raise StepFailed("rewriting needs an unquantified goal")
+    state.goal = map_formula(state.goal, rw)
     if total == 0:
         side = "right" if step.reverse else "left"
         raise StepFailed(f"no occurrence of the {side}-hand side of {step.hyp!r}")
-    return []
 
 
-def _do_unfold(state: _State, step: Unfold) -> List[str]:
+def _do_unfold(state: _State, step: Unfold) -> None:
     if step.name not in state.lets:
         raise StepFailed(f"{step.name!r} is not a let binding")
     mapping = {step.name: state.lets[step.name]}
-    found = False
-
-    def repl(e: Expr) -> Expr:
-        nonlocal found
-        found = found or step.name in free_vars(e)
-        return subst_vars(e, mapping)
-
-    state.goal = map_formula(state.goal, repl)
-    if not found:
-        raise StepFailed(f"no occurrence of {step.name!r} in the goal")
-    return []
+    _rewrite_goal(state, lambda e: subst_vars(e, mapping),
+                  f"no occurrence of {step.name!r} in the goal")
 
 
 def _rational_forms(state: _State, exprs: List[Expr]):
-    """The canonical rational forms of exprs, in one table, and the
-    printed `!= 0` obligation of each distinct denominator they cross
-    (a nonzero literal needs none), each one discharged."""
+    """The canonical rational forms of exprs, in one table, once the
+    `!= 0` obligation of each distinct denominator they cross (a nonzero
+    literal needs none) is discharged."""
     R = Normalizer()
     forms = [R.norm(e) for e in exprs]
-    seen = set()
-    obls = []
+    distinct: Dict[tuple, Expr] = {}
     for d in R.denominators:
-        k = R.atom_key(d)
-        if k in seen or isinstance(d, Const) and d.value != 0:
-            continue
-        seen.add(k)
-        obls.append(_discharge_or_fail(state, Ne0(d)))
-    return R, forms, obls
+        if not (isinstance(d, Const) and d.value != 0):
+            distinct.setdefault(R.atom_key(d), d)
+    for d in distinct.values():
+        _discharge_or_fail(state, Ne0(d))
+    return R, forms
 
 
-def _do_field_normalize(state: _State, step: FieldNormalize) -> List[str]:
-    g = state.goal
-    if not isinstance(g, EqF):
-        raise StepFailed("field_normalize needs an equational goal")
-    R, [(nL, dL), (nR, dR)], obls = _rational_forms(
+def _do_field_normalize(state: _State, step: FieldNormalize) -> None:
+    g = _equation(state, "field_normalize needs")
+    R, [(nL, dL), (nR, dR)] = _rational_forms(
         state, [state.unfold_expr(g.left), state.unfold_expr(g.right)])
     state.goal = EqF(R.to_expr(nL * dR), R.to_expr(nR * dL))
-    return obls
 
 
-def _do_ring(state: _State, step: RingClose) -> List[str]:
-    g = state.goal
-    if not isinstance(g, EqF):
-        raise StepFailed("ring needs an equational goal")
-    if not _ring_equal(state, g):
+def _do_ring(state: _State, step: RingClose) -> None:
+    if not _ring_equal(state, _equation(state, "ring needs")):
         raise StepFailed("sides are not equal as ring expressions")
     state.closed = True
-    return []
 
 
-def _do_intro(state: _State, step: Intro) -> List[str]:
+def _do_intro(state: _State, step: Intro) -> None:
     for name in step.names:
         g = state.goal
         if not isinstance(g, (Implies, Forall)):
@@ -275,10 +278,9 @@ def _do_intro(state: _State, step: Intro) -> List[str]:
         else:
             state.vars[name] = g.binders[0][1]
             state.goal = instantiate_forall(g, [Var(name)])
-    return []
 
 
-def _do_specialize(state: _State, step: Specialize) -> List[str]:
+def _do_specialize(state: _State, step: Specialize) -> None:
     h = state.hyps.get(step.hyp)
     if h is None:
         raise StepFailed(f"unknown hypothesis {step.hyp!r}")
@@ -302,19 +304,17 @@ def _do_specialize(state: _State, step: Specialize) -> List[str]:
     while f"{step.hyp}_{k}" in state.all_names():
         k += 1
     state.hyps[f"{step.hyp}_{k}"] = inst
-    return []
 
 
-def _do_use(state: _State, step: ExistsIntro) -> List[str]:
+def _do_use(state: _State, step: ExistsIntro) -> None:
     g = state.goal
     if not isinstance(g, Exists):
         raise StepFailed("use needs an existential goal")
     state.check_symbols(step.witness)
     state.goal = subst_formula(g.body, g.binder[0], step.witness)
-    return []
 
 
-def _do_apply(state: _State, step: ApplyLemma) -> List[str]:
+def _do_apply(state: _State, step: ApplyLemma) -> None:
     entry = (state.pool or {}).get(step.name)
     if entry is None or not entry.accepted:
         raise StepFailed(f"lemma {step.name!r} is not available")
@@ -332,7 +332,7 @@ def _do_apply(state: _State, step: ApplyLemma) -> List[str]:
     g = state.goal
     lg = lem_unfold(lem.goal)
     if isinstance(g, EqF) and isinstance(lg, EqF):
-        _, [(ng, dg), (nl, dl)], obls = _rational_forms(
+        _, [(ng, dg), (nl, dl)] = _rational_forms(
             state, [Sub(state.unfold_expr(g.left), state.unfold_expr(g.right)),
                     Sub(lg.left, lg.right)])
         if nl.is_zero():
@@ -343,19 +343,16 @@ def _do_apply(state: _State, step: ApplyLemma) -> List[str]:
             if q is None:
                 raise StepFailed(f"goal difference is not a multiple of {step.name!r}")
         state.closed = True
-        return obls
+        return
     if step.name in state.all_names():
         raise DuplicateName(f"{step.name!r} is already in scope")
     state.check_symbols(lg)
     state.hyps[step.name] = lg
-    return []
 
 
-def _do_series(state: _State, step: Step) -> List[str]:
+def _do_series(state: _State, step: Step) -> None:
     weighted = isinstance(step, SeriesGeomWeighted)
-    g = state.goal
-    if not isinstance(g, EqF):
-        raise StepFailed("series steps need an equational goal")
+    _equation(state, "series steps need")
     bases: List[Expr] = []
     # a body x^i with no other factor, times i when weighted
     shape = ([], 1 if weighted else 0)
@@ -371,52 +368,34 @@ def _do_series(state: _State, step: Step) -> List[str]:
                 return Div(base, Sub(Const(Fraction(1)), base))
         return map_children(e, walk)
 
-    state.goal = EqF(walk(g.left), walk(g.right))
-    if not bases:
-        kind = "weighted geometric" if weighted else "geometric"
-        raise StepFailed(f"no {kind} series in the goal")
-    obls = []
+    kind = "weighted geometric" if weighted else "geometric"
+    _rewrite_goal(state, walk, f"no {kind} series in the goal")
     N = Normalizer()
-    seen = set()
+    distinct: Dict[tuple, Expr] = {}
     for b in bases:
         ub = state.unfold_expr(b)
-        k = N.atom_key(ub)
-        if k in seen:
-            continue
-        seen.add(k)
-        obls.append(_discharge_or_fail(state, Lt(Const(Fraction(0)), ub)))
-        obls.append(_discharge_or_fail(state, Lt(ub, Const(Fraction(1)))))
-    return obls
+        distinct.setdefault(N.atom_key(ub), ub)
+    for ub in distinct.values():
+        _discharge_or_fail(state, Lt(Const(Fraction(0)), ub))
+        _discharge_or_fail(state, Lt(ub, Const(Fraction(1))))
 
 
-def _do_index_shift(state: _State, step: IndexShift) -> List[str]:
-    g = state.goal
-    if not isinstance(g, EqF):
-        raise StepFailed("index_shift needs an equational goal")
-    count = 0
+def _do_index_shift(state: _State, step: IndexShift) -> None:
+    _equation(state, "index_shift needs")
 
     def walk(e: Expr) -> Expr:
-        nonlocal count
         if isinstance(e, SeriesSum) and e.start == 0:
-            count += 1
             head = substitute(e.body, e.index, Const(Fraction(0)))
             return Add(head, SeriesSum(e.index, 1, e.body))
         return map_children(e, walk)
 
-    state.goal = EqF(walk(g.left), walk(g.right))
-    if count == 0:
-        raise StepFailed("no zero-based series in the goal")
-    return []
+    _rewrite_goal(state, walk, "no zero-based series in the goal")
 
 
-def _do_deriv_rule(state: _State, step: DerivRule) -> List[str]:
-    g = state.goal
-    if not isinstance(g, EqF):
-        raise StepFailed("deriv_rule needs an equational goal")
-    count = 0
+def _do_deriv_rule(state: _State, step: DerivRule) -> None:
+    _equation(state, "deriv_rule needs")
 
     def expand(e: Expr) -> Expr:
-        nonlocal count
         if isinstance(e, App) and isinstance(e.fn, Deriv) and e.fn.fn in state.lets:
             body = state.unfolded[e.fn.fn]
             fv = sorted(free_vars(body))
@@ -433,14 +412,10 @@ def _do_deriv_rule(state: _State, step: DerivRule) -> List[str]:
             if shape != step.rule:
                 raise StepFailed(f"top rule is {shape!r}, not {step.rule!r}")
             d = N.to_expr(derivative(p, v))
-            count += 1
             return substitute(d, v, expand(e.arg))
         return map_children(e, expand)
 
-    state.goal = EqF(expand(g.left), expand(g.right))
-    if count == 0:
-        raise StepFailed("no derivative of a let binding in the goal")
-    return []
+    _rewrite_goal(state, expand, "no derivative of a let binding in the goal")
 
 
 def _classify_poly(p: Poly, v: str) -> Optional[str]:
@@ -479,8 +454,8 @@ def _chase(e: Expr, u: str, state: _State, hops: int = 3) -> Expr:
 def _antideriv_parts(state: _State):
     """Shared analysis for the antiderivative schemas: the goal must be
     forall t, F(t) = rhs with rhs rational over a constant denominator
-    and every opaque subterm free of t. The last part is the printed
-    `!= 0` obligation of each denominator cleared."""
+    and every opaque subterm free of t. Clearing the denominators of rhs
+    discharges their `!= 0` obligations."""
     g = state.goal
     if not (isinstance(g, Forall) and len(g.binders) == 1
             and isinstance(g.body, EqF)):
@@ -490,12 +465,12 @@ def _antideriv_parts(state: _State):
         raise StepFailed("left side must be a function applied to the bound variable")
     F, t, rhs = d
     # a canonical denominator that is constant is 1
-    R, [(rhs_p, den)], obls = _rational_forms(state, [state.unfold_expr(rhs)])
+    R, [(rhs_p, den)] = _rational_forms(state, [state.unfold_expr(rhs)])
     if not den.is_const():
         raise StepFailed("right side must have a constant denominator")
     if t in R.opaque_names(rhs_p):
         raise StepFailed("opaque terms on the right must not involve the bound variable")
-    return t, F, R, rhs_p, obls
+    return t, F, R, rhs_p
 
 
 def _deriv_hyp_matches(state: _State, F: str, t: str, R: Normalizer,
@@ -515,8 +490,8 @@ def _deriv_hyp_matches(state: _State, F: str, t: str, R: Normalizer,
     return False
 
 
-def _do_antideriv_const(state: _State, step: AntiderivConst) -> List[str]:
-    t, F, R, rhs_p, obls = _antideriv_parts(state)
+def _do_antideriv_const(state: _State, step: AntiderivConst) -> None:
+    t, F, R, rhs_p = _antideriv_parts(state)
     if rhs_p.degree_in(t) > 1:
         raise StepFailed("right side must be linear in the bound variable")
     c1 = rhs_p.coeff_in(t, 1)
@@ -527,11 +502,10 @@ def _do_antideriv_const(state: _State, step: AntiderivConst) -> List[str]:
     if not _deriv_hyp_matches(state, F, t, R, c1):
         raise StepFailed(f"no hypothesis gives a constant derivative for {F!r}")
     state.closed = True
-    return obls
 
 
-def _do_antideriv(state: _State, step: Antideriv) -> List[str]:
-    t, F, R, rhs_p, obls = _antideriv_parts(state)
+def _do_antideriv(state: _State, step: Antideriv) -> None:
+    t, F, R, rhs_p = _antideriv_parts(state)
     f0 = R.atom_poly(App(F, Const(Fraction(0))))
     f0_var = next(iter(f0.terms))
     if rhs_p.terms.get(f0_var) != 1:
@@ -545,13 +519,12 @@ def _do_antideriv(state: _State, step: Antideriv) -> List[str]:
     if not _deriv_hyp_matches(state, F, t, R, dG):
         raise StepFailed(f"no hypothesis matches the derivative of the right side for {F!r}")
     state.closed = True
-    return obls
 
 
 # -- divergence witness ------------------------------------------------
 
 
-def _do_limit_witness(state: _State, step: LimitDivergenceWitness) -> List[str]:
+def _do_limit_witness(state: _State, step: LimitDivergenceWitness) -> None:
     g = state.goal
     if not isinstance(g, DivergesLeftAt):
         raise StepFailed("limit_witness needs a divergence goal")
@@ -567,7 +540,7 @@ def _do_limit_witness(state: _State, step: LimitDivergenceWitness) -> List[str]:
     consts = (fv | free_vars(point)) - {pvar}
     if any(c not in state.consts for c in consts):
         raise StepFailed("the approach point must only involve constants")
-    obls = [_discharge_or_fail(state, Lt(Const(Fraction(0)), point))]
+    _discharge_or_fail(state, Lt(Const(Fraction(0)), point))
 
     # the atomic facts over constants only, and every constant linked
     # to the expression or the point through them
@@ -594,7 +567,6 @@ def _do_limit_witness(state: _State, step: LimitDivergenceWitness) -> List[str]:
                               f"({type(e).__name__})") from None
     state.closed = True
     state.soundness = NUMERIC_CERTIFIED
-    return obls
 
 
 # ---------------------------------------------------------------------------
@@ -627,11 +599,11 @@ _STEPS = {
 }
 
 
-def _run_step(state: _State, step: Step) -> List[str]:
+def _run_step(state: _State, step: Step) -> None:
     handler = _STEPS.get(type(step))
     if handler is None:
         raise StepFailed(f"unknown step {step!r}")
-    return handler(state, step)
+    handler(state, step)
 
 
 def check_theory(theory: Theory, pool: Optional[LemmaPool] = None,
@@ -645,9 +617,10 @@ def check_theory(theory: Theory, pool: Optional[LemmaPool] = None,
         for idx, step in enumerate(theory.steps, start=1):
             if state.closed:
                 raise StepFailed("goal is already closed")
-            obls = _run_step(state, step)
-            records.append(StepRecord(print_step(step),
-                                      print_formula(state.goal), obls))
+            state.obligations = []
+            _run_step(state, step)
+            records.append(StepRecord(print_step(step), print_formula(state.goal),
+                                      state.obligations))
         idx = None
         if not _goal_holds(state):
             raise GoalNotClosed("goal not closed after the final step")

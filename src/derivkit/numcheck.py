@@ -152,31 +152,28 @@ def _solve(env: Dict[str, float], defs: Dict[str, Expr], rest,
     """Solve each equation that does not hold for a name not solved
     before: the latest-declared one that probes at 0, 1 and 2 find it
     linear in. Then evaluate the definitions. False when this draw
-    cannot be solved so."""
+    cannot be solved so; an equation that cannot be evaluated raises."""
     solved: set = set()
-    try:
-        for l, r, fv in rest:
-            if _close(eval_expr(l, env), eval_expr(r, env)):
-                continue
-            for v in sorted(fv - solved, key=rank.__getitem__, reverse=True):
-                drawn = env[v]
-                ys = []
-                for c in (0.0, 1.0, 2.0):
-                    env[v] = c
-                    ys.append(_gap(l, r, env))
-                y0, y1, y2 = ys
-                slope = y1 - y0
-                if all(map(math.isfinite, ys)) and 1e-12 <= abs(slope) \
-                        and abs(y2 - 2 * y1 + y0) <= 1e-6 * max(1.0, *map(abs, ys)):
-                    env[v] = -y0 / slope
-                    solved.add(v)
-                    break
-                env[v] = drawn
-            else:
-                return False
-        env.update({v: eval_expr(d, env) for v, d in defs.items()})
-    except DerivkitError:
-        return False
+    for l, r, fv in rest:
+        if _close(eval_expr(l, env), eval_expr(r, env)):
+            continue
+        for v in sorted(fv - solved, key=rank.__getitem__, reverse=True):
+            drawn = env[v]
+            ys = []
+            for c in (0.0, 1.0, 2.0):
+                env[v] = c
+                ys.append(_gap(l, r, env))
+            y0, y1, y2 = ys
+            slope = y1 - y0
+            if all(map(math.isfinite, ys)) and 1e-12 <= abs(slope) \
+                    and abs(y2 - 2 * y1 + y0) <= 1e-6 * max(1.0, *map(abs, ys)):
+                env[v] = -y0 / slope
+                solved.add(v)
+                break
+            env[v] = drawn
+        else:
+            return False
+    env.update({v: eval_expr(d, env) for v, d in defs.items()})
     return True
 
 
@@ -188,25 +185,18 @@ def _holds(f: Formula, env: Dict[str, float]) -> bool:
     return not isinstance(f, Ne0) or abs(eval_expr(f.arg, env)) > _NE0_MARGIN
 
 
-def _verify_hyps(env: Dict[str, float], hyps: Sequence[Formula]) -> bool:
-    try:
-        return all(_holds(f, env) for f in hyps)
-    except DerivkitError:
-        return False
-
-
 def _admitter(hyps: Sequence[Formula], eqs
               ) -> Callable[[Dict[str, float]], bool]:
     """A test that solves an environment's equations `eqs` in place and
     tells whether it then satisfies every hypothesis. An environment
-    whose solving or checking raises ArithmeticError is not admitted: a
-    point the hypotheses cannot be evaluated at decides nothing."""
+    whose solving or checking raises is not admitted: a point the
+    hypotheses cannot be evaluated at decides nothing."""
     rank, defs, rest = eqs
 
     def admit(env: Dict[str, float]) -> bool:
         try:
-            return _solve(env, defs, rest, rank) and _verify_hyps(env, hyps)
-        except ArithmeticError:
+            return _solve(env, defs, rest, rank) and all(_holds(f, env) for f in hyps)
+        except (DerivkitError, ArithmeticError):
             return False
 
     return admit
@@ -239,28 +229,22 @@ def _bound_plan(hyps: Sequence[Formula], eqs
 def _cut(lo: float, hi: float, bounds: Sequence[Tuple[Expr, Expr]],
          env: Dict[str, float]) -> Tuple[float, float]:
     """(lo, hi) cut to the half-line of each bound c0 + c1*v > 0 at
-    env; a bound whose coefficients are not finite, or whose c1 is 0,
-    cuts nothing."""
+    env, or an empty range for a bound with c1 = 0 and c0 <= 0; a bound
+    whose coefficients are not finite cuts nothing."""
     for c0, c1 in bounds:
         try:
             a, b = eval_expr(c0, env), eval_expr(c1, env)
         except (DerivkitError, ArithmeticError):
             continue
-        if math.isfinite(a) and math.isfinite(b) and b != 0:
-            if b > 0:
-                lo = max(lo, -a / b)
-            else:
-                hi = min(hi, -a / b)
+        if not (math.isfinite(a) and math.isfinite(b)):
+            continue
+        if b > 0:
+            lo = max(lo, -a / b)
+        elif b < 0:
+            hi = min(hi, -a / b)
+        elif a <= 0:
+            return lo, lo
     return lo, hi
-
-
-def _unmet(c0: Expr, c1: Expr) -> bool:
-    """Constant coefficients of a bound no value meets: c1 is 0 and
-    c0 <= 0."""
-    try:
-        return eval_expr(c1, {}) == 0 and eval_expr(c0, {}) <= 0
-    except (DerivkitError, ArithmeticError):
-        return False
 
 
 def _draw(rng: random.Random, ranges) -> Optional[Dict[str, float]]:
@@ -285,10 +269,9 @@ def sample_envs(names: Sequence[str], hyps: Sequence[Formula],
     the bounds of `_bound_plan`. Every candidate is then solved and
     checked against every hypothesis, so a bound changes which
     candidates are proposed, never which are accepted; a candidate
-    whose solving or checking raises ArithmeticError is rejected. A
-    name whose bounds mention no other name has one range on every
-    draw; when that range is empty, or a bound c0 + 0*v > 0 has
-    c0 <= 0, RejectionStarvation comes before any draw."""
+    whose solving or checking raises is rejected. A name whose bounds
+    mention no other name has one range on every draw; when that range
+    is empty, RejectionStarvation comes before any draw."""
     rng = _rng(plan.seed, check_name)
     positive = _positive_names(hyps)
     eqs = _equation_plan(names, hyps)
@@ -298,7 +281,7 @@ def sample_envs(names: Sequence[str], hyps: Sequence[Formula],
     for n, (lo, hi), bs in ranges:
         if not any(free_vars(c0) | free_vars(c1) for c0, c1 in bs):
             lo, hi = _cut(lo, hi, bs, {})
-            if not lo < hi or any(_unmet(c0, c1) for c0, c1 in bs):
+            if not lo < hi:
                 raise RejectionStarvation(f"{check_name}: the hypotheses leave {n} no value")
     admit = _admitter(hyps, eqs)
     envs: List[Dict[str, float]] = []

@@ -26,10 +26,8 @@ from typing import List, Tuple
 from .errors import DerivSyntaxError, DuplicateName, UndeclaredSymbol
 from .expr import (Add, App, Const, Deriv, Div, Expr, Mul, Neg, Pow, SeriesSum,
                    Sub, Var, children)
-from .formula import (And, ApplyLemma, DivergesLeftAt, DerivRule, EqF,
-                      ExistsIntro, Exists, Forall, Formula, Implies, Intro,
-                      LimitDivergenceWitness, Lt, Ne0, REAL, RewriteWith,
-                      Specialize, STATE, STEPS, Step, Theory, Unfold,
+from .formula import (And, DivergesLeftAt, EqF, Exists, Forall, Formula,
+                      Implies, Lt, Ne0, REAL, STATE, STEPS, Step, Theory,
                       bound_names, unbound_symbol)
 
 RESERVED = {
@@ -146,6 +144,13 @@ class _Parser:
             raise DerivSyntaxError(f"{t.value!r} is a reserved word", t.line, t.col)
         return t
 
+    def fresh_names(self, what="name") -> List[str]:
+        """One or more new names, up to the first token that is not one."""
+        names = [self.fresh_name(what).value]
+        while self.peek().kind == "ident":
+            names.append(self.fresh_name(what).value)
+        return names
+
     def at_ident(self, word: str) -> bool:
         t = self.peek()
         return t.kind == "ident" and t.value == word
@@ -181,9 +186,7 @@ class _Parser:
                 self._fail(f"expected a declaration or goal, found {t.value!r}")
             if t.value == "vars":
                 self.advance()
-                names = [self.fresh_name().value]
-                while self.peek().kind == "ident" and not self.at_sym(":"):
-                    names.append(self.fresh_name().value)
+                names = self.fresh_names()
                 # without a sort, the names are real
                 sort = REAL
                 if self.at_sym(":"):
@@ -197,9 +200,7 @@ class _Parser:
                 self.expect_newline()
             elif t.value == "fns":
                 self.advance()
-                names = [self.fresh_name().value]
-                while self.peek().kind == "ident" and not self.at_sym(":"):
-                    names.append(self.fresh_name().value)
+                names = self.fresh_names()
                 self.expect_sym(":")
                 self.expect_keyword(STATE)
                 self.expect_sym("->")
@@ -266,46 +267,46 @@ class _Parser:
     # -- steps --------------------------------------------------------
 
     def parse_step(self) -> Step:
+        """A step's keyword, then each field read by its annotated type,
+        the inverse of `_field_str`: a name for `str`, an optional `<-`
+        for `bool`, an integer for `int`, an expression for `Expr`, new
+        names for `Tuple[str, ...]` and terms up to the end of the line
+        for `Tuple[Expr, ...]`. A value the step class refuses with a
+        ValueError is a syntax error at the keyword."""
         t = self.expect_ident("proof step")
         cls = STEPS.get(t.value)
         if cls is None:
             raise DerivSyntaxError(f"unknown proof step {t.value!r}", t.line, t.col)
-        if not cls._fields:
-            return cls()
-        if cls is RewriteWith:
-            h = self.expect_ident("hypothesis name").value
+        values = [self.parse_field(t.value, f, cls.__annotations__[f])
+                  for f in cls._fields]
+        try:
+            return cls(*values)
+        except ValueError as e:
+            raise DerivSyntaxError(str(e), t.line, t.col) from None
+
+    def parse_field(self, kw: str, field: str, kind: str):
+        what = f"the {field} of {kw}"
+        if kind == "str":
+            return self.expect_ident(what).value
+        if kind == "bool":
             if self.at_sym("<-"):
                 self.advance()
-                return RewriteWith(h, True)
-            return RewriteWith(h)
-        if cls is Unfold:
-            return Unfold(self.expect_ident().value)
-        if cls is Intro:
-            names = [self.fresh_name().value]
-            while self.peek().kind == "ident":
-                names.append(self.fresh_name().value)
-            return Intro(tuple(names))
-        if cls is Specialize:
-            h = self.expect_ident("hypothesis name").value
-            terms = [self.parse_expr()]
-            while self.peek().kind != "nl":
-                terms.append(self.parse_expr())
-            return Specialize(h, tuple(terms))
-        if cls is ExistsIntro:
-            return ExistsIntro(self.parse_expr())
-        if cls is ApplyLemma:
-            return ApplyLemma(self.expect_ident("lemma name").value)
-        if cls is DerivRule:
-            r = self.expect_ident("rule name").value
-            if r not in ("const", "id", "pow", "linear", "scalar"):
-                raise DerivSyntaxError(f"unknown derivative rule {r!r}", t.line, t.col)
-            return DerivRule(r)
-        # the last step with a field, LimitDivergenceWitness
-        n = self.peek()
-        if n.kind != "number" or "." in n.value:
-            self._fail("limit_witness needs an integer depth")
-        self.advance()
-        return LimitDivergenceWitness(int(n.value))
+                return True
+            return False
+        if kind == "int":
+            n = self.peek()
+            if n.kind != "number" or "." in n.value:
+                self._fail(f"{kw} needs an integer {field}")
+            return int(self.advance().value)
+        if kind == "Expr":
+            return self.parse_expr()
+        if kind == "Tuple[str, ...]":
+            return tuple(self.fresh_names(what))
+        # the one kind left, Tuple[Expr, ...]
+        terms = [self.parse_expr()]
+        while self.peek().kind != "nl":
+            terms.append(self.parse_expr())
+        return tuple(terms)
 
     # -- formulas -----------------------------------------------------
 
@@ -327,9 +328,7 @@ class _Parser:
         t = self.peek()
         if t.kind == "ident" and t.value == "forall":
             self.advance()
-            names = [self.fresh_name("binder").value]
-            while self.peek().kind == "ident":
-                names.append(self.fresh_name("binder").value)
+            names = self.fresh_names("binder")
             self.expect_sym(",")
             body = self.parse_formula()
             return Forall(tuple((n, _binder_sort(n, body)) for n in names), body)

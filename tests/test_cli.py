@@ -244,6 +244,15 @@ def test_check_missing_file(tmp_path, capsys):
     assert "error:" in err
 
 
+def test_check_file_that_is_not_utf8(tmp_path, capsys):
+    p = tmp_path / "bad.deriv"
+    p.write_bytes(b"theory t\xff\n")
+    code, _, err = run_cli(["check", str(p)], capsys)
+    assert code == 2
+    assert err.startswith(f"error: {p}: ")
+    assert len(err.splitlines()) == 1
+
+
 def test_check_syntax_error(tmp_path, capsys):
     p = write(tmp_path, "broken.deriv", "theory ???\n")
     code, _, err = run_cli(["check", p], capsys)

@@ -335,6 +335,13 @@ def test_subst_vars_is_parallel_and_leaves_the_series_index_alone():
     assert got == SeriesSum("i", 1, Mul(Var("i"), Pow(Var("z"), "i")))
 
 
+def test_subst_vars_returns_the_expression_itself_when_no_name_is_free():
+    s = SeriesSum("i", 1, Mul(Var("i"), Pow(Var("x"), "i")))
+    for e in (Add(Var("x"), Const(1)), s, Mul(Var("y"), s)):
+        assert subst_vars(e, {"i": Const(7), "w": Var("z")}) is e
+    assert subst_vars(s, {"i": Const(7), "x": Var("z")}) is not s
+
+
 def test_unfold_lets_expands_earlier_bindings():
     lets = (("u", Add(Var("x"), Const(1))), ("w", Mul(Var("u"), Var("u"))))
     got = unfold_lets(lets)

@@ -135,6 +135,15 @@ def test_unfold_unknown_name_fails():
     assert r.failure == (1, "StepFailed: 'a' is not a let binding")
 
 
+def test_unfold_fails_when_only_a_series_index_binds_the_name():
+    r = run(theory(
+        "  vars x : Real",
+        "  let i := x",
+        "  goal sum[i>=1](x^i) = sum[i>=1](x^i)",
+        "  proof", "    unfold i", "  qed"))
+    assert r.failure == (1, "StepFailed: no occurrence of 'i' in the goal")
+
+
 # -- field normalization -----------------------------------------------------
 
 

@@ -152,6 +152,23 @@ def test_hypotheses_no_draw_meets_starve_at_the_draw_limit(monkeypatch):
         sample_envs(["x", "y"], [Lt(Mul(x, y), Mul(y, x))], plan(count=1), "starved")
     assert draws[0] == 50
 
+
+def test_a_bound_no_drawn_value_meets_rejects_before_the_hypotheses(monkeypatch):
+    # at every draw of x the cut for y is empty, so no candidate
+    # reaches the hypothesis check
+    monkeypatch.setattr(numcheck, "_DRAW_LIMIT", 50)
+    holds = [0]
+    real = numcheck._holds
+
+    def counted(f, env):
+        holds[0] += 1
+        return real(f, env)
+
+    monkeypatch.setattr(numcheck, "_holds", counted)
+    with pytest.raises(RejectionStarvation, match="0 of 1 samples in 50 draws"):
+        sample_envs(["x", "y"], [Lt(Mul(x, y), Mul(y, x))], plan(count=1), "starved")
+    assert holds[0] == 0
+
 # -- identity and series checks -------------------------------------------------
 
 

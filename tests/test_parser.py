@@ -184,7 +184,15 @@ def test_series_start_limited():
 
 def test_unknown_deriv_rule_rejected():
     src = "theory t\n  vars x : Real\n  goal x = x\n  proof\n    deriv_rule exp\n  qed\n"
-    with pytest.raises(DerivSyntaxError):
+    with pytest.raises(DerivSyntaxError, match="unknown derivative rule 'exp'"):
+        parse_theory(src)
+
+
+@pytest.mark.parametrize("depth", ["x", "2.5"])
+def test_limit_witness_needs_an_integer_depth(depth):
+    src = ("theory t\n  vars x : Real\n  goal x = x\n  proof\n"
+           f"    limit_witness {depth}\n  qed\n")
+    with pytest.raises(DerivSyntaxError, match="limit_witness needs an integer depth"):
         parse_theory(src)
 
 
