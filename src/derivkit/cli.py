@@ -2,7 +2,8 @@
 
 Exit codes: 0 when every checked theory is accepted, 1 when any theory
 fails its symbolic or numeric check, 2 for usage and input errors,
-including input nested too deeply to check.
+including input nested too deeply to check, and for an internal error,
+which prints one line and no traceback.
 """
 
 from __future__ import annotations
@@ -217,6 +218,10 @@ def main(argv: Optional[List[str]] = None) -> int:
         return args.fn(args)
     except RecursionError:
         print("error: input nested too deeply to check", file=sys.stderr)
+        return 2
+    except Exception as e:
+        msg = " ".join(str(e).split())
+        print(f"error: internal error: {type(e).__name__}: {msg}", file=sys.stderr)
         return 2
 
 

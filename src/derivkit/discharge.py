@@ -35,7 +35,7 @@ from typing import Dict, List, Optional, Tuple
 from .errors import NoExactValue, NotDerivable, SearchBudgetExhausted
 from .expr import (Add, Div, Expr, Mul, Neg, Pow, SeriesSum, Sub, Var,
                    eval_expr, free_vars)
-from .formula import Formula, Lt, Ne0
+from .formula import Formula, Lt, Ne0, formula_free_vars, fresh, subst
 from .parser import print_formula
 from .poly import Poly, divexact
 from .ringnorm import Normalizer
@@ -120,6 +120,8 @@ class _Discharger:
         self.points = points[key]
         # raw judgement calls, the size of the search
         self.raw_calls = 0
+        # the names the facts and the enclosing series indices speak of
+        self.names = set().union(*(formula_free_vars(f) for _, f in facts))
         for name, f in facts:
             if isinstance(f, Ne0):
                 self.ne0_facts.append((name, self.N.atom_key(f.arg)))
@@ -335,18 +337,23 @@ class _Discharger:
 
     def _series_terms(self, e: SeriesSum, strict: bool, depth: int) -> Optional[str]:
         """Every term's sign, with the index known nonnegative from a
-        start of 0 and positive otherwise."""
+        start of 0 and positive otherwise. An index that a fact or an
+        enclosing series speaks of is renamed apart first."""
+        i = fresh(e.index, self.names | free_vars(e))
+        body = e.body if i == e.index else subst(e.body, {e.index: Var(i)})
+        self.names.add(i)
         if e.start == 0:
-            self.nonneg_vars.add(e.index)
-            self._scope += (("inn", e.index),)
+            self.nonneg_vars.add(i)
+            self._scope += (("inn", i),)
         else:
-            self.pos_facts.append(("index", Poly.var(e.index)))
-            self._scope += (("ipos", e.index),)
+            self.pos_facts.append(("index", Poly.var(i)))
+            self._scope += (("ipos", i),)
         try:
-            return self.sign(e.body, 1, strict, depth)
+            return self.sign(body, 1, strict, depth)
         finally:
+            self.names.discard(i)
             if e.start == 0:
-                self.nonneg_vars.discard(e.index)
+                self.nonneg_vars.discard(i)
             else:
                 self.pos_facts.pop()
             self._scope = self._scope[:-1]

@@ -26,7 +26,7 @@ import math
 import sys
 from fractions import Fraction
 from operator import is_
-from typing import Callable, Dict, Sequence, Tuple, Union
+from typing import Callable, Dict, Union
 
 from .errors import NoExactValue, NonIntegerPow, UnboundSymbol
 
@@ -230,50 +230,6 @@ def free_vars(e: Expr) -> set:
     elif isinstance(e, SeriesSum):
         fv.discard(e.index)
     return fv
-
-
-def substitute(e: Expr, name: str, value: Expr) -> Expr:
-    """Replace free occurrences of Var(name) by value.
-
-    An index name used as an exponent can only be replaced by an
-    integer literal.
-    """
-    if isinstance(e, Var):
-        return value if e.name == name else e
-    if isinstance(e, SeriesSum) and e.index == name:
-        return e
-    out = map_children(e, lambda c: substitute(c, name, value))
-    if isinstance(e, Pow) and e.exp == name:
-        if isinstance(value, Const) and value.value.denominator == 1:
-            return Pow(out.base, int(value.value))
-        raise NonIntegerPow(f"cannot substitute {value!r} for exponent {name}")
-    return out
-
-
-def subst_vars(e: Expr, mapping: Dict[str, Expr]) -> Expr:
-    """Replace every free Var named in mapping, all at once.
-
-    Exponents are left alone, and a SeriesSum hides its own index
-    from the mapping. Like `map_children`, it returns e itself when no
-    name of mapping is free in it.
-    """
-    if not mapping:
-        return e
-    if isinstance(e, Var):
-        return mapping.get(e.name, e)
-    if isinstance(e, SeriesSum) and e.index in mapping:
-        inner = {k: v for k, v in mapping.items() if k != e.index}
-        body = subst_vars(e.body, inner)
-        return e if body is e.body else SeriesSum(e.index, e.start, body)
-    return map_children(e, lambda c: subst_vars(c, mapping))
-
-
-def unfold_lets(lets: Sequence[Tuple[str, Expr]]) -> Dict[str, Expr]:
-    """Each let name mapped to its body with earlier lets expanded."""
-    expanded: Dict[str, Expr] = {}
-    for name, body in lets:
-        expanded[name] = subst_vars(body, expanded)
-    return expanded
 
 
 # terms of a series that eval_expr sums

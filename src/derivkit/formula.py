@@ -12,16 +12,18 @@ keyword and its fields, and the kernel maps each class to its handler.
 
 The scope rule is here once: the parser checks declarations and the
 kernel checks script terms with `unbound_symbol`, both read
-`Theory.implicit_states`, and `fresh` makes every primed name.
+`Theory.implicit_states`, and `fresh` makes every primed name. So is
+substitution: `subst` replaces names in terms and formulas without
+capture, for the kernel, the oracle and the normalizer alike.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Collection, Optional, Tuple
+from typing import Collection, Dict, Optional, Sequence, Tuple
 
-from .errors import ArityMismatch
-from .expr import (App, Deriv, Expr, Formula, Node, Pow, SeriesSum, Var,
-                   children, free_vars, map_children, substitute)
+from .errors import ArityMismatch, NonIntegerPow
+from .expr import (App, Const, Deriv, Expr, Formula, Node, Pow, SeriesSum, Var,
+                   children, free_vars, map_children)
 
 REAL = "Real"
 STATE = "State"
@@ -89,12 +91,6 @@ def bound_names(x: Node) -> set:
     return set()
 
 
-def map_formula(f: Formula, fn: Callable[[Expr], Expr]) -> Formula:
-    """f with fn applied to every expression in it, blind to binders."""
-    return map_children(
-        f, lambda p: fn(p) if isinstance(p, Expr) else map_formula(p, fn))
-
-
 def formula_free_vars(f: Formula) -> set:
     fv = set()
     for p in children(f):
@@ -144,25 +140,64 @@ def fresh(base: str, avoid: Collection[str]) -> str:
     return name
 
 
-def subst_formula(f: Formula, name: str, value: Expr) -> Formula:
-    """Capture-avoiding substitution of value for the free variable name."""
-    if isinstance(f, (Forall, Exists)):
-        forall = isinstance(f, Forall)
-        binders = list(f.binders if forall else [f.binder])
-        if any(b == name for b, _ in binders):
-            return f
-        vfree = free_vars(value)
-        body = f.body
-        for i, (b, sort) in enumerate(binders):
-            if b in vfree:
-                nb = fresh(b, vfree | formula_free_vars(body) | {x for x, _ in binders})
-                body = subst_formula(body, b, Var(nb))
-                binders[i] = (nb, sort)
-        body = subst_formula(body, name, value)
-        return Forall(tuple(binders), body) if forall else Exists(binders[0], body)
-    return map_children(
-        f, lambda p: substitute(p, name, value) if isinstance(p, Expr)
-        else subst_formula(p, name, value))
+def subst(x: Node, mapping: Dict[str, Expr]) -> Node:
+    """The term or formula x with every free name of mapping replaced by
+    its value, all at once; x itself when none is free in it. A binder
+    hides its own name, and is renamed with `fresh`, in the exponents
+    too, where it would capture a free name of a value entering its
+    body. An exponent takes a `Var` value's name or an integral `Const`;
+    any other value there raises NonIntegerPow."""
+    return _subst(x, mapping, None) if mapping else x
+
+
+def _subst(x: Node, mapping: Dict[str, Expr], vfree: Optional[set]) -> Node:
+    # vfree holds every free name of the values in mapping, or more; it
+    # is computed at the first binder
+    if isinstance(x, Var):
+        return mapping.get(x.name, x)
+    if not isinstance(x, (SeriesSum, Forall, Exists)):
+        out = map_children(x, lambda c: _subst(c, mapping, vfree))
+        if not (isinstance(x, Pow) and x.exp in mapping):
+            return out
+        v = mapping[x.exp]
+        if isinstance(v, Var):
+            return Pow(out.base, v.name)
+        if isinstance(v, Const) and v.value.denominator == 1:
+            return Pow(out.base, int(v.value))
+        raise NonIntegerPow(f"cannot substitute {v!r} for exponent {x.exp}")
+    names = bound_names(x)
+    inner = {k: v for k, v in mapping.items() if k not in names}
+    if not inner:
+        return x
+    renamed = {}
+    if vfree is None:
+        vfree = set().union(*map(free_vars, mapping.values()))
+    if not vfree.isdisjoint(names):
+        # only here are the body's free names worth computing
+        body_free = (free_vars if isinstance(x, SeriesSum) else formula_free_vars)(x.body)
+        entering = set().union(*(free_vars(v) for k, v in inner.items() if k in body_free))
+        avoid = entering | body_free | names
+        for b in sorted(names & entering):
+            renamed[b] = fresh(b, avoid)
+            avoid.add(renamed[b])
+        inner.update((b, Var(nb)) for b, nb in renamed.items())
+        vfree = vfree | avoid
+    body = _subst(x.body, inner, vfree)
+    if body is x.body:
+        return x
+    if isinstance(x, Forall):
+        return Forall(tuple((renamed.get(b, b), s) for b, s in x.binders), body)
+    if isinstance(x, Exists):
+        return Exists((renamed.get(x.binder[0], x.binder[0]), x.binder[1]), body)
+    return SeriesSum(renamed.get(x.index, x.index), x.start, body)
+
+
+def unfold_lets(lets: Sequence[Tuple[str, Expr]]) -> Dict[str, Expr]:
+    """Each let name mapped to its body with earlier lets expanded."""
+    expanded: Dict[str, Expr] = {}
+    for name, body in lets:
+        expanded[name] = subst(body, expanded)
+    return expanded
 
 
 def instantiate_forall(f: Formula, terms) -> Formula:
@@ -173,7 +208,7 @@ def instantiate_forall(f: Formula, terms) -> Formula:
             raise ArityMismatch(f"too many instantiation terms for {f!r}")
         (name, _), rest = cur.binders[0], cur.binders[1:]
         inner: Formula = Forall(rest, cur.body) if rest else cur.body
-        cur = subst_formula(inner, name, t)
+        cur = subst(inner, {name: t})
     return cur
 
 

@@ -37,7 +37,7 @@ left-approach table judged by `numcheck.divergence_witness`.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .discharge import discharge
 from .errors import (ArityMismatch, DerivkitError, DuplicateName,
@@ -46,16 +46,15 @@ from .errors import (ArityMismatch, DerivkitError, DuplicateName,
                      UnboundSymbol)
 from .expr import (Add, App, Const, Deriv, Div, Expr, Node, Pow, SeriesSum,
                    Sub, Var, eval_expr, free_vars, geometric_terms,
-                   map_children, subst_vars, substitute, unfold_lets)
+                   map_children)
 from .formula import (And, Antideriv, AntiderivConst, ApplyLemma,
                       DivergesLeftAt, DerivRule, EqF, Exists, ExistsIntro,
                       FieldNormalize, Forall, Formula, Implies, IndexShift,
                       Intro, LimitDivergenceWitness, Lt, Ne0, REAL,
                       RewriteWith, RingClose, SeriesGeom, SeriesGeomWeighted,
                       Specialize, STATE, Step, Theory, Unfold,
-                      formula_free_vars, fresh, instantiate_forall,
-                      map_formula, pointwise, subst_formula,
-                      unbound_symbol)
+                      bound_names, formula_free_vars, fresh, instantiate_forall,
+                      pointwise, subst, unbound_symbol, unfold_lets)
 from .numcheck import divergence_witness, witness_envs
 from .parser import print_formula, print_step
 from .poly import Poly, derivative, divexact
@@ -119,12 +118,10 @@ class _State:
                 | set(self.lets) | set(self.hyps))
 
     def unfold_expr(self, e: Expr) -> Expr:
-        return subst_vars(e, self.unfolded)
+        return subst(e, self.unfolded)
 
     def unfold_formula(self, f: Formula) -> Formula:
-        # binder names can never collide with let names (the parser
-        # holds all declarations in one namespace), so a plain map works
-        return map_formula(f, self.unfold_expr)
+        return subst(f, self.unfolded)
 
     def facts(self) -> List[Tuple[str, Formula]]:
         return [(n, self.unfold_formula(f)) for n, f in self.hyps.items()]
@@ -145,16 +142,11 @@ def _formula_key(f: Formula, N: Normalizer, depth: int = 0) -> tuple:
         return ("ne0", N.atom_key(f.arg))
     if isinstance(f, Lt):
         return ("lt", N.atom_key(f.left), N.atom_key(f.right))
-    if isinstance(f, Forall):
-        body = f.body
-        for i, (b, _) in enumerate(f.binders):
-            body = subst_formula(body, b, Var(f"@b{depth + i}"))
-        return ("all", tuple(s for _, s in f.binders),
-                _formula_key(body, N, depth + len(f.binders)))
-    if isinstance(f, Exists):
-        b, s = f.binder
-        body = subst_formula(f.body, b, Var(f"@b{depth}"))
-        return ("ex", s, _formula_key(body, N, depth + 1))
+    if isinstance(f, (Forall, Exists)):
+        binders = f.binders if isinstance(f, Forall) else (f.binder,)
+        body = subst(f.body, {b: Var(f"@b{depth + i}") for i, (b, _) in enumerate(binders)})
+        return (type(f).__name__, tuple(s for _, s in binders),
+                _formula_key(body, N, depth + len(binders)))
     if isinstance(f, Implies):
         return ("imp", _formula_key(f.ante, N, depth),
                 _formula_key(f.cons, N, depth))
@@ -192,11 +184,9 @@ def _equation(state: _State, needs: str) -> EqF:
     return state.goal
 
 
-def _rewrite_goal(state: _State, walk: Callable[[Expr], Expr],
-                  reason: str) -> None:
-    """Apply walk to every expression of the goal; a goal that comes back
-    as the same object, nothing rebuilt, fails the step with reason."""
-    goal = map_formula(state.goal, walk)
+def _rewrite_goal(state: _State, goal: Formula, reason: str) -> None:
+    """Make goal the goal; a goal that is the same object as before,
+    nothing rebuilt, fails the step with reason."""
     if goal is state.goal:
         raise StepFailed(reason)
     state.goal = goal
@@ -211,6 +201,9 @@ def _do_rewrite(state: _State, step: RewriteWith) -> None:
     pattern, replacement = (h.right, h.left) if step.reverse else (h.left, h.right)
     N = Normalizer()
     pkey = N.atom_key(state.unfold_expr(pattern))
+    # under a series binding a let or a free name of h, that name is not h's
+    shadowed = (free_vars(state.unfold_expr(h.left))
+                | free_vars(state.unfold_expr(h.right)) | state.lets.keys())
     # counted: a replacement that is the very object it matched rewrites
     total = 0
 
@@ -219,11 +212,13 @@ def _do_rewrite(state: _State, step: RewriteWith) -> None:
         if N.atom_key(state.unfold_expr(x)) == pkey:
             total += 1
             return replacement
+        if isinstance(x, SeriesSum) and x.index in shadowed:
+            return x
         return map_children(x, rw)
 
     if not isinstance(state.goal, (EqF, Lt, Ne0, DivergesLeftAt)):
         raise StepFailed("rewriting needs an unquantified goal")
-    state.goal = map_formula(state.goal, rw)
+    state.goal = map_children(state.goal, rw)
     if total == 0:
         side = "right" if step.reverse else "left"
         raise StepFailed(f"no occurrence of the {side}-hand side of {step.hyp!r}")
@@ -232,8 +227,7 @@ def _do_rewrite(state: _State, step: RewriteWith) -> None:
 def _do_unfold(state: _State, step: Unfold) -> None:
     if step.name not in state.lets:
         raise StepFailed(f"{step.name!r} is not a let binding")
-    mapping = {step.name: state.lets[step.name]}
-    _rewrite_goal(state, lambda e: subst_vars(e, mapping),
+    _rewrite_goal(state, subst(state.goal, {step.name: state.lets[step.name]}),
                   f"no occurrence of {step.name!r} in the goal")
 
 
@@ -292,7 +286,7 @@ def _do_specialize(state: _State, step: Specialize) -> None:
         b, sort = h.binder
         name = fresh(b, state.all_names())
         state.vars[name] = sort
-        h = subst_formula(h.body, b, Var(name))
+        h = subst(h.body, {b: Var(name)})
         state.hyps[step.hyp] = h
     if not isinstance(h, Forall):
         raise StepFailed(f"hypothesis {step.hyp!r} is not universally quantified")
@@ -311,7 +305,7 @@ def _do_use(state: _State, step: ExistsIntro) -> None:
     if not isinstance(g, Exists):
         raise StepFailed("use needs an existential goal")
     state.check_symbols(step.witness)
-    state.goal = subst_formula(g.body, g.binder[0], step.witness)
+    state.goal = subst(g.body, {g.binder[0]: step.witness})
 
 
 def _do_apply(state: _State, step: ApplyLemma) -> None:
@@ -320,17 +314,13 @@ def _do_apply(state: _State, step: ApplyLemma) -> None:
         raise StepFailed(f"lemma {step.name!r} is not available")
     lem = entry.theory
     lem_lets = unfold_lets(lem.lets)
-
-    def lem_unfold(f: Formula) -> Formula:
-        return map_formula(f, lambda e: subst_vars(e, lem_lets))
-
     N = Normalizer()
     current = {_formula_key(state.unfold_formula(f), N) for f in state.hyps.values()}
     for hn, hf in lem.hyps:
-        if _formula_key(lem_unfold(hf), N) not in current:
+        if _formula_key(subst(hf, lem_lets), N) not in current:
             raise StepFailed(f"hypothesis {hn!r} of {step.name!r} is not present")
     g = state.goal
-    lg = lem_unfold(lem.goal)
+    lg = subst(lem.goal, lem_lets)
     if isinstance(g, EqF) and isinstance(lg, EqF):
         _, [(ng, dg), (nl, dl)] = _rational_forms(
             state, [Sub(state.unfold_expr(g.left), state.unfold_expr(g.right)),
@@ -357,19 +347,22 @@ def _do_series(state: _State, step: Step) -> None:
     # a body x^i with no other factor, times i when weighted
     shape = ([], 1 if weighted else 0)
 
-    def walk(e: Expr) -> Expr:
+    def walk(e: Expr, bound: frozenset) -> Expr:
         if isinstance(e, SeriesSum) and e.start == 1:
             terms = geometric_terms(e)
-            if terms is not None and terms[:2] == shape:
+            # the obligations on a base cannot speak of an enclosing index
+            if terms is not None and terms[:2] == shape \
+                    and bound.isdisjoint(free_vars(terms[2])):
                 base = terms[2]
                 bases.append(base)
                 if weighted:
                     return Div(base, Pow(Sub(Const(Fraction(1)), base), 2))
                 return Div(base, Sub(Const(Fraction(1)), base))
-        return map_children(e, walk)
+        return map_children(e, lambda c: walk(c, bound | bound_names(e)))
 
     kind = "weighted geometric" if weighted else "geometric"
-    _rewrite_goal(state, walk, f"no {kind} series in the goal")
+    _rewrite_goal(state, map_children(state.goal, lambda e: walk(e, frozenset())),
+                  f"no {kind} series in the goal")
     N = Normalizer()
     distinct: Dict[tuple, Expr] = {}
     for b in bases:
@@ -385,11 +378,11 @@ def _do_index_shift(state: _State, step: IndexShift) -> None:
 
     def walk(e: Expr) -> Expr:
         if isinstance(e, SeriesSum) and e.start == 0:
-            head = substitute(e.body, e.index, Const(Fraction(0)))
+            head = subst(e.body, {e.index: Const(Fraction(0))})
             return Add(head, SeriesSum(e.index, 1, e.body))
         return map_children(e, walk)
 
-    _rewrite_goal(state, walk, "no zero-based series in the goal")
+    _rewrite_goal(state, map_children(state.goal, walk), "no zero-based series in the goal")
 
 
 def _do_deriv_rule(state: _State, step: DerivRule) -> None:
@@ -412,10 +405,11 @@ def _do_deriv_rule(state: _State, step: DerivRule) -> None:
             if shape != step.rule:
                 raise StepFailed(f"top rule is {shape!r}, not {step.rule!r}")
             d = N.to_expr(derivative(p, v))
-            return substitute(d, v, expand(e.arg))
+            return subst(d, {v: expand(e.arg)})
         return map_children(e, expand)
 
-    _rewrite_goal(state, expand, "no derivative of a let binding in the goal")
+    _rewrite_goal(state, map_children(state.goal, expand),
+                  "no derivative of a let binding in the goal")
 
 
 def _classify_poly(p: Poly, v: str) -> Optional[str]:
@@ -434,20 +428,23 @@ def _classify_poly(p: Poly, v: str) -> Optional[str]:
     return None
 
 
-def _chase(e: Expr, u: str, state: _State, hops: int = 3) -> Expr:
-    """Follow pointwise definitions: while e is g(u) and some
-    hypothesis says forall w, g(w) = rhs, replace e by rhs[w := u]."""
+# where the antiderivative steps compare rates: a name no script can use
+_AT = Var("@t")
+
+
+def _chase(e: Expr, state: _State, hops: int = 3) -> Expr:
+    """Follow pointwise definitions: while e is g(@t) and some
+    hypothesis says forall w, g(w) = rhs, replace e by rhs[w := @t]."""
     cur = e
     for _ in range(hops):
-        if not (isinstance(cur, App) and isinstance(cur.fn, str)
-                and cur.arg == Var(u)):
+        if not (isinstance(cur, App) and isinstance(cur.fn, str) and cur.arg == _AT):
             return cur
         d = next((d for d in map(pointwise, state.hyps.values())
                   if d is not None and d[0] == cur.fn), None)
         if d is None:
             return cur
         _, w, rhs = d
-        cur = substitute(rhs, w, Var(u))
+        cur = subst(rhs, {w: _AT})
     return cur
 
 
@@ -460,12 +457,12 @@ def _antideriv_parts(state: _State):
     if not (isinstance(g, Forall) and len(g.binders) == 1
             and isinstance(g.body, EqF)):
         raise StepFailed("goal must be a single universal equation")
-    d = pointwise(g)
+    d = pointwise(state.unfold_formula(g))
     if d is None or not isinstance(d[0], str):
         raise StepFailed("left side must be a function applied to the bound variable")
     F, t, rhs = d
     # a canonical denominator that is constant is 1
-    R, [(rhs_p, den)] = _rational_forms(state, [state.unfold_expr(rhs)])
+    R, [(rhs_p, den)] = _rational_forms(state, [rhs])
     if not den.is_const():
         raise StepFailed("right side must have a constant denominator")
     if t in R.opaque_names(rhs_p):
@@ -479,14 +476,13 @@ def _deriv_hyp_matches(state: _State, F: str, t: str, R: Normalizer,
     closed form equals `want` (written in the bound variable t) in atom
     mode? Atom-mode equality needs no side condition, so a rate such
     as x / x does not match 1."""
+    want_key = R.atom_key(state.unfold_expr(subst(R.to_expr(want), {t: _AT})))
     for d in map(pointwise, state.hyps.values()):
-        if d is None or d[0] != Deriv(F):
-            continue
-        _, u, rhs = d
-        closed = _chase(rhs, u, state)
-        want_expr = substitute(R.to_expr(want), t, Var(u))
-        if R.atom_key(state.unfold_expr(want_expr)) == R.atom_key(state.unfold_expr(closed)):
-            return True
+        if d is not None and d[0] == Deriv(F):
+            _, u, rhs = d
+            closed = _chase(subst(rhs, {u: _AT}), state)
+            if R.atom_key(state.unfold_expr(closed)) == want_key:
+                return True
     return False
 
 

@@ -1,8 +1,11 @@
 """Independent numeric falsification of accepted claims.
 
 Everything here works on raw parsed expressions and plain float
-evaluation; none of the checker's normalization machinery is imported,
-so agreement between the two routes is evidence, not circularity.
+evaluation; none of the checker's normalization machinery is imported.
+So agreement between the two routes is evidence, not circularity, but
+for `formula.subst`: both unfold lets and instantiate quantifiers with
+it, so a fault there can pass one false claim through both (taking the
+oracle off it is ROADMAP Direction 3).
 
 Every goal but a divergence claim takes one path: the theory is
 grounded into real arithmetic without function symbols, and its claims
@@ -40,11 +43,10 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 from .errors import DerivkitError, RejectionStarvation
 from .expr import (SERIES_CUTOFF, Add, App, Const, Deriv, Div, Expr, Mul, Neg,
                    Node, Pow, SeriesSum, Sub, Var, children, eval_expr,
-                   free_vars, map_children, subst_vars, unfold_lets)
+                   free_vars, map_children)
 from .formula import (REAL, STATE, And, DivergesLeftAt, EqF, Exists, Forall,
                       Formula, Implies, Lt, Ne0, Theory, bound_names, fresh,
-                      instantiate_forall, map_formula, pointwise,
-                      subst_formula)
+                      instantiate_forall, pointwise, subst, unfold_lets)
 
 _NE0_MARGIN = 1e-3
 _DRAW_LIMIT = 100_000
@@ -126,16 +128,16 @@ def _equation_plan(names: Sequence[str], hyps: Sequence[Formula]):
     defs: Dict[str, Expr] = {}
     rest = []
     for eq in (f for f in hyps if isinstance(f, EqF)):
-        l, r = subst_vars(eq.left, defs), subst_vars(eq.right, defs)
+        l, r = subst(eq.left, defs), subst(eq.right, defs)
         sides = [(a.name, b) for a, b in ((l, r), (r, l)) if isinstance(a, Var)
                  and a.name in rank and a.name not in free_vars(b)]
         if not sides:
             rest.append((l, r))
             continue
         v, e = max(sides, key=lambda s: rank[s[0]])
-        defs = {k: subst_vars(d, {v: e}) for k, d in defs.items()}
+        defs = {k: subst(d, {v: e}) for k, d in defs.items()}
         defs[v] = e
-    rest = [(subst_vars(l, defs), subst_vars(r, defs)) for l, r in rest]
+    rest = [(subst(l, defs), subst(r, defs)) for l, r in rest]
     return rank, defs, [(l, r, (free_vars(l) | free_vars(r)) & rank.keys())
                         for l, r in rest]
 
@@ -407,8 +409,7 @@ class _Grounder:
         self.known = set(self.declared + self.extra)
         self.polys: Dict[object, list] = {}
         self.atoms: Dict[Tuple[object, Expr], str] = {}
-        hyps, lets = _unfolded_hyps(theory), unfold_lets(theory.lets)
-        goal = map_formula(theory.goal, lambda e: subst_vars(e, lets))
+        hyps, goal = _unfolded_hyps(theory), subst(theory.goal, unfold_lets(theory.lets))
         self.points: List[Expr] = []
         for f in hyps + [goal]:
             self._closed_args(f, frozenset())
@@ -493,7 +494,7 @@ class _Grounder:
             return self.ground(f.left, claim) + self.ground(f.right, claim)
         if isinstance(f, Exists):
             w = self._name(f.binder[0])
-            out = self.ground(subst_formula(f.body, f.binder[0], w), claim)
+            out = self.ground(subst(f.body, {f.binder[0]: w}), claim)
             if claim:
                 if any(w.name in free_vars(arg) for _, arg in self.atoms):
                     raise _Unsupported(f)
@@ -506,7 +507,7 @@ class _Grounder:
             self.hyps += self.ground(f.ante, False)
             return self.ground(f.cons, True)
         if isinstance(f, EqF) or isinstance(f, (Lt, Ne0)) and not claim:
-            return [map_formula(f, self.expr)]
+            return [map_children(f, self.expr)]
         raise _Unsupported(f)
 
 
@@ -603,7 +604,7 @@ def _theory_names(theory: Theory) -> List[str]:
 
 def _unfolded_hyps(theory: Theory) -> List[Formula]:
     lets = unfold_lets(theory.lets)
-    return [map_formula(f, lambda e: subst_vars(e, lets)) for _, f in theory.hyps]
+    return [subst(f, lets) for _, f in theory.hyps]
 
 
 def _truncation_guard(series: Sequence[SeriesSum]):
@@ -669,7 +670,7 @@ def _divergence_parts(theory: Theory):
     """The unfolded expression, its approach variable (the one Real
     variable free in it), the other names to sample, and the point."""
     lets = unfold_lets(theory.lets)
-    body = subst_vars(Var(theory.goal.fn_name), lets)
+    body = lets[theory.goal.fn_name]
     fv = free_vars(body)
     approach = [n for n, s in theory.var_decls if s == REAL and n in fv]
     if len(approach) != 1:
@@ -677,7 +678,7 @@ def _divergence_parts(theory: Theory):
             "the diverging expression needs exactly one free Real variable")
     var = approach[0]
     names = [n for n in _theory_names(theory) if n != var]
-    return body, var, names, subst_vars(theory.goal.point, lets)
+    return body, var, names, subst(theory.goal.point, lets)
 
 
 def _suite_divergence(theory: Theory, plan: SamplePlan) -> NumericReport:

@@ -22,7 +22,8 @@ from fractions import Fraction
 from typing import Dict, List, Tuple
 
 from .expr import (Add, App, Const, Deriv, Div, Expr, Mul, Neg, Pow, SeriesSum,
-                   Sub, Var, free_vars, map_children)
+                   Sub, Var, free_vars)
+from .formula import fresh, subst
 from .poly import ONE, Poly, _gl_key, divexact, poly_gcd, primitive_factor
 
 RatPair = Tuple[Poly, Poly]
@@ -46,17 +47,6 @@ def rat_canon(num: Poly, den: Poly) -> RatPair:
         den = divexact(den, g)
     u = primitive_factor(den)
     return num.scale(u), den.scale(u)
-
-
-def _rename_index(e: Expr, old: str, new: str) -> Expr:
-    if isinstance(e, Var):
-        return Var(new) if e.name == old else e
-    if isinstance(e, SeriesSum) and e.index == old:
-        return e
-    out = map_children(e, lambda c: _rename_index(c, old, new))
-    if isinstance(e, Pow) and e.exp == old:
-        return Pow(out.base, new)
-    return out
 
 
 class Normalizer:
@@ -144,7 +134,9 @@ class Normalizer:
             self.denominators.append(e.base)
             return d ** (-k), n ** (-k)
         if isinstance(e, SeriesSum):
-            body = _rename_index(e.body, e.index, _INDEX_PLACEHOLDER)
+            # an inner series must not capture an outer one's placeholder
+            index = Var(fresh(_INDEX_PLACEHOLDER, free_vars(e)))
+            body = subst(e.body, {e.index: index})
             return self._atom(("series", e.start, self.atom_key(body)), e), ONE
         if isinstance(e, App):
             if isinstance(e.fn, Deriv):

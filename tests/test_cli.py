@@ -253,6 +253,17 @@ def test_check_file_that_is_not_utf8(tmp_path, capsys):
     assert len(err.splitlines()) == 1
 
 
+def test_internal_error_is_one_line_and_exit_2(tmp_path, capsys, monkeypatch):
+    def broken(*args, **kwargs):
+        raise KeyError("name")
+
+    monkeypatch.setattr(cli, "check_theory", broken)
+    code, _, err = run_cli(["check", write(tmp_path, "ok.deriv", OK_SCRIPT)], capsys)
+    assert code == 2
+    assert err == "error: internal error: KeyError: 'name'\n"
+    assert "Traceback" not in err
+
+
 def test_check_syntax_error(tmp_path, capsys):
     p = write(tmp_path, "broken.deriv", "theory ???\n")
     code, _, err = run_cli(["check", p], capsys)

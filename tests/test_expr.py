@@ -11,14 +11,14 @@ from derivkit import expr
 from derivkit.errors import NonIntegerPow, UnboundSymbol
 from derivkit.expr import (SERIES_CUTOFF, Add, App, Const, Deriv, Div, Expr,
                            Formula, Mul, Neg, Node, Pow, SeriesSum, Sub, Var,
-                           children, eval_expr, free_vars, map_children,
-                           subst_vars, substitute, unfold_lets)
+                           children, eval_expr, free_vars, map_children)
 from derivkit.formula import (And, Antideriv, AntiderivConst, ApplyLemma,
                               DerivRule, DivergesLeftAt, EqF, Exists,
                               ExistsIntro, FieldNormalize, Forall, Implies,
                               IndexShift, Intro, LimitDivergenceWitness, Lt,
                               Ne0, RewriteWith, RingClose, SeriesGeom,
-                              SeriesGeomWeighted, Specialize, Step, Unfold)
+                              SeriesGeomWeighted, Specialize, Step, Unfold,
+                              subst, unfold_lets)
 
 
 def ev(e, **vars):
@@ -170,13 +170,13 @@ def test_free_vars_skips_series_index():
 
 def test_substitute_respects_binder():
     s = SeriesSum("i", 1, Mul(Var("i"), Var("x")))
-    assert substitute(s, "x", Var("y")) == SeriesSum("i", 1, Mul(Var("i"), Var("y")))
-    assert substitute(s, "i", Var("z")) == s
+    assert subst(s, {"x": Var("y")}) == SeriesSum("i", 1, Mul(Var("i"), Var("y")))
+    assert subst(s, {"i": Var("z")}) == s
 
 
 def test_substitute_symbolic_exponent_only_by_int():
     s = Pow(Var("x"), "i")
-    assert substitute(s, "i", Const(3)) == Pow(Var("x"), 3)
+    assert subst(s, {"i": Const(3)}) == Pow(Var("x"), 3)
 
 
 @given(st.integers(-50, 50), st.integers(-50, 50))
@@ -328,22 +328,22 @@ def test_traversal_rejects_non_expressions():
 
 def test_subst_vars_is_parallel_and_leaves_the_series_index_alone():
     e = Add(Var("x"), Var("y"))
-    swapped = subst_vars(e, {"x": Var("y"), "y": Var("x")})
+    swapped = subst(e, {"x": Var("y"), "y": Var("x")})
     assert swapped == Add(Var("y"), Var("x"))
     s = SeriesSum("i", 1, Mul(Var("i"), Pow(Var("x"), "i")))
-    got = subst_vars(s, {"i": Const(7), "x": Var("z")})
+    got = subst(s, {"i": Const(7), "x": Var("z")})
     assert got == SeriesSum("i", 1, Mul(Var("i"), Pow(Var("z"), "i")))
 
 
 def test_subst_vars_returns_the_expression_itself_when_no_name_is_free():
     s = SeriesSum("i", 1, Mul(Var("i"), Pow(Var("x"), "i")))
     for e in (Add(Var("x"), Const(1)), s, Mul(Var("y"), s)):
-        assert subst_vars(e, {"i": Const(7), "w": Var("z")}) is e
-    assert subst_vars(s, {"i": Const(7), "x": Var("z")}) is not s
+        assert subst(e, {"i": Const(7), "w": Var("z")}) is e
+    assert subst(s, {"i": Const(7), "x": Var("z")}) is not s
 
 
 def test_unfold_lets_expands_earlier_bindings():
     lets = (("u", Add(Var("x"), Const(1))), ("w", Mul(Var("u"), Var("u"))))
     got = unfold_lets(lets)
     assert got["w"] == Mul(Add(Var("x"), Const(1)), Add(Var("x"), Const(1)))
-    assert subst_vars(Var("w"), got) == got["w"]
+    assert subst(Var("w"), got) == got["w"]

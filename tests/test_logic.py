@@ -3,7 +3,7 @@
 from derivkit.expr import Add, App, Const, Deriv, Mul, Var
 from derivkit.formula import (EqF, Exists, Forall, Implies, Lt, Ne0, REAL,
                               formula_free_vars, instantiate_forall,
-                              pointwise, subst_formula)
+                              pointwise, subst)
 
 x, y, z = Var("x"), Var("y"), Var("z")
 
@@ -22,15 +22,15 @@ def test_free_vars_respect_binders():
 
 def test_subst_avoids_bound_names():
     f = Forall((("x", REAL),), EqF(x, y))
-    out = subst_formula(f, "x", Const(5))
+    out = subst(f, {"x": Const(5)})
     assert out == f
-    out = subst_formula(f, "y", Const(5))
+    out = subst(f, {"y": Const(5)})
     assert out == Forall((("x", REAL),), EqF(x, Const(5)))
 
 
 def test_subst_capture_avoidance():
     f = Forall((("x", REAL),), EqF(x, y))
-    out = subst_formula(f, "y", x)
+    out = subst(f, {"y": x})
     binder = out.binders[0][0]
     assert binder != "x"
     assert out.body == EqF(Var(binder), x)
@@ -39,7 +39,7 @@ def test_subst_capture_avoidance():
 def test_subst_renames_an_exists_binder_it_would_capture():
     # exists y, y = x with x := y + 1 is exists y', y' = y + 1
     f = Exists(("y", REAL), EqF(y, x))
-    out = subst_formula(f, "x", Add(y, Const(1)))
+    out = subst(f, {"x": Add(y, Const(1))})
     assert out == Exists(("y'", REAL), EqF(Var("y'"), Add(y, Const(1))))
 
 
@@ -57,7 +57,7 @@ def test_instantiate_partial():
 
 def test_subst_inside_app():
     f = EqF(App("f", x), y)
-    assert subst_formula(f, "x", Const(2)) == EqF(App("f", Const(2)), y)
+    assert subst(f, {"x": Const(2)}) == EqF(App("f", Const(2)), y)
 
 
 def test_pointwise_definitions_of_a_function_or_its_derivative():
