@@ -22,7 +22,7 @@ from .kernel import (CheckResult, LemmaEntry, LemmaPool, NUMERIC_CERTIFIED,
                      check_theory)
 from .numcheck import NumericReport, SamplePlan, run_suite
 from .parser import parse_theories
-from .theories import build_pool, dependency_order, load_theory, registry
+from .theories import build_pool, load_theory, registry
 
 Outcome = Tuple[Theory, CheckResult, Optional[NumericReport], int]
 
@@ -155,14 +155,13 @@ def cmd_check(args) -> int:
 
 def cmd_builtin(args) -> int:
     plan = _plan(args)
-    entries = registry()
-    deps = {e.name: e.depends_on for e in entries}
+    deps = {e.name: e.depends_on for e in registry()}
     if not args.all and args.name not in deps:
         print(f"error: no builtin theory named {args.name!r}", file=sys.stderr)
         return 2
     if args.all:
-        # in dependency order, each theory sees those before it as lemmas
-        names, pool = [e.name for e in dependency_order(entries)], {}
+        # in registry order, each theory sees those before it as lemmas
+        names, pool = list(deps), {}
     else:
         names, (pool, _) = [args.name], build_pool(args.seed, deps[args.name])
     theories = [load_theory(n) for n in names]

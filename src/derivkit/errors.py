@@ -82,9 +82,5 @@ class GoalNotClosed(DerivkitError):
     """Proof script ran out of steps with the goal still open."""
 
 
-class CyclicDependency(DerivkitError):
-    """Theory dependency graph contains a cycle."""
-
-
 class RejectionStarvation(DerivkitError):
     """Sampler could not find points satisfying the hypotheses."""

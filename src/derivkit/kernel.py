@@ -117,14 +117,11 @@ class _State:
         return (set(self.vars) | set(self.fns) | set(self.consts)
                 | set(self.lets) | set(self.hyps))
 
-    def unfold_expr(self, e: Expr) -> Expr:
-        return subst(e, self.unfolded)
-
-    def unfold_formula(self, f: Formula) -> Formula:
-        return subst(f, self.unfolded)
+    def unfold(self, x: Node) -> Node:
+        return subst(x, self.unfolded)
 
     def facts(self) -> List[Tuple[str, Formula]]:
-        return [(n, self.unfold_formula(f)) for n, f in self.hyps.items()]
+        return [(n, self.unfold(f)) for n, f in self.hyps.items()]
 
     def check_symbols(self, x: Node) -> None:
         """Every symbol of a script-supplied term or formula must be in
@@ -160,7 +157,7 @@ def _formula_key(f: Formula, N: Normalizer, depth: int = 0) -> tuple:
 
 def _ring_equal(state: _State, g: EqF) -> bool:
     N = Normalizer()
-    return N.atom_key(state.unfold_expr(g.left)) == N.atom_key(state.unfold_expr(g.right))
+    return N.atom_key(state.unfold(g.left)) == N.atom_key(state.unfold(g.right))
 
 
 # ---------------------------------------------------------------------------
@@ -200,16 +197,16 @@ def _do_rewrite(state: _State, step: RewriteWith) -> None:
         raise StepFailed(f"hypothesis {step.hyp!r} is not an equation")
     pattern, replacement = (h.right, h.left) if step.reverse else (h.left, h.right)
     N = Normalizer()
-    pkey = N.atom_key(state.unfold_expr(pattern))
+    pkey = N.atom_key(state.unfold(pattern))
     # under a series binding a let or a free name of h, that name is not h's
-    shadowed = (free_vars(state.unfold_expr(h.left))
-                | free_vars(state.unfold_expr(h.right)) | state.lets.keys())
+    shadowed = (free_vars(state.unfold(h.left))
+                | free_vars(state.unfold(h.right)) | state.lets.keys())
     # counted: a replacement that is the very object it matched rewrites
     total = 0
 
     def rw(x: Expr) -> Expr:
         nonlocal total
-        if N.atom_key(state.unfold_expr(x)) == pkey:
+        if N.atom_key(state.unfold(x)) == pkey:
             total += 1
             return replacement
         if isinstance(x, SeriesSum) and x.index in shadowed:
@@ -249,7 +246,7 @@ def _rational_forms(state: _State, exprs: List[Expr]):
 def _do_field_normalize(state: _State, step: FieldNormalize) -> None:
     g = _equation(state, "field_normalize needs")
     R, [(nL, dL), (nR, dR)] = _rational_forms(
-        state, [state.unfold_expr(g.left), state.unfold_expr(g.right)])
+        state, [state.unfold(g.left), state.unfold(g.right)])
     state.goal = EqF(R.to_expr(nL * dR), R.to_expr(nR * dL))
 
 
@@ -315,7 +312,7 @@ def _do_apply(state: _State, step: ApplyLemma) -> None:
     lem = entry.theory
     lem_lets = unfold_lets(lem.lets)
     N = Normalizer()
-    current = {_formula_key(state.unfold_formula(f), N) for f in state.hyps.values()}
+    current = {_formula_key(state.unfold(f), N) for f in state.hyps.values()}
     for hn, hf in lem.hyps:
         if _formula_key(subst(hf, lem_lets), N) not in current:
             raise StepFailed(f"hypothesis {hn!r} of {step.name!r} is not present")
@@ -323,7 +320,7 @@ def _do_apply(state: _State, step: ApplyLemma) -> None:
     lg = subst(lem.goal, lem_lets)
     if isinstance(g, EqF) and isinstance(lg, EqF):
         _, [(ng, dg), (nl, dl)] = _rational_forms(
-            state, [Sub(state.unfold_expr(g.left), state.unfold_expr(g.right)),
+            state, [Sub(state.unfold(g.left), state.unfold(g.right)),
                     Sub(lg.left, lg.right)])
         if nl.is_zero():
             if not ng.is_zero():
@@ -366,7 +363,7 @@ def _do_series(state: _State, step: Step) -> None:
     N = Normalizer()
     distinct: Dict[tuple, Expr] = {}
     for b in bases:
-        ub = state.unfold_expr(b)
+        ub = state.unfold(b)
         distinct.setdefault(N.atom_key(ub), ub)
     for ub in distinct.values():
         _discharge_or_fail(state, Lt(Const(Fraction(0)), ub))
@@ -457,7 +454,7 @@ def _antideriv_parts(state: _State):
     if not (isinstance(g, Forall) and len(g.binders) == 1
             and isinstance(g.body, EqF)):
         raise StepFailed("goal must be a single universal equation")
-    d = pointwise(state.unfold_formula(g))
+    d = pointwise(state.unfold(g))
     if d is None or not isinstance(d[0], str):
         raise StepFailed("left side must be a function applied to the bound variable")
     F, t, rhs = d
@@ -476,12 +473,12 @@ def _deriv_hyp_matches(state: _State, F: str, t: str, R: Normalizer,
     closed form equals `want` (written in the bound variable t) in atom
     mode? Atom-mode equality needs no side condition, so a rate such
     as x / x does not match 1."""
-    want_key = R.atom_key(state.unfold_expr(subst(R.to_expr(want), {t: _AT})))
+    want_key = R.atom_key(state.unfold(subst(R.to_expr(want), {t: _AT})))
     for d in map(pointwise, state.hyps.values()):
         if d is not None and d[0] == Deriv(F):
             _, u, rhs = d
             closed = _chase(subst(rhs, {u: _AT}), state)
-            if R.atom_key(state.unfold_expr(closed)) == want_key:
+            if R.atom_key(state.unfold(closed)) == want_key:
                 return True
     return False
 
@@ -527,7 +524,7 @@ def _do_limit_witness(state: _State, step: LimitDivergenceWitness) -> None:
     if g.fn_name not in state.lets:
         raise StepFailed(f"{g.fn_name!r} is not a let binding")
     body = state.unfolded[g.fn_name]
-    point = state.unfold_expr(g.point)
+    point = state.unfold(g.point)
     fv = free_vars(body)
     approach = [v for v in fv if v in state.vars]
     if len(approach) != 1:
@@ -577,7 +574,7 @@ def _goal_holds(state: _State) -> bool:
         return _ring_equal(state, g)
     if isinstance(g, (Ne0, Lt)):
         try:
-            discharge(state.facts(), state.unfold_formula(g), state.points)
+            discharge(state.facts(), state.unfold(g), state.points)
             return True
         except (NotDerivable, SearchBudgetExhausted):
             return False

@@ -21,7 +21,11 @@ bounds change which candidates are proposed, never which are accepted.
 Disequalities are rejected with a safety margin so sampled identities
 stay well conditioned. A series is summed to SERIES_CUTOFF terms; the
 closed loop of `eval_expr` stops early only when no later term can
-change the sum, so the value is exactly that partial sum.
+change the sum, so the value is exactly that partial sum. A sample is
+rejected where a series of a claim has a term above 1e-12 at the
+cutoff. A series in which an enclosing index occurs free is not
+guarded on its own: it is evaluated within the term of the enclosing
+series, which is guarded.
 
 A divergence claim gets left-approach tables, and one judge,
 `divergence_witness`, passes a table only when it is finite,
@@ -100,6 +104,21 @@ def _nodes(e: Expr):
         n = stack.pop()
         yield n
         stack.extend(reversed(children(n)))
+
+
+def _guarded_series(e: Expr) -> List[SeriesSum]:
+    """The series of e, left to right, but for those in which an
+    enclosing index occurs free: such a series has no value on a
+    sample alone, only inside the term of the series around it."""
+    out, stack = [], [(e, frozenset())]
+    while stack:
+        n, bound = stack.pop()
+        if isinstance(n, SeriesSum):
+            if not bound & free_vars(n):
+                out.append(n)
+            bound = bound | {n.index}
+        stack.extend((c, bound) for c in reversed(children(n)))
+    return out
 
 
 def _no_states(e: Expr) -> bool:
@@ -637,8 +656,8 @@ def run_suite(theory: Theory, plan: SamplePlan) -> Optional[NumericReport]:
     names, hyps, claims, apps = grounded
     if not claims:
         return None
-    series = [n for c in claims for side in (c.left, c.right)
-              for n in _nodes(side) if isinstance(n, SeriesSum)]
+    series = [s for c in claims for side in (c.left, c.right)
+              for s in _guarded_series(side)]
     guard = _truncation_guard(series) if series else None
     envs = sample_envs(names, hyps, plan, theory.name, guard)
     if _incongruent(apps, envs):

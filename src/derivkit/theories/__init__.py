@@ -2,9 +2,11 @@
 
 Each entry names a .deriv script shipped next to this module, the
 lemmas it applies or presupposes, and a citation into the historical
-literature the derivation formalizes. Checking the registry in order
-is the package's own regression suite: every entry must come out
-accepted, eighteen symbolically and brunauer_27 by numeric witness.
+literature the derivation formalizes. Every entry comes after the
+entries it depends on, so the registry order is a dependency order.
+Checking the registry in order is the package's own regression suite:
+every entry must come out accepted, eighteen symbolically and
+brunauer_27 by numeric witness.
 """
 
 from __future__ import annotations
@@ -12,7 +14,6 @@ from __future__ import annotations
 import os
 from typing import Collection, Dict, List, Optional, Tuple
 
-from ..errors import CyclicDependency
 from ..expr import Node
 from ..formula import Theory
 from ..kernel import CheckResult, LemmaEntry, LemmaPool, check_theory
@@ -86,47 +87,27 @@ def load_theory(name: str) -> Theory:
     return parse_theory(load_script(name))
 
 
-def dependency_order(entries: List[TheoryEntry],
-                     roots: Optional[Collection[str]] = None) -> List[TheoryEntry]:
-    """Entries reordered so dependencies precede dependents.
-
-    With `roots`, only the entries named there and what they depend on,
-    transitively.
-    """
-    by_name = {e.name: e for e in entries}
-    done: Dict[str, bool] = {}
-    out: List[TheoryEntry] = []
-
-    def visit(name: str, stack: Tuple[str, ...]):
-        if done.get(name):
-            return
-        if name in stack:
-            raise CyclicDependency(" -> ".join(stack + (name,)))
-        entry = by_name.get(name)
-        if entry is None:
-            return
-        for dep in entry.depends_on:
-            visit(dep, stack + (name,))
-        done[name] = True
-        out.append(entry)
-
-    for e in entries:
-        if roots is None or e.name in roots:
-            visit(e.name, ())
-    return out
-
-
 def build_pool(seed: int = 0, names: Optional[Collection[str]] = None
                ) -> Tuple[LemmaPool, Dict[str, CheckResult]]:
-    """Check registry entries in dependency order.
+    """Check registry entries in registry order, which lists every entry
+    after the entries it depends on.
 
     By default the whole registry; with `names`, only those entries and
     their dependencies. Returns the lemma pool (for checking user
     scripts against) and the per-theory results.
     """
+    entries = registry()
+    if names is not None:
+        # one backward pass collects the closure: a dependent comes
+        # after its dependencies, so it is seen first
+        want = set(names)
+        for e in reversed(entries):
+            if e.name in want:
+                want.update(e.depends_on)
+        entries = [e for e in entries if e.name in want]
     pool: LemmaPool = {}
     results: Dict[str, CheckResult] = {}
-    for entry in dependency_order(registry(), names):
+    for entry in entries:
         theory = parse_theory(entry.script)
         res = check_theory(theory, pool, seed)
         pool[theory.name] = LemmaEntry(theory, res.accepted)

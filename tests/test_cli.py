@@ -136,6 +136,29 @@ def test_check_json_reports_the_oracle_at_an_implicit_state(tmp_path, capsys):
     assert rec["numeric"] == {"seed": 0, "samples": 100, "worst_residual": 0.0}
 
 
+NESTED_SERIES = """\
+theory nested
+  vars x y : Real
+  hyp hx0 : 0 < x
+  hyp hx1 : x < 1
+  hyp hy0 : 0 < y
+  hyp hy1 : y < 1
+  goal sum[i>=1](x^i * sum[j>=1](i * y^j)) = sum[i>=1](sum[j>=1](i * y^j) * x^i)
+  proof
+    ring
+  qed
+"""
+
+
+def test_check_accepts_a_true_claim_with_a_nested_series(tmp_path, capsys):
+    # the oracle evaluates the inner series only inside the outer body,
+    # where the outer index is bound
+    p = write(tmp_path, "nested.deriv", NESTED_SERIES)
+    code, out, err = run_cli(["check", p, "--samples", "5"], capsys)
+    assert (code, err) == (0, "")
+    assert out.startswith("nested: Accepted (Symbolic)")
+
+
 def test_readme_example_checks(tmp_path, capsys):
     readme = Path(__file__).resolve().parents[1] / "README.md"
     block = readme.read_text("utf-8").split("```text\ntheory scaled_series\n")[1]

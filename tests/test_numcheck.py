@@ -529,3 +529,31 @@ def test_oracle_module_keeps_its_own_route():
                 if alias.name.startswith("derivkit"):
                     bad.append(alias.name)
     assert bad == []
+
+
+NESTED = ("theory nested\n  vars x y : Real\n"
+          "  hyp hx0 : 0 < x\n  hyp hx1 : x < 1\n"
+          "  hyp hy0 : 0 < y\n  hyp hy1 : y < 1\n"
+          "  goal GOAL\n  proof\n    ring\n  qed\n")
+
+
+def test_suite_guard_skips_a_series_that_holds_an_enclosing_index():
+    # the inner body holds the outer index i, so only the outer series
+    # is guarded; the claim is false, 2 * i on the right
+    off = NESTED.replace("GOAL", "sum[i>=1](x^i * sum[j>=1](i * y^j))"
+                                 " = sum[i>=1](sum[j>=1](2 * i * y^j) * x^i)")
+    rep = run_suite(parse_theory(off), plan(count=5))
+    assert rep.label == "identity"
+    assert not rep.passed
+    assert rep.worst_residual > 0.1
+
+
+def test_suite_guards_an_inner_series_free_of_the_outer_index():
+    # true; samples with y so close to 1 that the inner series has not
+    # converged by the cutoff must be skipped, though the outer term
+    # at the cutoff is tiny
+    true = parse_theory(NESTED.replace(
+        "GOAL", "sum[i>=1](x^i * sum[j>=1](y^j)) = x / (1 - x) * (y / (1 - y))"))
+    for seed in range(4):
+        rep = run_suite(true, plan(seed=seed, count=100))
+        assert rep.passed, (seed, rep.worst_residual)

@@ -4,11 +4,10 @@ from importlib import resources
 
 import pytest
 
-from derivkit.errors import CyclicDependency
+from derivkit.formula import ApplyLemma
 from derivkit.kernel import NUMERIC_CERTIFIED, SYMBOLIC, check_theory
 from derivkit.parser import parse_theory
-from derivkit.theories import (TheoryEntry, dependency_order, load_script,
-                               load_theory, registry)
+from derivkit.theories import build_pool, load_script, load_theory, registry
 
 
 def test_registry_has_nineteen_entries():
@@ -43,26 +42,21 @@ def test_reconstructed_flags():
     assert rec == {"charles_from_ideal_gas", "avogadro_from_ideal_gas"}
 
 
-def test_dependency_order_is_topological():
-    ordered = dependency_order(registry())
+def test_registry_order_is_a_dependency_order():
+    # every entry names, and applies, only entries listed before it
     seen = set()
-    for e in ordered:
-        assert all(d in seen for d in e.depends_on), e.name
+    for e in registry():
+        assert set(e.depends_on) <= seen, e.name
+        applied = {s.name for s in parse_theory(e.script).steps
+                   if isinstance(s, ApplyLemma)}
+        assert applied <= seen, e.name
         seen.add(e.name)
-    assert seen == {e.name for e in registry()}
 
 
 def test_dependency_order_from_roots_is_their_closure():
-    ordered = dependency_order(registry(), {"torricelli_scalar", "nope"})
-    assert [e.name for e in ordered] == [
+    _, results = build_pool(0, {"torricelli_scalar", "nope"})
+    assert list(results) == [
         "const_accel", "const_accel'", "torricelli_scalar"]
-
-
-def test_dependency_order_detects_cycles():
-    a = TheoryEntry("a", "", ("b",), "x")
-    b = TheoryEntry("b", "", ("a",), "x")
-    with pytest.raises(CyclicDependency):
-        dependency_order([a, b])
 
 
 def test_load_theory_roundtrip():
