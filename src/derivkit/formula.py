@@ -14,7 +14,10 @@ The scope rule is here once: the parser checks declarations and the
 kernel checks script terms with `unbound_symbol`, both read
 `Theory.implicit_states`, and `fresh` makes every primed name. So is
 substitution: `subst` replaces names in terms and formulas without
-capture, for the kernel, the oracle and the normalizer alike.
+capture, for the kernel, the oracle and the normalizer alike. So is a
+visit that knows the binders: `walk` gives each node with the names
+bound around it, for the oracle's series guard, application test and
+grounding and for the parser's binder sorts.
 """
 
 from __future__ import annotations
@@ -91,6 +94,24 @@ def bound_names(x: Node) -> set:
     return set()
 
 
+def walk(x: Node):
+    """(node, bound) for every node of the term or formula x, parents
+    before children and left to right; bound is the frozenset of names
+    that the series indices and quantifier binders enclosing node bind
+    around it, not counting node's own. An explicit stack keeps a long
+    flat sum from deep recursion."""
+    stack = [(x, frozenset())]
+    while stack:
+        item = stack.pop()
+        yield item
+        n, bound = item
+        cs = children(n)
+        if cs:
+            if isinstance(n, (SeriesSum, Forall, Exists)):
+                bound = bound | bound_names(n)
+            stack.extend([(c, bound) for c in reversed(cs)])
+
+
 def formula_free_vars(f: Formula) -> set:
     fv = set()
     for p in children(f):
@@ -107,7 +128,7 @@ def unbound_symbol(x: Node, names: Collection[str], fns: Collection[str],
     symbolic exponent must be the index of an enclosing series, checked
     after the exponent's base."""
 
-    def walk(x: Node, names, indices) -> Optional[str]:
+    def scan(x: Node, names, indices) -> Optional[str]:
         if isinstance(x, Var):
             if x.name not in names:
                 return x.name
@@ -122,14 +143,14 @@ def unbound_symbol(x: Node, names: Collection[str], fns: Collection[str],
             indices = indices | {x.index}
         names = names | bound_names(x)
         for c in children(x):
-            bad = walk(c, names, indices)
+            bad = scan(c, names, indices)
             if bad is not None:
                 return bad
         if isinstance(x, Pow) and isinstance(x.exp, str) and x.exp not in indices:
             return x.exp
         return None
 
-    return walk(x, frozenset(names), frozenset())
+    return scan(x, frozenset(names), frozenset())
 
 
 def fresh(base: str, avoid: Collection[str]) -> str:

@@ -27,6 +27,12 @@ cutoff. A series in which an enclosing index occurs free is not
 guarded on its own: it is evaluated within the term of the enclosing
 series, which is guarded.
 
+Trees are visited here with `formula.walk`, which gives each node with
+the names bound around it: by the series guard, the test for a term
+without applications, the grounder's closed arguments and its refusal
+of an application at a series index, and the names a grounded theory
+uses.
+
 A divergence claim gets left-approach tables, and one judge,
 `divergence_witness`, passes a table only when it is finite,
 nonnegative, strictly increasing and ends above 1e6. The kernel's
@@ -49,8 +55,8 @@ from .expr import (SERIES_CUTOFF, Add, App, Const, Deriv, Div, Expr, Mul, Neg,
                    Node, Pow, SeriesSum, Sub, Var, children, eval_expr,
                    free_vars, map_children)
 from .formula import (REAL, STATE, And, DivergesLeftAt, EqF, Exists, Forall,
-                      Formula, Implies, Lt, Ne0, Theory, bound_names, fresh,
-                      instantiate_forall, pointwise, subst, unfold_lets)
+                      Formula, Implies, Lt, Ne0, Theory, fresh,
+                      instantiate_forall, pointwise, subst, unfold_lets, walk)
 
 _NE0_MARGIN = 1e-3
 _DRAW_LIMIT = 100_000
@@ -96,33 +102,16 @@ def _close(l: float, r: float) -> bool:
     return math.isfinite(l) and abs(l - r) <= _REL_TOL * max(1.0, abs(l), abs(r))
 
 
-def _nodes(e: Expr):
-    """Every node of e, parents before children, walked with an
-    explicit stack so that a long flat sum needs no deep recursion."""
-    stack = [e]
-    while stack:
-        n = stack.pop()
-        yield n
-        stack.extend(reversed(children(n)))
-
-
 def _guarded_series(e: Expr) -> List[SeriesSum]:
     """The series of e, left to right, but for those in which an
     enclosing index occurs free: such a series has no value on a
     sample alone, only inside the term of the series around it."""
-    out, stack = [], [(e, frozenset())]
-    while stack:
-        n, bound = stack.pop()
-        if isinstance(n, SeriesSum):
-            if not bound & free_vars(n):
-                out.append(n)
-            bound = bound | {n.index}
-        stack.extend((c, bound) for c in reversed(children(n)))
-    return out
+    return [n for n, bound in walk(e)
+            if isinstance(n, SeriesSum) and not bound & free_vars(n)]
 
 
 def _no_states(e: Expr) -> bool:
-    return not any(isinstance(n, App) for n in _nodes(e))
+    return not any(isinstance(n, App) for n, _ in walk(e))
 
 
 # ---------------------------------------------------------------------------
@@ -418,8 +407,9 @@ class _Grounder:
     the closed arguments, then _FRESH_POINTS sampled names.
     (c) Every other `forall` takes all tuples of points, an `exists` a
     fresh name; a claimed `exists` takes its first instance that names
-    the witness as a hypothesis. Anything else, and a claimed witness
-    inside an application's argument, raises _Unsupported."""
+    the witness as a hypothesis. Anything else, an application whose
+    argument holds a series index, and a claimed witness inside an
+    application's argument, raises _Unsupported."""
 
     def __init__(self, theory: Theory):
         self.declared = _theory_names(theory)
@@ -429,10 +419,9 @@ class _Grounder:
         self.polys: Dict[object, list] = {}
         self.atoms: Dict[Tuple[object, Expr], str] = {}
         hyps, goal = _unfolded_hyps(theory), subst(theory.goal, unfold_lets(theory.lets))
-        self.points: List[Expr] = []
-        for f in hyps + [goal]:
-            self._closed_args(f, frozenset())
-        self.points = list(dict.fromkeys(self.points))
+        self.points: List[Expr] = list(dict.fromkeys(
+            n.arg for f in hyps + [goal] for n, bound in walk(f)
+            if isinstance(n, App) and free_vars(n.arg) <= self.known - bound))
         self.points += [self._name(f"#{k}") for k in range(1, _FRESH_POINTS + 1)]
         self.hyps: List[Formula] = []
         for f in self._define(hyps):
@@ -445,15 +434,6 @@ class _Grounder:
         self.known.add(name)
         self.extra.append(name)
         return Var(name)
-
-    def _closed_args(self, f: Formula, bound: frozenset) -> None:
-        bound = bound | bound_names(f)
-        for part in children(f):
-            if isinstance(part, Expr):
-                self.points += [n.arg for n in _nodes(part) if isinstance(n, App)
-                                and free_vars(n.arg) <= self.known - bound]
-            else:
-                self._closed_args(part, bound)
 
     def _define(self, hyps: List[Formula]) -> List[Formula]:
         """The hypotheses left after taking out pointwise definitions."""
@@ -526,6 +506,10 @@ class _Grounder:
             self.hyps += self.ground(f.ante, False)
             return self.ground(f.cons, True)
         if isinstance(f, EqF) or isinstance(f, (Lt, Ne0)) and not claim:
+            # an application at a series index has no sampled value,
+            # even where the index shares a declared name
+            if any(isinstance(n, App) and bound & free_vars(n.arg) for n, bound in walk(f)):
+                raise _Unsupported(f)
             return [map_children(f, self.expr)]
         raise _Unsupported(f)
 
@@ -539,11 +523,7 @@ def _ground(theory: Theory):
         g = _Grounder(theory)
     except _Unsupported:
         return None
-    used, stack = set(), g.hyps + g.claims
-    while stack:
-        for part in children(stack.pop()):
-            if isinstance(part, Expr):
-                used.update(n.name for n in _nodes(part) if isinstance(n, Var))
+    used = {n.name for f in g.hyps + g.claims for n, _ in walk(f) if isinstance(n, Var)}
     # an argument is grounded before its application is named, so
     # taking the latest application first finds those nested in it
     apps = []

@@ -25,10 +25,10 @@ from typing import List, Tuple
 
 from .errors import DerivSyntaxError, DuplicateName, UndeclaredSymbol
 from .expr import (Add, App, Const, Deriv, Div, Expr, Mul, Neg, Pow, SeriesSum,
-                   Sub, Var, children)
+                   Sub, Var)
 from .formula import (And, DivergesLeftAt, EqF, Exists, Forall, Formula,
                       Implies, Lt, Ne0, REAL, STATE, STEPS, Step, Theory,
-                      bound_names, unbound_symbol)
+                      unbound_symbol, walk)
 
 RESERVED = {
     "theory", "vars", "fns", "const", "hyp", "let", "goal", "proof", "qed",
@@ -482,13 +482,8 @@ class _Parser:
 def _binder_sort(name: str, body: Formula) -> str:
     """A binder that ever appears directly as a function argument is a
     state; anything else is a real."""
-
-    def walk(x) -> bool:
-        if isinstance(x, App) and isinstance(x.arg, Var) and x.arg.name == name:
-            return True
-        return name not in bound_names(x) and any(map(walk, children(x)))
-
-    return STATE if walk(body) else REAL
+    return STATE if any(isinstance(n, App) and n.arg == Var(name) and name not in bound
+                        for n, bound in walk(body)) else REAL
 
 
 # ---------------------------------------------------------------------------

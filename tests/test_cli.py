@@ -159,6 +159,32 @@ def test_check_accepts_a_true_claim_with_a_nested_series(tmp_path, capsys):
     assert out.startswith("nested: Accepted (Symbolic)")
 
 
+SHADOW = """\
+theory shadow
+  vars x y : Real
+  fns f : State->Real
+  hyp hy : 0 < y
+  hyp hy1 : y < 1
+  goal sum[x>=0](f(x) * y^x) = f(0) + sum[x>=1](f(x) * y^x)
+  proof
+    index_shift
+    ring
+  qed
+"""
+
+
+def test_check_gives_a_series_index_one_verdict_under_either_name(tmp_path, capsys):
+    # f(x) in the series is f at the index, not at the declared x, so
+    # renaming the index to i changes nothing
+    renamed = SHADOW.replace("[x>=", "[i>=").replace("(x) * y^x", "(i) * y^i")
+    files = [write(tmp_path, "shadow.deriv", SHADOW),
+             write(tmp_path, "renamed.deriv", renamed)]
+    code, out, err = run_cli(["check"] + files, capsys)
+    assert (code, err) == (0, "")
+    assert [line.split("  [")[0] for line in out.splitlines()] \
+        == ["shadow: Accepted (Symbolic)"] * 2
+
+
 def test_readme_example_checks(tmp_path, capsys):
     readme = Path(__file__).resolve().parents[1] / "README.md"
     block = readme.read_text("utf-8").split("```text\ntheory scaled_series\n")[1]

@@ -742,6 +742,12 @@ REFUSALS = {
         "fns F G : State->Real", "hyp hd : forall u, deriv(F)(u) = 1",
         "forall t, F(t) = F(0) + G(t)", "antideriv_const",
         "opaque terms on the right must not involve the bound variable"),
+    "rw quantified goal": (
+        "vars x : Real", "hyp h : x = 1", "forall t, t * x = t", "rw h",
+        "rewriting needs an unquantified goal"),
+    "specialize unquantified hypothesis": (
+        "vars x : Real", "hyp h : x = 1", "x = 1", "specialize h x",
+        "hypothesis 'h' is not universally quantified"),
     "deriv_rule not polynomial": (
         "vars t u : Real\n  let q := 1 / t", "", "deriv(q)(u) = 0",
         "deriv_rule const", "'q' is not polynomial in 't'"),

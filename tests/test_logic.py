@@ -1,9 +1,9 @@
-"""Formula layer: free variables, substitution, instantiation."""
+"""Formula layer: free variables, substitution, instantiation, walking."""
 
-from derivkit.expr import Add, App, Const, Deriv, Mul, Var
-from derivkit.formula import (EqF, Exists, Forall, Implies, Lt, Ne0, REAL,
+from derivkit.expr import Add, App, Const, Deriv, Mul, SeriesSum, Var
+from derivkit.formula import (And, EqF, Exists, Forall, Implies, Lt, Ne0, REAL,
                               formula_free_vars, instantiate_forall,
-                              pointwise, subst)
+                              pointwise, subst, walk)
 
 x, y, z = Var("x"), Var("y"), Var("z")
 
@@ -71,3 +71,39 @@ def test_pointwise_definitions_of_a_function_or_its_derivative():
     assert pointwise(Forall((("t", REAL), ("u", REAL)), EqF(App("g", t), rhs))) is None
     assert pointwise(Forall((("t", REAL),), Lt(App("g", t), rhs))) is None
     assert pointwise(EqF(App("g", x), rhs)) is None
+
+
+def test_walk_visits_each_node_once_in_preorder_left_to_right():
+    a, b = App("f", x), Mul(y, z)
+    f = Implies(Lt(Const(0), x), EqF(a, b))
+    assert [n for n, _ in walk(f)] == [f, f.ante, Const(0), x, f.cons, a, x, b, y, z]
+    assert [n for n, _ in walk(x)] == [x]
+
+
+def test_walk_bound_sets():
+    i, u = Var("i"), Var("u")
+    s = SeriesSum("i", 0, Mul(i, x))
+    inner = Exists(("x", REAL), EqF(x, u))
+    f = Forall((("u", REAL), ("x", REAL)), And(EqF(s, i), inner))
+    bound = {}
+    for n, b in walk(f):
+        bound.setdefault(n, []).append(b)
+    ux = frozenset({"u", "x"})
+    # a node's own binders are not in its own set
+    assert bound[f] == [frozenset()]
+    assert bound[s] == [ux]
+    # an index is bound inside its series body only
+    assert bound[Mul(i, x)] == [ux | {"i"}]
+    assert bound[i] == [ux | {"i"}, ux]
+    # binders inside their quantifier's body; an inner binder shadows
+    # an outer one of the same name
+    assert bound[inner] == [ux]
+    assert bound[EqF(x, u)] == [ux]
+    assert bound[u] == [ux]
+
+
+def test_walk_takes_a_long_flat_sum_without_deep_recursion():
+    e = x
+    for k in range(5000):
+        e = Add(e, Const(k))
+    assert sum(1 for _ in walk(EqF(e, y))) == 1 + 5000 * 2 + 1 + 1

@@ -557,3 +557,39 @@ def test_suite_guards_an_inner_series_free_of_the_outer_index():
     for seed in range(4):
         rep = run_suite(true, plan(seed=seed, count=100))
         assert rep.passed, (seed, rep.worst_residual)
+
+
+SHADOW = ("theory shadow\n  vars x y : Real\n  fns f : State -> Real\n"
+          "  hyp hy : 0 < y\n  hyp hy1 : y < 1\n"
+          "  goal sum[x>=0](f(x) * y^x) = f(0) + sum[x>=1](f(x) * y^x)\n"
+          "  proof\n    index_shift\n    ring\n  qed\n")
+
+
+def test_an_application_at_a_series_index_is_not_grounded():
+    # f(x) in the series is f at the index, which shares the declared
+    # name x; grounding takes it no more than the renamed index i
+    assert run_suite(parse_theory(SHADOW), SamplePlan(0)) is None
+    renamed = SHADOW.replace("[x>=", "[i>=").replace("(x) * y^x", "(i) * y^i")
+    assert run_suite(parse_theory(renamed), SamplePlan(0)) is None
+
+
+# a hypothesis, a true goal and its false twin, for the branches of
+# grounding that take a power or a quotient in a pointwise definition
+# and a conjunction of hypotheses
+TWINS = {
+    "power": ("hyp hf : forall u, f(u) = u^2", "f(x) = x * x", "f(x) = x * x + x"),
+    "quotient": ("hyp hf : forall u, f(u) = u / 2", "f(x) * 2 = x", "f(x) * 3 = x"),
+    "conjunction": ("hyp hx : 0 < x /\\ x < 1\n  hyp hy : y = x * x", "y = x * x", "y = x"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(TWINS))
+def test_grounding_passes_a_true_goal_and_refutes_its_twin(case):
+    hyps, true, false = TWINS[case]
+    src = (f"theory twin\n  vars x y : Real\n  fns f : State -> Real\n  {hyps}\n"
+           "  goal GOAL\n  proof\n    ring\n  qed\n")
+    rep = run_suite(parse_theory(src.replace("GOAL", true)), SamplePlan(0))
+    assert rep.label == "identity" and rep.passed
+    rep = run_suite(parse_theory(src.replace("GOAL", false)), SamplePlan(0))
+    assert rep.label == "identity" and not rep.passed
+    assert rep.worst_residual > 0.1
