@@ -19,11 +19,14 @@ working tree and for a `git archive` of REV, the script
   suite that draws no environments. A tree without `_draw` counts the
   equation solver (`_solve`, or `_solve_equations` before it), which
   ran once per candidate there;
-- runs the CLI calls of the `corpus` and `mutants` workloads of
-  `perfbench/workloads.py` at `--seed` (`builtin --all --json` and one
-  `check --json` over the 68 single-hyp deletions of the builtins) and
-  records, as `json_identical`, whether exit codes and standard output
-  agree once every `"ms"` value is blanked;
+- runs the CLI calls of the three workloads of `perfbench/workloads.py`
+  at `--seed` (`builtin --all --json`, one `check --json` per edit_check
+  input and one over the 68 single-hyp deletions of the builtins), and
+  `builtin --all --seed` in text, the one output that prints the
+  divergence table. Each call's input files are written just before it
+  runs, since the edit_check calls share one path. It records, as
+  `json_identical`, whether exit codes and standard output agree once
+  every `"ms"` value and `[N ms]` is blanked;
 - runs `perfbench/run.py` on all three workloads in `--pairs` pairs of
   parent and change, alternating which side runs first, and keeps the
   metrics of every run, each side's median and quartiles and how many
@@ -125,28 +128,30 @@ def probe(tree: str) -> dict:
 
 
 def workload_calls(seed: int, workdir: str) -> list:
-    """(label, argument list) of each call of the corpus and mutants
-    workloads, with the mutants' input files written to workdir."""
+    """(label, argument list, input files) of each CLI call of the three
+    workloads, after `builtin --all` in text; the files are under workdir."""
     sys.path.insert(0, os.path.join(ROOT, "perfbench"))
     import workloads
-    calls = workloads.corpus_calls(seed, workdir) + workloads.mutant_calls(seed, workdir)
-    out = []
+    calls = [c for w in WORKLOADS for c in workloads.WORKLOADS[w](seed, workdir)]
+    out = [("builtin --all (text)", ["builtin", "--all", "--seed", str(seed)], {})]
     for call in calls:
-        for path, text in call.files.items():
-            with open(path, "w", encoding="utf-8") as fh:
-                fh.write(text)
         n = len(call.files)
-        label = " ".join(call.args[:len(call.args) - n]) + (f" <{n} files>" if n else "")
-        out.append((label, call.args))
+        inputs = f" <{call.expect[0].input}>" if n == 1 else f" <{n} files>" if n else ""
+        out.append((" ".join(call.args[:len(call.args) - n]) + inputs, call.args, call.files))
     return out
 
 
-def cli_output(tree: str, args: list) -> tuple:
-    """Exit code and standard output of one CLI call, every `"ms"` blanked."""
+def cli_output(tree: str, args: list, files: dict) -> tuple:
+    """Exit code and standard output of one CLI call, its input files
+    written first, every `"ms"` and `[N ms]` blanked."""
+    for path, text in files.items():
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
     env = dict(os.environ, PYTHONPATH=os.path.join(tree, "src"))
     proc = subprocess.run([sys.executable, "-c", CHILD] + args, cwd=tree, env=env,
                           capture_output=True, text=True)
-    return proc.returncode, re.sub(r'"ms": \d+', '"ms": null', proc.stdout)
+    out = re.sub(r'"ms": \d+', '"ms": null', proc.stdout)
+    return proc.returncode, re.sub(r"\[\d+ ms\]", "[N ms]", out)
 
 
 def perfbench(tree: str, workload: str, seed: int, seconds: float) -> dict:
@@ -210,9 +215,9 @@ def main() -> int:
         traces = {name: [(o["obligation"], o["trace"]) for o in p["obligations"]]
                   for name, p in probes.items()}
         with tempfile.TemporaryDirectory() as inputs:
-            outputs = [{"args": label, **{name: cli_output(tree, a)
+            outputs = [{"args": label, **{name: cli_output(tree, a, files)
                                           for name, tree in trees.items()}}
-                       for label, a in workload_calls(args.seed, inputs)]
+                       for label, a, files in workload_calls(args.seed, inputs)]
         json_calls = [{"args": o["args"], "exit": [o["parent"][0], o["change"][0]],
                        "identical": o["parent"] == o["change"]} for o in outputs]
         bench = {}

@@ -205,9 +205,9 @@ def children(node: Node) -> tuple:
     return tuple([v for v in node._values() if isinstance(v, (Expr, Formula))])
 
 
-def map_children(node: Node, fn: Callable) -> Node:
-    """node rebuilt with fn applied to each child; when fn returns every
-    child as it was (a leaf has none), node comes back as is.
+def map_children(node: Node, fn: Callable, *args) -> Node:
+    """node rebuilt with fn(child, *args) for each child; when fn returns
+    every child as it was (a leaf has none), node comes back as is.
 
     Every field that is not a child (a series index and start, an
     exponent, a function head, quantifier binders) is kept. Walkers
@@ -216,7 +216,9 @@ def map_children(node: Node, fn: Callable) -> Node:
     if not isinstance(node, Node):
         raise TypeError(f"not a syntax tree node: {node!r}")
     values = node._values()
-    new = [fn(v) if isinstance(v, (Expr, Formula)) else v for v in values]
+    new = []  # not a comprehension, which costs a recursive walker a frame
+    for v in values:
+        new.append(fn(v, *args) if isinstance(v, (Expr, Formula)) else v)
     return node if all(map(is_, new, values)) else type(node)(*new)
 
 

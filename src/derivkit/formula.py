@@ -177,7 +177,7 @@ def _subst(x: Node, mapping: Dict[str, Expr], vfree: Optional[set]) -> Node:
     if isinstance(x, Var):
         return mapping.get(x.name, x)
     if not isinstance(x, (SeriesSum, Forall, Exists)):
-        out = map_children(x, lambda c: _subst(c, mapping, vfree))
+        out = map_children(x, _subst, mapping, vfree)
         if not (isinstance(x, Pow) and x.exp in mapping):
             return out
         v = mapping[x.exp]

@@ -28,10 +28,11 @@ application and the antiderivative schemas; it pays with one
 nonzeroness obligation per distinct denominator crossed.
 
 The one numeric step, limit_witness, is the exception: its verdict is
-numeric_certified. It takes its constant assignments from the oracle's
-sampler (`numcheck.witness_envs`: the sign-grid corners that satisfy
-the constant facts, then hypothesis-respecting draws) and has each
-left-approach table judged by `numcheck.divergence_witness`.
+numeric_certified. It samples the constants and facts that
+`numcheck.divergence_setup` picks, as the oracle does, at assignments
+from the oracle's sampler (`numcheck.witness_envs`: the sign-grid
+corners that satisfy those facts, then hypothesis-respecting draws),
+and has each left-approach table judged by `numcheck.divergence_witness`.
 """
 
 from __future__ import annotations
@@ -50,12 +51,12 @@ from .expr import (Add, App, Const, Deriv, Div, Expr, Node, Pow, SeriesSum,
 from .formula import (And, Antideriv, AntiderivConst, ApplyLemma,
                       DivergesLeftAt, DerivRule, EqF, Exists, ExistsIntro,
                       FieldNormalize, Forall, Formula, Implies, IndexShift,
-                      Intro, LimitDivergenceWitness, Lt, Ne0, REAL,
-                      RewriteWith, RingClose, SeriesGeom, SeriesGeomWeighted,
-                      Specialize, STATE, Step, Theory, Unfold,
-                      bound_names, formula_free_vars, fresh, instantiate_forall,
-                      pointwise, subst, unbound_symbol, unfold_lets)
-from .numcheck import divergence_witness, witness_envs
+                      Intro, LimitDivergenceWitness, Lt, Ne0, RewriteWith,
+                      RingClose, SeriesGeom, SeriesGeomWeighted, Specialize,
+                      Step, Theory, Unfold, bound_names, fresh,
+                      instantiate_forall, pointwise, subst, unbound_symbol,
+                      unfold_lets)
+from .numcheck import divergence_setup, divergence_witness, witness_envs
 from .parser import print_formula, print_step
 from .poly import Poly, derivative, divexact
 from .ringnorm import Normalizer
@@ -91,18 +92,17 @@ LemmaPool = Dict[str, LemmaEntry]
 
 
 class _State:
-    """Everything one check of a theory works on: the names in scope,
-    the hypotheses, the goal and whether a step closed it, the lemma
-    pool and seed that steps draw on, and the refutation points that
-    its obligations share (see `discharge`)."""
+    """Everything one check of a theory works on: the names in scope
+    (no sorts: the kernel checks none), the hypotheses, the goal and
+    whether a step closed it, the lemma pool and seed that steps draw
+    on, and the refutation points its obligations share (`discharge`)."""
 
     def __init__(self, theory: Theory, pool: Optional[LemmaPool] = None,
                  seed: int = 0):
-        self.vars: Dict[str, str] = dict(theory.var_decls)
-        self.fns: Dict[str, Tuple[str, str]] = {n: (STATE, REAL) for n in theory.fn_decls}
-        self.consts: Dict[str, str] = {n: REAL for n in theory.const_decls}
+        self.vars = {n for n, _ in theory.var_decls} | set(theory.implicit_states())
+        self.fns = set(theory.fn_decls)
+        self.consts = theory.const_decls
         self.lets: Dict[str, Expr] = dict(theory.lets)
-        self.vars.update((n, STATE) for n in theory.implicit_states())
         self.hyps: Dict[str, Formula] = dict(theory.hyps)
         self.unfolded: Dict[str, Expr] = unfold_lets(theory.lets)
         self.goal = theory.goal
@@ -114,8 +114,7 @@ class _State:
         self.obligations: List[str] = []
 
     def all_names(self) -> set:
-        return (set(self.vars) | set(self.fns) | set(self.consts)
-                | set(self.lets) | set(self.hyps))
+        return self.vars | self.fns | set(self.consts) | set(self.lets) | set(self.hyps)
 
     def unfold(self, x: Node) -> Node:
         return subst(x, self.unfolded)
@@ -126,7 +125,7 @@ class _State:
     def check_symbols(self, x: Node) -> None:
         """Every symbol of a script-supplied term or formula must be in
         scope, by the rule the parser applies to declarations."""
-        names = self.vars.keys() | self.consts.keys() | self.lets.keys()
+        names = self.vars | set(self.consts) | self.lets.keys()
         bad = unbound_symbol(x, names, self.fns, self.lets)
         if bad is not None:
             raise UnboundSymbol(bad)
@@ -267,7 +266,7 @@ def _do_intro(state: _State, step: Intro) -> None:
             state.hyps[name] = g.ante
             state.goal = g.cons
         else:
-            state.vars[name] = g.binders[0][1]
+            state.vars.add(name)
             state.goal = instantiate_forall(g, [Var(name)])
 
 
@@ -280,9 +279,9 @@ def _do_specialize(state: _State, step: Specialize) -> None:
     if isinstance(h, Exists):
         # skolemize once, in place: later specializations of the same
         # hypothesis share the witness constant
-        b, sort = h.binder
+        b = h.binder[0]
         name = fresh(b, state.all_names())
-        state.vars[name] = sort
+        state.vars.add(name)
         h = subst(h.body, {b: Var(name)})
         state.hyps[step.hyp] = h
     if not isinstance(h, Forall):
@@ -525,30 +524,11 @@ def _do_limit_witness(state: _State, step: LimitDivergenceWitness) -> None:
         raise StepFailed(f"{g.fn_name!r} is not a let binding")
     body = state.unfolded[g.fn_name]
     point = state.unfold(g.point)
-    fv = free_vars(body)
-    approach = [v for v in fv if v in state.vars]
-    if len(approach) != 1:
-        raise StepFailed("the diverging expression needs exactly one free variable")
-    pvar = approach[0]
-    consts = (fv | free_vars(point)) - {pvar}
-    if any(c not in state.consts for c in consts):
-        raise StepFailed("the approach point must only involve constants")
+    pvar, names, facts = divergence_setup(body, point, state.vars, state.consts,
+                                          [f for _, f in state.facts()])
     _discharge_or_fail(state, Lt(Const(Fraction(0)), point))
-
-    # the atomic facts over constants only, and every constant linked
-    # to the expression or the point through them
-    facts = [f for _, f in state.facts() if isinstance(f, (EqF, Lt, Ne0))
-             and formula_free_vars(f) <= state.consts.keys()]
-    while True:
-        more = {v for f in facts if formula_free_vars(f) & consts
-                for v in formula_free_vars(f)} - consts
-        if not more:
-            break
-        consts |= more
-    names = [c for c in state.consts if c in consts]
     try:
-        envs = witness_envs(names, [f for f in facts
-                                    if formula_free_vars(f) <= consts], state.seed)
+        envs = witness_envs(names, facts, state.seed)
         for env in envs:
             rep = divergence_witness(body, pvar, eval_expr(point, env), step.depth, env)
             if not rep.verdict:

@@ -36,8 +36,9 @@ uses.
 A divergence claim gets left-approach tables, and one judge,
 `divergence_witness`, passes a table only when it is finite,
 nonnegative, strictly increasing and ends above 1e6. The kernel's
-limit_witness step uses the same judge on the assignments of
-`witness_envs`; the oracle keeps its first table for the report.
+limit_witness step and the oracle sample the names and facts that
+`divergence_setup` picks: the step at the assignments of
+`witness_envs`, the oracle at ten draws, keeping the first table.
 """
 
 from __future__ import annotations
@@ -48,15 +49,16 @@ import math
 import random
 from fractions import Fraction
 from functools import reduce
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Collection, Dict, List, Optional, Sequence, Tuple
 
-from .errors import DerivkitError, RejectionStarvation
+from .errors import DerivkitError, RejectionStarvation, StepFailed
 from .expr import (SERIES_CUTOFF, Add, App, Const, Deriv, Div, Expr, Mul, Neg,
                    Node, Pow, SeriesSum, Sub, Var, children, eval_expr,
                    free_vars, map_children)
 from .formula import (REAL, STATE, And, DivergesLeftAt, EqF, Exists, Forall,
-                      Formula, Implies, Lt, Ne0, Theory, fresh,
-                      instantiate_forall, pointwise, subst, unfold_lets, walk)
+                      Formula, Implies, Lt, Ne0, Theory, formula_free_vars,
+                      fresh, instantiate_forall, pointwise, subst, unfold_lets,
+                      walk)
 
 _NE0_MARGIN = 1e-3
 _DRAW_LIMIT = 100_000
@@ -310,6 +312,33 @@ def sample_envs(names: Sequence[str], hyps: Sequence[Formula],
     return envs
 
 
+def divergence_setup(body: Expr, point: Expr, variables: Collection[str],
+                     names: Sequence[str], facts: Sequence[Formula]
+                     ) -> Tuple[str, List[str], List[Formula]]:
+    """(var, names, facts) to sample `body diverges as var nears point
+    from the left` over. var is the one name of `variables` free in
+    body; every other name of body and point must be in `names`. The
+    facts are the atomic ones over `names` but var that link to body or
+    point, directly or through each other; the names are those of body,
+    point and facts, in `names` order."""
+    fv = free_vars(body)
+    approach = [v for v in variables if v in fv]
+    if len(approach) != 1:
+        raise StepFailed("the diverging expression needs exactly one free variable")
+    var = approach[0]
+    linked = (fv | free_vars(point)) - {var}
+    if not linked <= set(names):
+        raise StepFailed("the approach point must only involve constants")
+    over = set(names) - {var}
+    atomic = [(f, formula_free_vars(f)) for f in facts
+              if isinstance(f, (EqF, Lt, Ne0)) and formula_free_vars(f) <= over]
+    more = linked
+    while more:
+        more = set().union(*(fs for _, fs in atomic if fs & linked)) - linked
+        linked |= more
+    return var, [n for n in names if n in linked], [f for f, fs in atomic if fs <= linked]
+
+
 def witness_envs(names: Sequence[str], hyps: Sequence[Formula],
                  seed: int) -> List[Dict[str, float]]:
     """Assignments to `names` for a divergence witness: each corner of
@@ -464,8 +493,6 @@ class _Grounder:
         return None if p is None else (head, p)
 
     def expr(self, e: Expr) -> Expr:
-        if _no_states(e):
-            return e
         if not isinstance(e, App):
             return map_children(e, self.expr)
         arg = self.expr(e.arg)
@@ -506,11 +533,12 @@ class _Grounder:
             self.hyps += self.ground(f.ante, False)
             return self.ground(f.cons, True)
         if isinstance(f, EqF) or isinstance(f, (Lt, Ne0)) and not claim:
+            apps = [(n, bound) for n, bound in walk(f) if isinstance(n, App)]
             # an application at a series index has no sampled value,
             # even where the index shares a declared name
-            if any(isinstance(n, App) and bound & free_vars(n.arg) for n, bound in walk(f)):
+            if any(bound & free_vars(n.arg) for n, bound in apps):
                 raise _Unsupported(f)
-            return [map_children(f, self.expr)]
+            return [map_children(f, self.expr)] if apps else [f]
         raise _Unsupported(f)
 
 
@@ -665,27 +693,16 @@ def _incongruent(apps, envs: Sequence[Dict[str, float]]) -> bool:
     return False
 
 
-def _divergence_parts(theory: Theory):
-    """The unfolded expression, its approach variable (the one Real
-    variable free in it), the other names to sample, and the point."""
-    lets = unfold_lets(theory.lets)
-    body = lets[theory.goal.fn_name]
-    fv = free_vars(body)
-    approach = [n for n, s in theory.var_decls if s == REAL and n in fv]
-    if len(approach) != 1:
-        raise DerivkitError(
-            "the diverging expression needs exactly one free Real variable")
-    var = approach[0]
-    names = [n for n in _theory_names(theory) if n != var]
-    return body, var, names, subst(theory.goal.point, lets)
-
-
 def _suite_divergence(theory: Theory, plan: SamplePlan) -> NumericReport:
-    body, var, names, point_e = _divergence_parts(theory)
+    lets = unfold_lets(theory.lets)
+    body, point_e = lets[theory.goal.fn_name], subst(theory.goal.point, lets)
+    var, names, facts = divergence_setup(
+        body, point_e, [n for n, s in theory.var_decls if s == REAL],
+        _theory_names(theory), _unfolded_hyps(theory))
     # the witness runs on ten environments at most; sample_envs is
     # prefix-stable, so drawing only those keeps the same ten
     few = SamplePlan(plan.seed, min(plan.count, 10))
-    envs = sample_envs(names, _unfolded_hyps(theory), few, theory.name)
+    envs = sample_envs(names, facts, few, theory.name)
     reps = [divergence_witness(body, var, eval_expr(point_e, env), 8, env)
             for env in envs]
     return NumericReport(plan.seed, len(envs), 0.0, all(r.verdict for r in reps),

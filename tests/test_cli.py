@@ -514,7 +514,8 @@ def test_closed_pipe_keeps_the_verdict(tmp_path, cli_env, argv, code):
 
 
 # a divergence goal under a name the oracle has never seen; `q` is
-# declared first but is not the variable that approaches the point
+# declared first but is not the variable that approaches the point, and
+# is not drawn
 BLOWUP_SCRIPT = """\
 theory my_blowup
   vars q P : Real
@@ -572,6 +573,28 @@ def test_builtin_name_on_another_goal_gets_its_own_suite(tmp_path, capsys,
     assert report["verdict"] == "accepted"
     assert report["numeric"]["samples"] == 5
     assert suite_labels == ["identity"]
+
+
+def _brunauer_27_with(hyp):
+    text = theories.load_script("brunauer_27").replace("theory brunauer_27", "theory b27p")
+    return text.replace("  goal ", f"  {hyp}\n  goal ", 1)
+
+
+# a true hypothesis on the approach variable P, directly or through the
+# let x := C_L * P; the divergence claim is sampled over the constants
+@pytest.mark.parametrize("hyp", ["hyp hP : 0 < P", "hyp hx1 : x < 1"],
+                         ids=["on-P", "on-let"])
+def test_a_true_hypothesis_on_the_approach_variable_keeps_the_claim(
+        tmp_path, capsys, hyp):
+    p = write(tmp_path, "b27p.deriv", _brunauer_27_with(hyp))
+    code, out, _ = run_cli(["check", p], capsys)
+    assert code == 0, out
+    assert out.startswith("b27p: Accepted (NumericCertified)")
+    code, out, _ = run_cli(["check", p, "--json"], capsys)
+    assert code == 0, out
+    [report] = json.loads(out)
+    assert report["soundness"] == "numeric_certified"
+    assert report["numeric"]["samples"] == 10
 
 
 CONGRUENCE_SCRIPTS = {
@@ -698,6 +721,27 @@ def test_cli_import_loads_no_dataclasses_inspect_or_resources(cli_env):
     mentions = [str(p) for p in package.rglob("*") if p.is_file()
                 and "__pycache__" not in p.parts and b"dataclass" in p.read_bytes()]
     assert mentions == []
+
+
+# 400 terms that the grounder rebuilds because of the application, and
+# 400 that a let makes every unfolding substitute into
+LONG_SUMS = {
+    "application": "theory deep\n  fns f : State->Real\n  vars x : Real\n"
+                   "  goal f(x) + " + " + ".join(["x"] * 400) + " = f(x) + 400 * x\n"
+                   "  proof\n    ring\n  qed\n",
+    "let": "theory deep\n  vars x : Real\n  let w := x\n"
+           "  goal " + " + ".join(["x"] * 400) + " = 400 * x\n"
+           "  proof\n    ring\n  qed\n",
+}
+
+
+@pytest.mark.parametrize("name", sorted(LONG_SUMS))
+def test_long_sum_through_the_grounder_is_checked(tmp_path, cli_env, name):
+    path = write(tmp_path, "long.deriv", LONG_SUMS[name])
+    r = subprocess.run([sys.executable, "-m", "derivkit", "check", "--samples", "5", path],
+                       capture_output=True, text=True, env=cli_env, timeout=120)
+    assert r.returncode == 0, r.stderr
+    assert "deep: Accepted (Symbolic)" in r.stdout
 
 
 def test_long_flat_sum_is_checked_by_kernel_and_oracle(tmp_path, cli_env):

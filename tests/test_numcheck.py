@@ -6,12 +6,13 @@ from fractions import Fraction
 
 import pytest
 
-from derivkit.errors import RejectionStarvation
+from derivkit.errors import RejectionStarvation, StepFailed
 from derivkit.expr import (Add, Const, Div, Mul, Pow, SeriesSum, Sub, Var)
 from derivkit.formula import EqF, Lt, Ne0
 from derivkit import numcheck
-from derivkit.numcheck import (SamplePlan, _compare, divergence_witness,
-                               run_suite, sample_envs, witness_envs)
+from derivkit.numcheck import (SamplePlan, _compare, divergence_setup,
+                               divergence_witness, run_suite, sample_envs,
+                               witness_envs)
 from derivkit.parser import parse_theory
 from derivkit.theories import load_script, load_theory, registry
 from test_acceptance import (NonConvergent, VecFn3, dot,
@@ -289,6 +290,59 @@ def test_witness_envs_gives_each_assignment_once():
     assert len(envs) == 9 + 8
     assert len({tuple(e.values()) for e in envs}) == len(envs)
     assert envs[0] == {"C_L": 1e-3, "C_1": 1e-3, "P_0": 1e3}
+
+
+P, a, b, c, d = (Var(n) for n in "Pabcd")
+BLOWUP = Div(Const(1), Sub(a, P))
+
+# (body, point, names, facts) -> (names, facts) drawn; P is the one variable
+DIVERGENCE_SETUPS = {
+    "linked through another constant": (
+        (BLOWUP, a, ["a", "b", "c"], [Lt(c, b), Lt(b, a)]),
+        (["a", "b", "c"], [Lt(c, b), Lt(b, a)])),
+    "declaration order": (
+        (Div(c, Sub(a, P)), a, ["c", "b", "a"], [Lt(Const(0), a)]),
+        (["c", "a"], [Lt(Const(0), a)])),
+    "fact over the approach variable": (
+        (BLOWUP, a, ["P", "a"], [Lt(Const(0), P), Lt(P, a), Ne0(a)]),
+        (["a"], [Ne0(a)])),
+    "fact over an unlinked name": (
+        (BLOWUP, a, ["a", "d"], [Lt(Const(0), d), EqF(a, Const(2))]),
+        (["a"], [EqF(a, Const(2))])),
+}
+
+
+@pytest.mark.parametrize("case", sorted(DIVERGENCE_SETUPS))
+def test_divergence_setup(case):
+    (body, point, names, facts), (drawn, kept) = DIVERGENCE_SETUPS[case]
+    assert divergence_setup(body, point, ["P", "y"], names, facts) == ("P", drawn, kept)
+
+
+@pytest.mark.parametrize("body, point, message", [
+    (Div(Const(1), Sub(a, Mul(P, y))), a,
+     "the diverging expression needs exactly one free variable"),
+    (Div(Const(1), a), a, "the diverging expression needs exactly one free variable"),
+    (BLOWUP, Add(a, d), "the approach point must only involve constants"),
+    (Div(d, Sub(a, P)), a, "the approach point must only involve constants"),
+], ids=["two variables", "no variable", "point off names", "body off names"])
+def test_divergence_setup_refusals(body, point, message):
+    with pytest.raises(StepFailed) as e:
+        divergence_setup(body, point, ["P", "y"], ["a"], [])
+    assert str(e.value) == message
+
+
+def test_divergence_suite_draws_the_linked_constants(monkeypatch):
+    calls = []
+    real = numcheck.sample_envs
+
+    def record(names, hyps, *args, **kwargs):
+        calls.append((list(names), list(hyps)))
+        return real(names, hyps, *args, **kwargs)
+
+    monkeypatch.setattr(numcheck, "sample_envs", record)
+    t = load_theory("brunauer_27")
+    assert run_suite(t, plan()).passed
+    assert calls == [(["C_L", "C_1", "P_0"], [f for _, f in t.hyps])]
 
 
 def test_divergence_table_for_builtin():
