@@ -26,7 +26,12 @@ working tree and for a `git archive` of REV, the script
   divergence table. Each call's input files are written just before it
   runs, since the edit_check calls share one path. It records, as
   `json_identical`, whether exit codes and standard output agree once
-  every `"ms"` value and `[N ms]` is blanked;
+  every `"ms"` value and `[N ms]` is blanked, and per call where they
+  differ: `exit`, then each JSON path of standard output whose value
+  differs (a list item that names a theory shows the name), or each
+  differing line of output that is not JSON. `json_differing_fields`
+  gathers the last part of every path, so a difference in residuals
+  alone reads `["worst_residual"]` and a verdict change shows;
 - runs `perfbench/run.py` on all three workloads in `--pairs` pairs of
   parent and change, alternating which side runs first, and keeps the
   metrics of every run, each side's median and quartiles and how many
@@ -154,6 +159,32 @@ def cli_output(tree: str, args: list, files: dict) -> tuple:
     return proc.returncode, re.sub(r"\[\d+ ms\]", "[N ms]", out)
 
 
+def json_paths(a, b, path: str = "$") -> list:
+    """The paths at which two JSON values differ."""
+    if isinstance(a, dict) and isinstance(b, dict) and a.keys() == b.keys():
+        return [q for k in a for q in json_paths(a[k], b[k], f"{path}.{k}")]
+    if isinstance(a, list) and isinstance(b, list) and len(a) == len(b):
+        out = []
+        for i, (x, y) in enumerate(zip(a, b)):
+            name = f" {x['theory']}" if isinstance(x, dict) and "theory" in x else ""
+            out += json_paths(x, y, f"{path}[{i}{name}]")
+        return out
+    return [] if a == b else [path]
+
+
+def differences(parent: tuple, change: tuple) -> list:
+    """Where two blanked CLI outputs differ: `exit`, then the JSON paths
+    of standard output, or its differing line numbers when it is not
+    JSON."""
+    out = ["exit"] if parent[0] != change[0] else []
+    try:
+        return out + json_paths(json.loads(parent[1]), json.loads(change[1]))
+    except ValueError:
+        a, b = parent[1].splitlines(), change[1].splitlines()
+        return out + [f"line {i + 1}" for i in range(max(len(a), len(b)))
+                      if a[i:i + 1] != b[i:i + 1]]
+
+
 def perfbench(tree: str, workload: str, seed: int, seconds: float) -> dict:
     env = dict(os.environ)
     env.pop("PYTHONPATH", None)
@@ -219,7 +250,8 @@ def main() -> int:
                                           for name, tree in trees.items()}}
                        for label, a, files in workload_calls(args.seed, inputs)]
         json_calls = [{"args": o["args"], "exit": [o["parent"][0], o["change"][0]],
-                       "identical": o["parent"] == o["change"]} for o in outputs]
+                       "identical": o["parent"] == o["change"],
+                       "differs": differences(o["parent"], o["change"])} for o in outputs]
         bench = {}
         if not args.skip_perfbench:
             for w in WORKLOADS:
@@ -245,6 +277,8 @@ def main() -> int:
         "build_pool": {name: summary(p) for name, p in probes.items()},
         "traces_identical": traces["parent"] == traces["change"],
         "json_identical": all(c["identical"] for c in json_calls),
+        "json_differing_fields": sorted({p.rsplit(".", 1)[-1] for c in json_calls
+                                         for p in c["differs"]}),
         "json_calls": json_calls,
         "suites": [
             {"theory": c["theory"], "parent_label": p["label"], "change_label": c["label"],
@@ -267,7 +301,8 @@ def main() -> int:
         fh.write("\n")
     print(json.dumps({"build_pool": record["build_pool"], "suites_s": record["suites_s"],
                       "traces_identical": record["traces_identical"],
-                      "json_identical": record["json_identical"]}))
+                      "json_identical": record["json_identical"],
+                      "json_differing_fields": record["json_differing_fields"]}))
     return 0
 
 

@@ -10,14 +10,16 @@ oracle off it is ROADMAP Direction 3).
 Every goal but a divergence claim takes one path: the theory is
 grounded into real arithmetic without function symbols, and its claims
 are compared on environments drawn by rejection sampling against its
-hypotheses. Names are drawn in declaration order. A hypothesis
-`left < right` with `right - left` of degree 1 in its latest-declared
-name bounds that name, which is then drawn only inside the half-line
-the bound gives at the names drawn before it. An equation with a bare name on one side
-defines that name; each other equation that does not hold is solved for
-the latest-declared name it is linear in, found by probing, without
-replay. Every candidate is then checked against every hypothesis, so the
-bounds change which candidates are proposed, never which are accepted.
+hypotheses. An equation with a bare name on one side defines it; each
+other one that does not hold at a draw is solved, without replay, for
+the latest-declared name not solved before that `_as_poly` finds it of
+degree 1 in (a series is, when its body is). Names are drawn in
+declaration order. A hypothesis `left < right` over no name an equation
+defines or may be solved for bounds its latest-declared name when it is
+of degree 1 in it: the name is drawn only inside the half-line the bound
+gives at the names drawn before it. Every candidate is then checked
+against every hypothesis, so the bounds change which candidates are
+proposed, never which are accepted.
 Disequalities are rejected with a safety margin so sampled identities
 stay well conditioned. A series is summed to SERIES_CUTOFF terms; the
 closed loop of `eval_expr` stops early only when no later term can
@@ -28,7 +30,7 @@ guarded on its own: it is evaluated within the term of the enclosing
 series, which is guarded.
 
 Trees are visited here with `formula.walk`, which gives each node with
-the names bound around it: by the series guard, the test for a term
+the names bound around it: by the series guard, the test for a series
 without applications, the grounder's closed arguments and its refusal
 of an application at a series index, and the names a grounded theory
 uses.
@@ -112,10 +114,6 @@ def _guarded_series(e: Expr) -> List[SeriesSum]:
             if isinstance(n, SeriesSum) and not bound & free_vars(n)]
 
 
-def _no_states(e: Expr) -> bool:
-    return not any(isinstance(n, App) for n, _ in walk(e))
-
-
 # ---------------------------------------------------------------------------
 # hypothesis-respecting environment sampling
 
@@ -129,9 +127,16 @@ def _positive_names(hyps: Sequence[Formula]) -> set:
     return out
 
 
+def _linear(e: Expr, v: str) -> Optional[Tuple[Expr, Expr]]:
+    """(c0, c1) with e = c0 + c1*v if e is of degree 1 in v, else None."""
+    p = _as_poly(e, v, {})
+    return (p[0], p[1]) if p is not None and len(p) == 2 else None
+
+
 def _equation_plan(names: Sequence[str], hyps: Sequence[Formula]):
     """The rank of each name in declaration order, the definitions, and
-    the other equations with the definitions substituted. An equation
+    the other equations `l = r`, definitions substituted, each with the
+    `_linear` forms of `l - r`, latest-declared name first. An equation
     with a bare name on one side that the other side lacks defines it
     (the later-declared one if both are names)."""
     rank = {n: i for i, n in enumerate(names)}
@@ -147,44 +152,28 @@ def _equation_plan(names: Sequence[str], hyps: Sequence[Formula]):
         v, e = max(sides, key=lambda s: rank[s[0]])
         defs = {k: subst(d, {v: e}) for k, d in defs.items()}
         defs[v] = e
-    rest = [(subst(l, defs), subst(r, defs)) for l, r in rest]
-    return rank, defs, [(l, r, (free_vars(l) | free_vars(r)) & rank.keys())
-                        for l, r in rest]
+    plan = []
+    for l, r in rest:
+        gap = Sub(subst(l, defs), subst(r, defs))
+        order = sorted(free_vars(gap) & rank.keys(), key=rank.__getitem__, reverse=True)
+        plan.append((gap.left, gap.right, {v: c for v in order for c in [_linear(gap, v)] if c}))
+    return rank, defs, plan
 
 
-def _gap(l: Expr, r: Expr, env: Dict[str, float]) -> float:
-    try:
-        return eval_expr(l, env) - eval_expr(r, env)
-    except DerivkitError:
-        return math.nan
-
-
-def _solve(env: Dict[str, float], defs: Dict[str, Expr], rest,
-           rank: Dict[str, int]) -> bool:
-    """Solve each equation that does not hold for a name not solved
-    before: the latest-declared one that probes at 0, 1 and 2 find it
-    linear in. Then evaluate the definitions. False when this draw
-    cannot be solved so; an equation that cannot be evaluated raises."""
+def _solve(env: Dict[str, float], defs: Dict[str, Expr], rest) -> bool:
+    """Solve each equation that does not hold for the first of its
+    linear names not solved before, v = -c0/c1 at env. Then evaluate
+    the definitions. False when such an equation has no name left; an
+    equation that cannot be evaluated, or c1 = 0, raises."""
     solved: set = set()
-    for l, r, fv in rest:
+    for l, r, linear in rest:
         if _close(eval_expr(l, env), eval_expr(r, env)):
             continue
-        for v in sorted(fv - solved, key=rank.__getitem__, reverse=True):
-            drawn = env[v]
-            ys = []
-            for c in (0.0, 1.0, 2.0):
-                env[v] = c
-                ys.append(_gap(l, r, env))
-            y0, y1, y2 = ys
-            slope = y1 - y0
-            if all(map(math.isfinite, ys)) and 1e-12 <= abs(slope) \
-                    and abs(y2 - 2 * y1 + y0) <= 1e-6 * max(1.0, *map(abs, ys)):
-                env[v] = -y0 / slope
-                solved.add(v)
-                break
-            env[v] = drawn
-        else:
+        v = next((v for v in linear if v not in solved), None)
+        if v is None:
             return False
+        solved.add(v)
+        env[v] = -eval_expr(linear[v][0], env) / eval_expr(linear[v][1], env)
     env.update({v: eval_expr(d, env) for v, d in defs.items()})
     return True
 
@@ -203,11 +192,11 @@ def _admitter(hyps: Sequence[Formula], eqs
     tells whether it then satisfies every hypothesis. An environment
     whose solving or checking raises is not admitted: a point the
     hypotheses cannot be evaluated at decides nothing."""
-    rank, defs, rest = eqs
+    _, defs, rest = eqs
 
     def admit(env: Dict[str, float]) -> bool:
         try:
-            return _solve(env, defs, rest, rank) and all(_holds(f, env) for f in hyps)
+            return _solve(env, defs, rest) and all(_holds(f, env) for f in hyps)
         except (DerivkitError, ArithmeticError):
             return False
 
@@ -218,11 +207,11 @@ def _bound_plan(hyps: Sequence[Formula], eqs
                 ) -> Dict[str, List[Tuple[Expr, Expr]]]:
     """The linear bounds to draw each name inside. A hypothesis
     `left < right`, other than `0 < name`, that mentions no name the
-    equations `eqs` define or may solve, bounds its latest-declared name
-    v when `right - left` is of degree 1 in v: it holds where
-    c0 + c1*v > 0, with c0 and c1 over earlier names."""
+    equations `eqs` define or may be solved for, bounds its
+    latest-declared name v when `right - left` has a `_linear` form in
+    v: it holds where c0 + c1*v > 0, with c0 and c1 over earlier names."""
     rank, defs, rest = eqs
-    solved = set(defs).union(*(fv for _, _, fv in rest))
+    solved = set(defs).union(*(linear for _, _, linear in rest))
     plan: Dict[str, List[Tuple[Expr, Expr]]] = {}
     for f in hyps:
         if not isinstance(f, Lt) or _positive_names([f]):
@@ -232,9 +221,9 @@ def _bound_plan(hyps: Sequence[Formula], eqs
         if not fv or not fv <= rank.keys() or fv & solved:
             continue
         v = max(fv, key=rank.__getitem__)
-        p = _as_poly(gap, v, {})
-        if p is not None and len(p) == 2:
-            plan.setdefault(v, []).append((p[0], p[1]))
+        c = _linear(gap, v)
+        if c:
+            plan.setdefault(v, []).append(c)
     return plan
 
 
@@ -263,7 +252,7 @@ def _draw(rng: random.Random, ranges) -> Optional[Dict[str, float]]:
     """One candidate: each name uniform in its range, cut by its bounds
     at the names drawn before it; None when a cut leaves nothing."""
     env: Dict[str, float] = {}
-    for n, (lo, hi), bounds in ranges:
+    for n, lo, hi, bounds in ranges:
         lo, hi = _cut(lo, hi, bounds, env)
         if not lo < hi:
             return None
@@ -278,38 +267,34 @@ def sample_envs(names: Sequence[str], hyps: Sequence[Formula],
     """Environments over `names` satisfying every hypothesis.
 
     Names are drawn in declaration order, each from its range cut by
-    the bounds of `_bound_plan`. Every candidate is then solved and
+    the bounds of `_bound_plan`: once before any draw by those over no
+    other name (RejectionStarvation comes then if they leave no room),
+    at each draw by the others. Every candidate is then solved and
     checked against every hypothesis, so a bound changes which
     candidates are proposed, never which are accepted; a candidate
-    whose solving or checking raises is rejected. A name whose bounds
-    mention no other name has one range on every draw; when that range
-    is empty, RejectionStarvation comes before any draw."""
+    whose solving or checking raises is rejected."""
     rng = _rng(plan.seed, check_name)
     positive = _positive_names(hyps)
     eqs = _equation_plan(names, hyps)
     bounds = _bound_plan(hyps, eqs)
-    ranges = [(n, _POSITIVE_RANGE if n in positive else _DEFAULT_RANGE, bounds.get(n, ()))
-              for n in names]
-    for n, (lo, hi), bs in ranges:
-        if not any(free_vars(c0) | free_vars(c1) for c0, c1 in bs):
-            lo, hi = _cut(lo, hi, bs, {})
-            if not lo < hi:
-                raise RejectionStarvation(f"{check_name}: the hypotheses leave {n} no value")
+    ranges = []
+    for n in names:
+        bs = bounds.get(n, [])
+        fixed = [b for b in bs if not free_vars(b[0]) | free_vars(b[1])]
+        lo, hi = _cut(*(_POSITIVE_RANGE if n in positive else _DEFAULT_RANGE), fixed, {})
+        if not lo < hi:
+            raise RejectionStarvation(f"{check_name}: the hypotheses leave {n} no value")
+        ranges.append((n, lo, hi, [b for b in bs if b not in fixed]))
     admit = _admitter(hyps, eqs)
     envs: List[Dict[str, float]] = []
-    draws = 0
-    while len(envs) < plan.count:
-        draws += 1
-        if draws > _DRAW_LIMIT:
-            raise RejectionStarvation(
-                f"{check_name}: {len(envs)} of {plan.count} samples in {_DRAW_LIMIT} draws")
+    for _ in range(_DRAW_LIMIT):
         env = _draw(rng, ranges)
-        if env is None or not admit(env):
-            continue
-        if extra_reject is not None and extra_reject(env):
-            continue
-        envs.append(env)
-    return envs
+        if env is not None and admit(env) and not (extra_reject and extra_reject(env)):
+            envs.append(env)
+            if len(envs) == plan.count:
+                return envs
+    raise RejectionStarvation(
+        f"{check_name}: {len(envs)} of {plan.count} samples in {_DRAW_LIMIT} draws")
 
 
 def divergence_setup(body: Expr, point: Expr, variables: Collection[str],
@@ -402,16 +387,28 @@ def _compose(p: list, q: list) -> list:
 
 def _as_poly(e: Expr, u: str, polys: Dict[object, list]) -> Optional[list]:
     """e as a polynomial in u, or None; `polys` gives the functions
-    with a polynomial definition."""
-    if u not in free_vars(e) and _no_states(e):
-        return [e]
+    with a polynomial definition. A term free of u and of applications
+    comes back as itself, known from its children's results."""
     if e == Var(u):
         return [_ZERO, _ONE]
-    parts = [_as_poly(c, u, polys) for c in children(e)]
+    if isinstance(e, SeriesSum) and e.index == u:
+        return None if any(isinstance(n, App) for n, _ in walk(e)) else [e]
+    if isinstance(e, Pow) and e.exp == u:
+        return None
+    cs = children(e)
+    parts = []  # not a comprehension, which costs a recursive walker a frame
+    for c in cs:
+        parts.append(_as_poly(c, u, polys))
     if None in parts:
         return None
     if isinstance(e, App):
         return None if e.fn not in polys else _compose(polys[e.fn], parts[0])
+    if all(len(p) == 1 and p[0] is c for p, c in zip(parts, cs)):
+        return [e]
+    if isinstance(e, SeriesSum):
+        # a partial sum of b0 + b1*u is that of b0 plus u times that of b1
+        return None if len(parts[0]) > 2 else \
+            [c if c == _ZERO else SeriesSum(e.index, e.start, c) for c in parts[0]]
     if isinstance(e, Pow):
         return reduce(_pmul, [parts[0]] * e.exp, [_ONE]) \
             if isinstance(e.exp, int) and e.exp >= 0 else None

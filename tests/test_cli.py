@@ -723,8 +723,9 @@ def test_cli_import_loads_no_dataclasses_inspect_or_resources(cli_env):
     assert mentions == []
 
 
-# 400 terms that the grounder rebuilds because of the application, and
-# 400 that a let makes every unfolding substitute into
+# 400 terms that the grounder rebuilds because of the application, 400
+# that a let makes every unfolding substitute into, and 600 in an
+# equation the sampler reads as linear in x
 LONG_SUMS = {
     "application": "theory deep\n  fns f : State->Real\n  vars x : Real\n"
                    "  goal f(x) + " + " + ".join(["x"] * 400) + " = f(x) + 400 * x\n"
@@ -732,6 +733,8 @@ LONG_SUMS = {
     "let": "theory deep\n  vars x : Real\n  let w := x\n"
            "  goal " + " + ".join(["x"] * 400) + " = 400 * x\n"
            "  proof\n    ring\n  qed\n",
+    "equation": "theory deep\n  vars x y : Real\n  hyp h : y * 2 = " + " + ".join(["x"] * 600) + "\n"
+                "  goal y * 2 + 1 = 1 + y * 2\n  proof\n    ring\n  qed\n",
 }
 
 

@@ -9,7 +9,7 @@ import pytest
 from derivkit.errors import RejectionStarvation, StepFailed
 from derivkit.expr import (Add, Const, Div, Mul, Pow, SeriesSum, Sub, Var)
 from derivkit.formula import EqF, Lt, Ne0
-from derivkit import numcheck
+from derivkit import expr, numcheck
 from derivkit.numcheck import (SamplePlan, _compare, divergence_setup,
                                divergence_witness, run_suite, sample_envs,
                                witness_envs)
@@ -111,6 +111,16 @@ def test_constant_bounds_with_no_room_starve_before_drawing(monkeypatch):
         sample_envs(["x"], [Lt(Const(0), x), Lt(x, Const(0))], plan(count=1), "empty")
     assert draws[0] == 0
 
+
+def test_constant_bounds_are_cut_once_beside_other_bounds(monkeypatch):
+    # y < -20 leaves y no room in (-10, 10) whatever x < y says, so no
+    # draw is made
+    draws = _counting_draws(monkeypatch)
+    with pytest.raises(RejectionStarvation, match="leave y no value"):
+        sample_envs(["x", "y"], [Lt(y, Const(-20)), Lt(x, y)], plan(count=1), "mixed")
+    assert draws[0] == 0
+
+
 def test_positivity_hypothesis_pins_range():
     envs = sample_envs(["x", "y"], [Lt(Const(0), x)], plan(count=30), "pins")
     assert all(e["x"] > 0 for e in envs)
@@ -132,6 +142,62 @@ def test_equation_nonlinear_in_its_latest_name_is_solved_for_another():
     assert len(envs) == 25
     for e in envs:
         assert abs(e["c"] * e["c"] - e["x"] - 1.0) <= 1e-9 * max(1.0, abs(e["x"]))
+
+
+def test_bound_on_a_name_no_equation_is_linear_in_is_drawn_inside():
+    # c * c = x + 1 is solved for x only, so c < 3 bounds c
+    c = Var("c")
+    hyps = [EqF(Mul(c, c), Add(x, Const(1))), Lt(c, Const(3))]
+    assert _bounds(["x", "c"], hyps) == {"c": [(Const(3), Const(-1))]}
+
+
+GAS = EqF(Mul(Var("P"), Var("V")), Mul(Mul(Var("n"), Var("R")), Var("T")))
+
+
+def test_equation_is_solved_from_its_linear_form():
+    names = ["R", "n", "T", "P", "V"]
+    for seed in range(5):
+        for e in sample_envs(names, [GAS], plan(seed=seed), "gas"):
+            l, r = e["P"] * e["V"], e["n"] * e["R"] * e["T"]
+            assert abs(l - r) <= 4 * math.ulp(max(abs(l), abs(r)))
+    # it is linear in every name, and solved for the latest-declared
+    _, _, rest = numcheck._equation_plan(names, [GAS])
+    assert list(rest[0][2]) == ["V", "P", "T", "n", "R"]
+
+
+def test_equation_linear_through_a_series_is_solved():
+    c = Var("c")
+    s = SeriesSum("k", 1, Mul(c, Pow(x, "k")))
+    hyps = [Lt(Const(0), x), Lt(x, Const(Fraction(1, 2))), EqF(s, Const(1))]
+    envs = sample_envs(["c", "x"], hyps, plan(count=20), "series")
+    assert len(envs) == 20
+    for e in envs:
+        assert abs(e["c"] * e["x"] / (1 - e["x"]) - 1) <= 1e-9
+
+
+GEOMETRIC = ("theory geometric\n  vars x i : Real\n"
+             "  hyp h0 : 0 < x\n  hyp h1 : x < 1\n"
+             "  hyp h : forall u, sum[k>=1](u * x^k) = u * (x / (1 - x))\n"
+             "  goal sum[k>=1](i * x^k) = i * (x / (1 - x))\n"
+             "  proof\n    specialize h i\n    rw h_1\n    ring\n  qed\n")
+
+
+def test_no_series_is_summed_at_a_ratio_past_one(monkeypatch):
+    # solving the grounded instances of h never moves x, the ratio of
+    # every series, off the draw
+    past_one = []
+    real = expr._series_fast
+
+    def counted(s, env):
+        terms = expr.geometric_terms(s)
+        if terms is not None and abs(expr.eval_expr(terms[2], env)) >= 1:
+            past_one.append(s)
+        return real(s, env)
+
+    monkeypatch.setattr(expr, "_series_fast", counted)
+    rep = run_suite(parse_theory(GEOMETRIC), SamplePlan(seed=0))
+    assert rep.label == "identity" and rep.passed
+    assert past_one == []
 
 
 def test_unsatisfiable_hypotheses_starve(monkeypatch):
@@ -634,6 +700,8 @@ TWINS = {
     "power": ("hyp hf : forall u, f(u) = u^2", "f(x) = x * x", "f(x) = x * x + x"),
     "quotient": ("hyp hf : forall u, f(u) = u / 2", "f(x) * 2 = x", "f(x) * 3 = x"),
     "conjunction": ("hyp hx : 0 < x /\\ x < 1\n  hyp hy : y = x * x", "y = x * x", "y = x"),
+    "series": ("hyp hy : 0 < y /\\ y < 1 / 2\n  hyp hf : forall u, f(u) = sum[k>=1](u * y^k)",
+               "f(x) = x * (y / (1 - y))", "f(x) = x * (y / (1 - y)) + 1"),
 }
 
 
@@ -647,3 +715,10 @@ def test_grounding_passes_a_true_goal_and_refutes_its_twin(case):
     rep = run_suite(parse_theory(src.replace("GOAL", false)), SamplePlan(0))
     assert rep.label == "identity" and not rep.passed
     assert rep.worst_residual > 0.1
+
+
+def test_pointwise_definition_linear_through_a_series_becomes_a_polynomial():
+    src = (f"theory twin\n  vars x y : Real\n  fns f : State -> Real\n  {TWINS['series'][0]}\n"
+           "  goal f(x) = x\n  proof\n    ring\n  qed\n")
+    names, _, _, apps = numcheck._ground(parse_theory(src))
+    assert names == ["x", "y"] and apps == []
