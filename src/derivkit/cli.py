@@ -40,10 +40,9 @@ def _run_numeric(theory: Theory, plan: SamplePlan) -> Optional[NumericReport]:
                              f"{type(e).__name__}: {e}")
 
 
-def _outcome(theory: Theory, pool: LemmaPool, plan: SamplePlan,
-             seed: int) -> Outcome:
+def _outcome(theory: Theory, pool: LemmaPool, plan: SamplePlan) -> Outcome:
     t0 = time.perf_counter()
-    res = check_theory(theory, pool, seed=seed)
+    res = check_theory(theory, pool, seed=plan.seed)
     numeric = _run_numeric(theory, plan) if res.accepted else None
     ms = int((time.perf_counter() - t0) * 1000)
     return theory, res, numeric, ms
@@ -115,12 +114,12 @@ def _load_file(path: str) -> List[Theory]:
 
 
 def _check_batch(theories: List[Theory], base_pool: LemmaPool,
-                 plan: SamplePlan, seed: int) -> List[Outcome]:
+                 plan: SamplePlan) -> List[Outcome]:
     # theories within one file see their predecessors as lemmas
     pool = dict(base_pool)
     out = []
     for th in theories:
-        oc = _outcome(th, pool, plan, seed)
+        oc = _outcome(th, pool, plan)
         pool[th.name] = LemmaEntry(th, oc[1].accepted)
         out.append(oc)
     return out
@@ -150,7 +149,7 @@ def cmd_check(args) -> int:
         s.name for b in batches for th in b for s in th.steps
         if isinstance(s, ApplyLemma)})
     return _emit([o for b in batches
-                  for o in _check_batch(b, base_pool, plan, args.seed)], args)
+                  for o in _check_batch(b, base_pool, plan)], args)
 
 
 def cmd_builtin(args) -> int:
@@ -165,7 +164,7 @@ def cmd_builtin(args) -> int:
     else:
         names, (pool, _) = [args.name], build_pool(args.seed, deps[args.name])
     theories = [load_theory(n) for n in names]
-    return _emit(_check_batch(theories, pool, plan, args.seed), args)
+    return _emit(_check_batch(theories, pool, plan), args)
 
 
 def cmd_list(args) -> int:

@@ -112,7 +112,6 @@ class _Discharger:
         self._hit: dict = {}
         self._miss: dict = {}
         self._active: set = set()
-        self._polys: dict = {}
         points = {} if points is None else points
         key = _point_key(facts, goal)
         if key not in points:
@@ -127,20 +126,6 @@ class _Discharger:
                 self.ne0_facts.append((name, self.N.atom_key(f.arg)))
             elif isinstance(f, Lt):
                 self.pos_facts.append((name, self.N.atom_poly(Sub(f.right, f.left))))
-
-    def _expr_of(self, q: Poly) -> Expr:
-        """Reconstruct q as an expression, remembering its form."""
-        e = self.N.to_expr(q)
-        self._polys[id(e)] = (e, q)
-        return e
-
-    def _apoly(self, e: Expr) -> Poly:
-        ent = self._polys.get(id(e))
-        if ent is not None and ent[0] is e:
-            return ent[1]
-        p = self.N.atom_poly(e)
-        self._polys[id(e)] = (e, p)
-        return p
 
     def _refuted(self, kind, e: Expr) -> bool:
         """The claim fails at a refutation point. A series index in
@@ -165,7 +150,7 @@ class _Discharger:
         shape-directed. The active set breaks self-referential loops."""
         if self._refuted(kind, e):
             return None
-        pk = (kind, self._scope, self._apoly(e).key())
+        pk = (kind, self._scope, self.N.atom_key(e))
         got = self._hit.get(pk)
         if got is not None:
             return got
@@ -198,10 +183,10 @@ class _Discharger:
     # -- e != 0 --------------------------------------------------------
 
     def _ne0_raw(self, e: Expr, depth: int) -> Optional[str]:
-        p = self._apoly(e)
+        p = self.N.atom_poly(e)
         if p.is_const():
             return "literal" if p.const_value() != 0 else None
-        key = self.N.atom_key(e)
+        key = p.key()
         for name, fk in self.ne0_facts:
             if fk == key:
                 return f"hyp {name}"
@@ -244,7 +229,7 @@ class _Discharger:
     # -- 0 < s*e, 0 <= s*e ----------------------------------------------
 
     def _sign_raw(self, e: Expr, depth: int, s: int, strict: bool) -> Optional[str]:
-        p = self._apoly(e)
+        p = self.N.atom_poly(e)
         if p.is_const():
             c = s * p.const_value()
             return "literal" if (c > 0 if strict else c >= 0) else None
@@ -304,7 +289,7 @@ class _Discharger:
                 return t
         if depth > 0:
             for name, fp in self.pos_facts:
-                diff = self._expr_of(p - fp)
+                diff = self.N.to_expr(p - fp)
                 t = self.sign(diff, 1, False, depth - 1)
                 if t:
                     return f"above({name}; {t})"
@@ -386,7 +371,7 @@ class _Discharger:
             q = divexact(fp, v)
             if q is None or var in q.vars():
                 continue
-            t = self.sign(self._expr_of(q), 1, True, depth - 1)
+            t = self.sign(self.N.to_expr(q), 1, True, depth - 1)
             if t:
                 return f"factor-of({name}; {t})"
         return None
@@ -412,7 +397,7 @@ class _Discharger:
         q = divexact(p, mpoly)
         if q is None:
             return None
-        return self._expr_of(mpoly), self._expr_of(q)
+        return self.N.to_expr(mpoly), self.N.to_expr(q)
 
     def _rat_split(self, e: Expr):
         R = Normalizer()

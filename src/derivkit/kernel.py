@@ -45,8 +45,8 @@ from .errors import (ArityMismatch, DerivkitError, DuplicateName,
                      GoalNotClosed, NotDerivable, ObligationFailed,
                      RejectionStarvation, SearchBudgetExhausted, StepFailed,
                      UnboundSymbol)
-from .expr import (Add, App, Const, Deriv, Div, Expr, Node, Pow, SeriesSum,
-                   Sub, Var, eval_expr, free_vars, geometric_terms,
+from .expr import (Add, App, Const, Deriv, Div, Expr, Mul, Neg, Node, Pow,
+                   SeriesSum, Sub, Var, eval_expr, free_vars, geometric_terms,
                    map_children)
 from .formula import (And, Antideriv, AntiderivConst, ApplyLemma,
                       DivergesLeftAt, DerivRule, EqF, Exists, ExistsIntro,
@@ -202,10 +202,21 @@ def _do_rewrite(state: _State, step: RewriteWith) -> None:
                 | free_vars(state.unfold(h.right)) | state.lets.keys())
     # counted: a replacement that is the very object it matched rewrites
     total = 0
+    unfolded: dict = {}  # id(x) -> (x, x with the lets unfolded)
+
+    def unfold(x: Expr) -> Expr:
+        # built from the children's unfolded forms, so that the
+        # normalizer meets them again and its identity cache hits
+        got = unfolded.get(id(x))
+        if got is None:
+            u = (map_children(x, unfold) if state.unfolded
+                 and isinstance(x, (Add, Sub, Mul, Div, Neg)) else state.unfold(x))
+            got = unfolded[id(x)] = (x, u)
+        return got[1]
 
     def rw(x: Expr) -> Expr:
         nonlocal total
-        if N.atom_key(state.unfold(x)) == pkey:
+        if N.atom_key(unfold(x)) == pkey:
             total += 1
             return replacement
         if isinstance(x, SeriesSum) and x.index in shadowed:

@@ -444,7 +444,7 @@ class _Grounder:
         self.known = set(self.declared + self.extra)
         self.polys: Dict[object, list] = {}
         self.atoms: Dict[Tuple[object, Expr], str] = {}
-        hyps, goal = _unfolded_hyps(theory), subst(theory.goal, unfold_lets(theory.lets))
+        _, hyps, goal = _unfolded(theory)
         self.points: List[Expr] = list(dict.fromkeys(
             n.arg for f in hyps + [goal] for n, bound in walk(f)
             if isinstance(n, App) and free_vars(n.arg) <= self.known - bound))
@@ -626,9 +626,11 @@ def _theory_names(theory: Theory) -> List[str]:
     return names
 
 
-def _unfolded_hyps(theory: Theory) -> List[Formula]:
+def _unfolded(theory: Theory) -> Tuple[Dict[str, Expr], List[Formula], Formula]:
+    """The theory's lets unfolded, and its hypotheses and goal with them
+    expanded."""
     lets = unfold_lets(theory.lets)
-    return [subst(f, lets) for _, f in theory.hyps]
+    return lets, [subst(f, lets) for _, f in theory.hyps], subst(theory.goal, lets)
 
 
 def _truncation_guard(series: Sequence[SeriesSum]):
@@ -691,11 +693,11 @@ def _incongruent(apps, envs: Sequence[Dict[str, float]]) -> bool:
 
 
 def _suite_divergence(theory: Theory, plan: SamplePlan) -> NumericReport:
-    lets = unfold_lets(theory.lets)
-    body, point_e = lets[theory.goal.fn_name], subst(theory.goal.point, lets)
+    lets, hyps, goal = _unfolded(theory)
+    body, point_e = lets[goal.fn_name], goal.point
     var, names, facts = divergence_setup(
         body, point_e, [n for n, s in theory.var_decls if s == REAL],
-        _theory_names(theory), _unfolded_hyps(theory))
+        _theory_names(theory), hyps)
     # the witness runs on ten environments at most; sample_envs is
     # prefix-stable, so drawing only those keeps the same ten
     few = SamplePlan(plan.seed, min(plan.count, 10))

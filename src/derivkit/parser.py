@@ -15,12 +15,16 @@ The format is line-oriented. A script is a sequence of theories:
 input (forall, exists, !=, sum, >=); the printer always emits ASCII.
 Printing a parsed theory and reparsing it yields a structurally equal
 object.
+
+The parser looks at the next token in one way: `at(value)`, `accept(value)`
+and `expect(value)` compare its text alone, for symbols and words alike.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
+from itertools import groupby
 from typing import List, Tuple
 
 from .errors import DerivSyntaxError, DuplicateName, UndeclaredSymbol
@@ -110,22 +114,29 @@ class _Parser:
         t = self.peek()
         raise DerivSyntaxError(msg, t.line, t.col)
 
-    def expect_sym(self, sym: str) -> Token:
+    # the one token test: a symbol or a word, by its text alone, since
+    # no symbol spells a word and neither spells a number, a newline or
+    # the end of input
+
+    def at(self, value: str) -> bool:
+        return self.toks[self.i].value == value
+
+    def accept(self, value: str) -> bool:
+        if self.toks[self.i].value == value:
+            self.i += 1
+            return True
+        return False
+
+    def expect(self, value: str) -> Token:
         t = self.peek()
-        if t.kind != "sym" or t.value != sym:
-            self._fail(f"expected {sym!r}, found {t.value!r}")
+        if t.value != value:
+            self._fail(f"expected {value!r}, found {t.value!r}")
         return self.advance()
 
     def expect_ident(self, what="identifier") -> Token:
         t = self.peek()
         if t.kind != "ident":
             self._fail(f"expected {what}, found {t.value!r}")
-        return self.advance()
-
-    def expect_keyword(self, word: str):
-        t = self.peek()
-        if t.kind != "ident" or t.value != word:
-            self._fail(f"expected {word!r}, found {t.value!r}")
         return self.advance()
 
     def expect_newline(self):
@@ -151,14 +162,6 @@ class _Parser:
             names.append(self.fresh_name(what).value)
         return names
 
-    def at_ident(self, word: str) -> bool:
-        t = self.peek()
-        return t.kind == "ident" and t.value == word
-
-    def at_sym(self, sym: str) -> bool:
-        t = self.peek()
-        return t.kind == "sym" and t.value == sym
-
     # -- theories -----------------------------------------------------
 
     def parse_theories(self) -> List[Theory]:
@@ -170,7 +173,7 @@ class _Parser:
         return out
 
     def parse_theory(self) -> Theory:
-        self.expect_keyword("theory")
+        self.expect("theory")
         name = self.fresh_name("theory name").value
         self.expect_newline()
         self.skip_newlines()
@@ -179,78 +182,60 @@ class _Parser:
         const_decls: List[str] = []
         hyps: List[Tuple[str, Formula]] = []
         lets: List[Tuple[str, Expr]] = []
-        clause_lines = []
-        while True:
+        line_of = {}  # (clause, name) -> line, for _validate
+        while not self.at("goal"):
             t = self.peek()
             if t.kind != "ident":
                 self._fail(f"expected a declaration or goal, found {t.value!r}")
-            if t.value == "vars":
-                self.advance()
+            if self.accept("vars"):
                 names = self.fresh_names()
                 # without a sort, the names are real
                 sort = REAL
-                if self.at_sym(":"):
-                    self.advance()
+                if self.accept(":"):
                     sort_t = self.expect_ident("sort")
                     if sort_t.value not in (REAL, STATE):
                         raise DerivSyntaxError(
                             f"unknown sort {sort_t.value!r}", sort_t.line, sort_t.col)
                     sort = sort_t.value
                 var_decls.extend((n, sort) for n in names)
-                self.expect_newline()
-            elif t.value == "fns":
-                self.advance()
+            elif self.accept("fns"):
                 names = self.fresh_names()
-                self.expect_sym(":")
-                self.expect_keyword(STATE)
-                self.expect_sym("->")
-                self.expect_keyword(REAL)
+                self.expect(":")
+                self.expect(STATE)
+                self.expect("->")
+                self.expect(REAL)
                 fn_decls.extend(names)
-                self.expect_newline()
-            elif t.value == "const":
-                self.advance()
+            elif self.accept("const"):
                 n = self.fresh_name().value
-                self.expect_sym(":")
-                self.expect_keyword(REAL)
+                self.expect(":")
+                self.expect(REAL)
                 const_decls.append(n)
-                self.expect_newline()
-            elif t.value == "hyp":
-                line = self.advance().line
+            elif self.accept("hyp"):
                 n = self.fresh_name("hypothesis name").value
-                self.expect_sym(":")
-                f = self.parse_formula()
-                hyps.append((n, f))
-                clause_lines.append(("hyp", n, line))
-                self.expect_newline()
-            elif t.value == "let":
-                line = self.advance().line
+                self.expect(":")
+                hyps.append((n, self.parse_formula()))
+                line_of["hyp", n] = t.line
+            elif self.accept("let"):
                 n = self.fresh_name("let name").value
-                self.expect_sym(":=")
-                e = self.parse_expr()
-                lets.append((n, e))
-                clause_lines.append(("let", n, line))
-                self.expect_newline()
-            elif t.value == "goal":
-                break
+                self.expect(":=")
+                lets.append((n, self.parse_expr()))
+                line_of["let", n] = t.line
             else:
                 self._fail(f"unexpected clause {t.value!r}")
+            self.expect_newline()
             self.skip_newlines()
-        goal_line = self.expect_keyword("goal").line
+        line_of["goal", ""] = self.expect("goal").line
         goal = self.parse_formula()
-        clause_lines.append(("goal", "", goal_line))
         self.expect_newline()
         self.skip_newlines()
-        self.expect_keyword("proof")
+        self.expect("proof")
         self.expect_newline()
         self.skip_newlines()
         steps: List[Step] = []
-        while not self.at_ident("qed"):
+        while not self.accept("qed"):
             steps.append(self.parse_step())
             self.expect_newline()
             self.skip_newlines()
-        self.expect_keyword("qed")
-        if self.peek().kind == "nl":
-            self.advance()
         theory = Theory(
             name=name,
             var_decls=tuple(var_decls),
@@ -261,7 +246,7 @@ class _Parser:
             goal=goal,
             steps=tuple(steps),
         )
-        _validate(theory, clause_lines)
+        _validate(theory, line_of)
         return theory
 
     # -- steps --------------------------------------------------------
@@ -289,10 +274,7 @@ class _Parser:
         if kind == "str":
             return self.expect_ident(what).value
         if kind == "bool":
-            if self.at_sym("<-"):
-                self.advance()
-                return True
-            return False
+            return self.accept("<-")
         if kind == "int":
             n = self.peek()
             if n.kind != "number" or "." in n.value:
@@ -312,41 +294,35 @@ class _Parser:
 
     def parse_formula(self) -> Formula:
         f = self.parse_conj()
-        if self.at_sym("->"):
-            self.advance()
+        if self.accept("->"):
             return Implies(f, self.parse_formula())
         return f
 
     def parse_conj(self) -> Formula:
         f = self.parse_atom_formula()
-        if self.at_sym("/\\"):
-            self.advance()
+        if self.accept("/\\"):
             return And(f, self.parse_conj())
         return f
 
     def parse_atom_formula(self) -> Formula:
-        t = self.peek()
-        if t.kind == "ident" and t.value == "forall":
-            self.advance()
+        if self.accept("forall"):
             names = self.fresh_names("binder")
-            self.expect_sym(",")
+            self.expect(",")
             body = self.parse_formula()
             return Forall(tuple((n, _binder_sort(n, body)) for n in names), body)
-        if t.kind == "ident" and t.value == "exists":
-            self.advance()
+        if self.accept("exists"):
             n = self.fresh_name("binder").value
-            self.expect_sym(",")
+            self.expect(",")
             body = self.parse_formula()
             return Exists((n, _binder_sort(n, body)), body)
-        if t.kind == "ident" and t.value == "diverges_left":
-            self.advance()
-            self.expect_sym("(")
+        if self.accept("diverges_left"):
+            self.expect("(")
             fn = self.expect_ident().value
-            self.expect_sym(",")
+            self.expect(",")
             point = self.parse_expr()
-            self.expect_sym(")")
+            self.expect(")")
             return DivergesLeftAt(fn, point)
-        if t.kind == "sym" and t.value == "(":
+        if self.at("("):
             # could open an expression or a nested formula; try the
             # expression route first and fall back once on failure
             save = self.i
@@ -354,35 +330,31 @@ class _Parser:
                 return self.parse_comparison()
             except DerivSyntaxError:
                 self.i = save
-            self.expect_sym("(")
+            self.expect("(")
             f = self.parse_formula()
-            self.expect_sym(")")
+            self.expect(")")
             return f
         return self.parse_comparison()
 
     def parse_comparison(self) -> Formula:
         left = self.parse_expr()
-        t = self.peek()
-        if t.kind == "sym" and t.value == "=":
-            self.advance()
+        if self.accept("="):
             return EqF(left, self.parse_expr())
-        if t.kind == "sym" and t.value == "!=":
-            self.advance()
+        if self.accept("!="):
             z = self.peek()
             if z.kind != "number" or Fraction(z.value) != 0:
                 self._fail("only comparisons with zero are supported after !=")
             self.advance()
             return Ne0(left)
-        if t.kind == "sym" and t.value == "<":
-            self.advance()
+        if self.accept("<"):
             return Lt(left, self.parse_expr())
-        self._fail(f"expected a comparison, found {t.value!r}")
+        self._fail(f"expected a comparison, found {self.peek().value!r}")
 
     # -- expressions ----------------------------------------------------
 
     def parse_expr(self) -> Expr:
         e = self.parse_mul()
-        while self.peek().kind == "sym" and self.peek().value in ("+", "-"):
+        while self.peek().value in ("+", "-"):
             op = self.advance().value
             r = self.parse_mul()
             e = Add(e, r) if op == "+" else Sub(e, r)
@@ -390,32 +362,25 @@ class _Parser:
 
     def parse_mul(self) -> Expr:
         e = self.parse_unary()
-        while self.peek().kind == "sym" and self.peek().value in ("*", "/"):
+        while self.peek().value in ("*", "/"):
             op = self.advance().value
             r = self.parse_unary()
             e = Mul(e, r) if op == "*" else Div(e, r)
         return e
 
     def parse_unary(self) -> Expr:
-        if self.at_sym("-"):
-            self.advance()
+        if self.accept("-"):
             t = self.peek()
             if t.kind == "number":
                 self.advance()
-                e: Expr = Const(-Fraction(t.value))
-                return self.parse_pow_suffix(e)
+                return self.parse_pow_suffix(Const(-Fraction(t.value)))
             return Neg(self.parse_unary())
-        return self.parse_pow()
-
-    def parse_pow(self) -> Expr:
         return self.parse_pow_suffix(self.parse_primary())
 
     def parse_pow_suffix(self, e: Expr) -> Expr:
-        while self.at_sym("^"):
-            self.advance()
+        while self.accept("^"):
             t = self.peek()
-            if t.kind == "sym" and t.value == "-":
-                self.advance()
+            if self.accept("-"):
                 n = self.peek()
                 if n.kind != "number" or "." in n.value:
                     self._fail("expected an integer exponent")
@@ -438,42 +403,38 @@ class _Parser:
         if t.kind == "number":
             self.advance()
             return Const(Fraction(t.value))
-        if t.kind == "sym" and t.value == "(":
-            self.advance()
+        if self.accept("("):
             e = self.parse_expr()
-            self.expect_sym(")")
+            self.expect(")")
             return e
-        if t.kind == "ident" and t.value == "deriv":
-            self.advance()
-            self.expect_sym("(")
+        if self.accept("deriv"):
+            self.expect("(")
             fn = self.expect_ident("function name").value
-            self.expect_sym(")")
-            self.expect_sym("(")
+            self.expect(")")
+            self.expect("(")
             arg = self.parse_expr()
-            self.expect_sym(")")
+            self.expect(")")
             return App(Deriv(fn), arg)
-        if t.kind == "ident" and t.value == "sum":
-            self.advance()
-            self.expect_sym("[")
+        if self.accept("sum"):
+            self.expect("[")
             idx = self.fresh_name("index").value
-            self.expect_sym(">=")
+            self.expect(">=")
             s = self.peek()
             if s.kind != "number" or s.value not in ("0", "1"):
                 self._fail("series must start at 0 or 1")
             self.advance()
-            self.expect_sym("]")
-            self.expect_sym("(")
+            self.expect("]")
+            self.expect("(")
             body = self.parse_expr()
-            self.expect_sym(")")
+            self.expect(")")
             return SeriesSum(idx, int(s.value), body)
         if t.kind == "ident":
             if t.value in RESERVED:
                 self._fail(f"{t.value!r} is a reserved word")
             self.advance()
-            if self.at_sym("("):
-                self.advance()
+            if self.accept("("):
                 arg = self.parse_expr()
-                self.expect_sym(")")
+                self.expect(")")
                 return App(t.value, arg)
             return Var(t.value)
         self._fail(f"expected an expression, found {t.value!r}")
@@ -490,10 +451,7 @@ def _binder_sort(name: str, body: Formula) -> str:
 # validation
 
 
-def _validate(theory: Theory, clause_lines) -> None:
-    line_of = {}
-    for kind, n, line in clause_lines:
-        line_of[(kind, n)] = line
+def _validate(theory: Theory, line_of) -> None:
     let_names = [n for n, _ in theory.lets]
     seen = set()
     for n in ([n for n, _ in theory.var_decls] + list(theory.fn_decls)
@@ -562,6 +520,7 @@ def _const_str(f: Fraction) -> str:
 
 
 _ADD, _MUL, _UNARY, _POW, _ATOM = 1, 2, 3, 4, 5
+_BINARY = {Add: ("+", _ADD), Sub: ("-", _ADD), Mul: ("*", _MUL), Div: ("/", _MUL)}
 
 
 def _pe(e: Expr, prec: int) -> str:
@@ -569,18 +528,12 @@ def _pe(e: Expr, prec: int) -> str:
         return e.name
     if isinstance(e, Const):
         return _const_str(e.value)
-    if isinstance(e, Add):
-        s = f"{_pe(e.left, _ADD)} + {_pe(e.right, _MUL)}"
-        return f"({s})" if prec > _ADD else s
-    if isinstance(e, Sub):
-        s = f"{_pe(e.left, _ADD)} - {_pe(e.right, _MUL)}"
-        return f"({s})" if prec > _ADD else s
-    if isinstance(e, Mul):
-        s = f"{_pe(e.left, _MUL)} * {_pe(e.right, _UNARY)}"
-        return f"({s})" if prec > _MUL else s
-    if isinstance(e, Div):
-        s = f"{_pe(e.left, _MUL)} / {_pe(e.right, _UNARY)}"
-        return f"({s})" if prec > _MUL else s
+    if type(e) in _BINARY:
+        # both operators of a level associate to the left, so the right
+        # operand binds one level tighter
+        sym, level = _BINARY[type(e)]
+        s = f"{_pe(e.left, level)} {sym} {_pe(e.right, level + 1)}"
+        return f"({s})" if prec > level else s
     if isinstance(e, Neg):
         inner = _pe(e.arg, _UNARY)
         # adjacent dashes would lex as a comment, and a digit right
@@ -671,15 +624,8 @@ def print_step(s: Step) -> str:
 
 def print_theory(t: Theory) -> str:
     lines = [f"theory {t.name}"]
-    i = 0
-    while i < len(t.var_decls):
-        j = i
-        sort = t.var_decls[i][1]
-        while j < len(t.var_decls) and t.var_decls[j][1] == sort:
-            j += 1
-        names = " ".join(n for n, _ in t.var_decls[i:j])
-        lines.append(f"  vars {names} : {sort}")
-        i = j
+    for sort, decls in groupby(t.var_decls, key=lambda d: d[1]):
+        lines.append(f"  vars {' '.join(n for n, _ in decls)} : {sort}")
     if t.fn_decls:
         lines.append(f"  fns {' '.join(t.fn_decls)} : State->Real")
     for n in t.const_decls:

@@ -58,6 +58,9 @@ class Normalizer:
         self._atoms: Dict[tuple, str] = {}
         self._reps: Dict[str, Expr] = {}
         self.denominators: List[Expr] = []
+        # atom mode: id of a Div or binary node -> (node, its polynomial);
+        # holding the node keeps its id from being reused
+        self._polys: Dict[int, Tuple[Expr, Poly]] = {}
 
     # -- public API --------------------------------------------------
 
@@ -109,19 +112,28 @@ class Normalizer:
         if isinstance(e, Neg):
             n, d = self._norm(e.arg, rational)
             return -n, d
-        if isinstance(e, Div) and not rational:
-            return self._norm(e.left, False)[0] * self._inv(e.right), ONE
         if isinstance(e, (Add, Sub, Mul, Div)):
-            nl, dl = self._norm(e.left, rational)
-            nr, dr = self._norm(e.right, rational)
-            if isinstance(e, Add):
-                return nl * dr + nr * dl, dl * dr
-            if isinstance(e, Sub):
-                return nl * dr - nr * dl, dl * dr
-            if isinstance(e, Mul):
-                return nl * nr, dl * dr
-            self.denominators.append(e.right)
-            return nl * dr, dl * nr
+            if not rational:
+                hit = self._polys.get(id(e))
+                if hit is not None and hit[0] is e:
+                    return hit[1], ONE
+            if isinstance(e, Div) and not rational:
+                n, d = self._norm(e.left, False)[0] * self._inv(e.right), ONE
+            else:
+                nl, dl = self._norm(e.left, rational)
+                nr, dr = self._norm(e.right, rational)
+                if isinstance(e, Add):
+                    n, d = nl * dr + nr * dl, dl * dr
+                elif isinstance(e, Sub):
+                    n, d = nl * dr - nr * dl, dl * dr
+                elif isinstance(e, Mul):
+                    n, d = nl * nr, dl * dr
+                else:
+                    self.denominators.append(e.right)
+                    n, d = nl * dr, dl * nr
+            if not rational:
+                self._polys[id(e)] = (e, n)
+            return n, d
         if isinstance(e, Pow):
             if isinstance(e.exp, str):
                 return self._atom(("ipow", self.atom_key(e.base), e.exp), e), ONE

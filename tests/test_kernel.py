@@ -6,6 +6,7 @@ from derivkit.errors import UndeclaredSymbol
 from derivkit.kernel import (LemmaEntry, NUMERIC_CERTIFIED, SYMBOLIC,
                              check_theory)
 from derivkit.parser import parse_theory
+from derivkit.ringnorm import Normalizer
 
 
 def run(src, pool=None, seed=0):
@@ -115,6 +116,33 @@ def test_rewrite_with_non_equation_fails():
         "  goal x = x",
         "  proof", "    rw h", "  qed"))
     assert r.failure == (1, "StepFailed: hypothesis 'h' is not an equation")
+
+
+@pytest.mark.parametrize("let", [[], ["  let w := x * 2"]], ids=["no let", "let"])
+def test_rewrite_normalizes_each_node_once(monkeypatch, let):
+    """rw compares the normal form of every subterm of the goal, lets
+    unfolded, with the pattern's. The normalizer remembers each binary
+    node's form, and the unfolded subterms are built from each other, so
+    over an n-term goal it does O(n) work, not O(n^2)."""
+    n = 100
+    first = ["w"] if let else []
+    calls = 0
+    norm = Normalizer._norm
+
+    def counted(self, e, rational):
+        nonlocal calls
+        calls += 1
+        return norm(self, e, rational)
+
+    monkeypatch.setattr(Normalizer, "_norm", counted)
+    r = run(theory(
+        "  vars x y : Real", *let,
+        "  hyp h : y = x",
+        f"  goal {' + '.join(first + ['x'] * n + ['y'])}"
+        f" = {' + '.join(first + ['x'] * (n + 1))}",
+        "  proof", "    rw h", "    ring", "  qed"))
+    assert r.accepted
+    assert calls <= 20 * n
 
 
 def test_unfold_replaces_let_body():

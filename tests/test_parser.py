@@ -203,6 +203,60 @@ def test_parse_theory_rejects_multiple():
         parse_theory(two)
 
 
+def steps(*step_lines):
+    lines = ["theory t", "  vars x y : Real", "  hyp h : x = y", "  goal x = y",
+             "  proof"]
+    lines += [f"    {ln}" for ln in step_lines]
+    lines += ["  qed"]
+    return "\n".join(lines) + "\n"
+
+
+# every syntax error the lexer and parser raise: script, message, line, column
+SYNTAX_ERRORS = [
+    (mk("goal x $ = x"), "unexpected character '$'", 3, 10),
+    (mk("hyp h x = y", "goal x = x"), "expected ':', found 'x'", 3, 9),
+    (mk("let w = x", "goal x = x"), "expected ':=', found '='", 3, 9),
+    (mk("goal (x = y"), "expected ')', found '\\n'", 3, 14),
+    (mk("let g := sum[n=1](x)", "goal x = x"), "expected '>=', found '='", 3, 17),
+    ("goal x = x\n", "expected 'theory', found 'goal'", 1, 1),
+    ("theory t\n  vars x : Real\n  goal x = x\n    ring\n  qed\n",
+     "expected 'proof', found 'ring'", 4, 5),
+    (mk("fns f : Real -> Real", "goal x = x"), "expected 'State', found 'Real'", 3, 11),
+    ("theory 3\n  goal 1 = 1\n  proof\n    ring\n  qed\n",
+     "expected theory name, found '3'", 1, 8),
+    (steps("rw 3"), "expected the hyp of rw, found '3'", 6, 8),
+    ("theory t\n  vars x : Real\n  goal x = x\n  proof\n    ring\n",
+     "expected proof step, found ''", 6, 1),
+    (mk("goal x = x y"), "expected end of line, found 'y'", 3, 14),
+    (mk("vars z : Nat", "goal x = x"), "unknown sort 'Nat'", 3, 12),
+    (mk("lemma x", "goal x = x"), "unexpected clause 'lemma'", 3, 3),
+    (mk("3 x", "goal x = x"), "expected a declaration or goal, found '3'", 3, 3),
+    (steps("frobnicate"), "unknown proof step 'frobnicate'", 6, 5),
+    (steps("limit_witness 2.5"), "limit_witness needs an integer depth", 6, 19),
+    (steps("deriv_rule exp"), "unknown derivative rule 'exp'", 6, 5),
+    (mk("goal x"), "expected a comparison, found '\\n'", 3, 9),
+    (mk("hyp h : x != 1", "goal x = x"),
+     "only comparisons with zero are supported after !=", 3, 16),
+    (mk("goal x^2.5 = x"), "expected an integer exponent", 3, 10),
+    (mk("goal x^-2.5 = x"), "expected an integer exponent", 3, 11),
+    (mk("goal x^(2) = x"), "expected an exponent", 3, 10),
+    (mk("let g := sum[n>=2](x^n)", "goal x = x"), "series must start at 0 or 1", 3, 19),
+    (mk("goal x = )"), "expected an expression, found ')'", 3, 12),
+    (mk("vars sum : Real", "goal x = x"), "'sum' is a reserved word", 3, 8),
+    (mk("goal x = vars"), "'vars' is a reserved word", 3, 12),
+    (mk("goal x = x") + mk("goal y = y"), "expected exactly one theory, found 2", 1, 1),
+]
+
+
+@pytest.mark.parametrize("src, message, line, col", SYNTAX_ERRORS,
+                         ids=[row[1] for row in SYNTAX_ERRORS])
+def test_syntax_error_message_and_position(src, message, line, col):
+    with pytest.raises(DerivSyntaxError) as ei:
+        parse_theory(src)
+    assert (str(ei.value), ei.value.line, ei.value.col) == (
+        f"{message} at line {line}, col {col}", line, col)
+
+
 # -- round trips -----------------------------------------------------------
 
 
