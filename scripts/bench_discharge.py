@@ -7,16 +7,23 @@
 Run from the root of a git checkout; stdlib only. For this checkout's
 working tree and for a `git archive` of REV, the script
 
-- checks `build_pool(0)` in a fresh interpreter and records, for every
-  obligation the kernel hands to `discharge`, its theory, its printed
-  form, the trace (or `null` when refused), the wall time and the number
-  of raw judgement calls (`_Discharger._sign_raw` and `_ne0_raw`, counted
-  by wrapping them, so the parent needs no counter of its own);
-- runs the numeric oracle (`numcheck.run_suite`, seed 0, 100 samples) on
-  every builtin and records its wall time, its label and its candidate
-  draws per kept sample: the calls of `_draw`, which `sample_envs`
-  makes once per candidate, over the samples reported, or `null` for a
-  suite that draws no environments. A tree without `_draw` counts the
+- probes each tree `PROBES` times, alternating which tree goes first,
+  each probe a fresh interpreter that checks `build_pool(0)` and then
+  runs the numeric oracle. `build_pool` gives each side's median and
+  quartiles of the pool's wall time (`build_pool_s`) and of the summed
+  discharge time (`discharge_s`); one probe of each is noise. The first
+  probe gives the rows: for every obligation the kernel hands to
+  `discharge`, its theory, its printed form, the trace (or `null` when
+  refused), the wall time and the number of raw judgement calls
+  (`_Discharger._sign_raw` and `_ne0_raw`, counted by wrapping them, so
+  the parent needs no counter of its own). `traces_identical` holds when
+  every probe of both sides gives the same traces;
+- in the same probes, runs the numeric oracle (`numcheck.run_suite`,
+  seed 0, 100 samples) on every builtin and records, from the first
+  probe, its wall time, its label and its candidate draws per kept
+  sample: the calls of `_draw`, which `sample_envs` makes once per
+  candidate, over the samples reported, or `null` for a suite that
+  draws no environments. A tree without `_draw` counts the
   equation solver (`_solve`, or `_solve_equations` before it), which
   ran once per candidate there;
 - runs the CLI calls of the three workloads of `perfbench/workloads.py`
@@ -56,6 +63,7 @@ import time
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 WORKLOADS = ("corpus", "edit_check", "mutants")
+PROBES = 7
 CHILD = "import sys; from derivkit.cli import main; sys.exit(main(sys.argv[1:]))"
 
 # Runs in a child interpreter with the tree's src/ first on sys.path.
@@ -197,17 +205,19 @@ def perfbench(tree: str, workload: str, seed: int, seconds: float) -> dict:
     return res
 
 
+def quartiles(vals: list) -> dict:
+    q1, _, q3 = statistics.quantiles(vals, n=4) if len(vals) > 1 else vals * 3
+    return {"median": statistics.median(vals), "q1": q1, "q3": q3}
+
+
 def compare(runs: dict) -> dict:
     """Per end-to-end metric: each side's median and quartiles, and the
     pairs the change won (ties count for neither side)."""
     out = {}
     for metric, better in (("setup_s", min), ("call_p50_s", min),
                            ("theories_per_s", max), ("peak_rss_mb", min)):
-        row = {}
-        for side in ("parent", "change"):
-            vals = [r["metrics"][metric] for r in runs[side]]
-            q1, q2, q3 = statistics.quantiles(vals, n=4) if len(vals) > 1 else vals * 3
-            row[side] = {"median": statistics.median(vals), "q1": q1, "q3": q3}
+        row = {side: quartiles([r["metrics"][metric] for r in runs[side]])
+               for side in ("parent", "change")}
         row["change_wins"] = sum(
             p != c and better(p, c) == c
             for p, c in zip(*([r["metrics"][metric] for r in runs[s]]
@@ -216,10 +226,13 @@ def compare(runs: dict) -> dict:
     return out
 
 
-def summary(p: dict) -> dict:
-    obs = p["obligations"]
-    return {"build_pool_s": p["build_pool_s"],
-            "discharge_s": round(sum(o["s"] for o in obs), 3),
+def summary(runs: list) -> dict:
+    """One side's probes: the spread of the two times, and the counts of
+    the first probe."""
+    obs = runs[0]["obligations"]
+    return {"build_pool_s": quartiles([p["build_pool_s"] for p in runs]),
+            "discharge_s": quartiles([round(sum(o["s"] for o in p["obligations"]), 3)
+                                      for p in runs]),
             "raw_calls": sum(o["raw_calls"] for o in obs),
             "obligations": len(obs),
             "refused": sum(o["trace"] is None for o in obs)}
@@ -242,9 +255,13 @@ def main() -> int:
                                  capture_output=True).stdout
         subprocess.run(["tar", "-x", "-C", parent], input=archive, check=True)
         trees = {"parent": parent, "change": ROOT}
-        probes = {name: probe(tree) for name, tree in trees.items()}
-        traces = {name: [(o["obligation"], o["trace"]) for o in p["obligations"]]
-                  for name, p in probes.items()}
+        all_probes = {name: [] for name in trees}
+        for k in range(PROBES):
+            for name in sorted(all_probes, reverse=k % 2 == 1):
+                all_probes[name].append(probe(trees[name]))
+        probes = {name: r[0] for name, r in all_probes.items()}
+        traces = [[(o["obligation"], o["trace"]) for o in p["obligations"]]
+                  for r in all_probes.values() for p in r]
         with tempfile.TemporaryDirectory() as inputs:
             outputs = [{"args": label, **{name: cli_output(tree, a, files)
                                           for name, tree in trees.items()}}
@@ -274,8 +291,8 @@ def main() -> int:
         "date": time.strftime("%Y-%m-%d"),
         "perfbench": {"seed": args.seed, "seconds": args.seconds,
                       "pairs": args.pairs, "workloads": bench},
-        "build_pool": {name: summary(p) for name, p in probes.items()},
-        "traces_identical": traces["parent"] == traces["change"],
+        "build_pool": {name: summary(r) for name, r in all_probes.items()},
+        "traces_identical": all(t == traces[0] for t in traces),
         "json_identical": all(c["identical"] for c in json_calls),
         "json_differing_fields": sorted({p.rsplit(".", 1)[-1] for c in json_calls
                                          for p in c["differs"]}),

@@ -306,15 +306,6 @@ class IndexShift(Step):
     __slots__ = ()
 
 
-class DerivRule(Step):
-    __slots__ = ("rule",)
-    rule: str
-
-    def __post_init__(self):
-        if self.rule not in ("const", "id", "pow", "linear", "scalar"):
-            raise ValueError(f"unknown derivative rule {self.rule!r}")
-
-
 class AntiderivConst(Step):
     __slots__ = ()
 
@@ -335,8 +326,8 @@ STEPS = {
     "ring": RingClose, "intro": Intro, "specialize": Specialize,
     "use": ExistsIntro, "apply": ApplyLemma, "series_geom": SeriesGeom,
     "series_geom_weighted": SeriesGeomWeighted, "index_shift": IndexShift,
-    "deriv_rule": DerivRule, "antideriv_const": AntiderivConst,
-    "antideriv": Antideriv, "limit_witness": LimitDivergenceWitness,
+    "antideriv_const": AntiderivConst, "antideriv": Antideriv,
+    "limit_witness": LimitDivergenceWitness,
 }
 
 

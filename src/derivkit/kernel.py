@@ -49,7 +49,7 @@ from .expr import (Add, App, Const, Deriv, Div, Expr, Mul, Neg, Node, Pow,
                    SeriesSum, Sub, Var, eval_expr, free_vars, geometric_terms,
                    map_children)
 from .formula import (And, Antideriv, AntiderivConst, ApplyLemma,
-                      DivergesLeftAt, DerivRule, EqF, Exists, ExistsIntro,
+                      DivergesLeftAt, EqF, Exists, ExistsIntro,
                       FieldNormalize, Forall, Formula, Implies, IndexShift,
                       Intro, LimitDivergenceWitness, Lt, Ne0, RewriteWith,
                       RingClose, SeriesGeom, SeriesGeomWeighted, Specialize,
@@ -392,49 +392,6 @@ def _do_index_shift(state: _State, step: IndexShift) -> None:
     _rewrite_goal(state, map_children(state.goal, walk), "no zero-based series in the goal")
 
 
-def _do_deriv_rule(state: _State, step: DerivRule) -> None:
-    _equation(state, "deriv_rule needs")
-
-    def expand(e: Expr) -> Expr:
-        if isinstance(e, App) and isinstance(e.fn, Deriv) and e.fn.fn in state.lets:
-            body = state.unfolded[e.fn.fn]
-            fv = sorted(free_vars(body))
-            if len(fv) != 1:
-                raise StepFailed(f"{e.fn.fn!r} must have exactly one free variable")
-            v = fv[0]
-            N = Normalizer()
-            p = N.atom_poly(body)
-            if v in N.opaque_names(p):
-                raise StepFailed(f"{e.fn.fn!r} is not polynomial in {v!r}")
-            shape = _classify_poly(p, v)
-            if shape is None:
-                raise StepFailed(f"no derivative rule covers {e.fn.fn!r}")
-            if shape != step.rule:
-                raise StepFailed(f"top rule is {shape!r}, not {step.rule!r}")
-            d = N.to_expr(derivative(p, v))
-            return subst(d, {v: expand(e.arg)})
-        return map_children(e, expand)
-
-    _rewrite_goal(state, map_children(state.goal, expand),
-                  "no derivative of a let binding in the goal")
-
-
-def _classify_poly(p: Poly, v: str) -> Optional[str]:
-    deg = p.degree_in(v)
-    if deg == 0:
-        return "const"
-    if p == Poly.var(v):
-        return "id"
-    if len(p.terms) == 1:
-        mono, coeff = next(iter(p.terms.items()))
-        if mono == ((v, deg),):
-            return "pow" if coeff == 1 else "scalar"
-        return "scalar"
-    if deg == 1:
-        return "linear"
-    return None
-
-
 # where the antiderivative steps compare rates: a name no script can use
 _AT = Var("@t")
 
@@ -577,7 +534,7 @@ _STEPS = {
     FieldNormalize: _do_field_normalize, RingClose: _do_ring, Intro: _do_intro,
     Specialize: _do_specialize, ExistsIntro: _do_use, ApplyLemma: _do_apply,
     SeriesGeom: _do_series, SeriesGeomWeighted: _do_series,
-    IndexShift: _do_index_shift, DerivRule: _do_deriv_rule,
+    IndexShift: _do_index_shift,
     AntiderivConst: _do_antideriv_const, Antideriv: _do_antideriv,
     LimitDivergenceWitness: _do_limit_witness,
 }

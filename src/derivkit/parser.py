@@ -256,18 +256,14 @@ class _Parser:
         the inverse of `_field_str`: a name for `str`, an optional `<-`
         for `bool`, an integer for `int`, an expression for `Expr`, new
         names for `Tuple[str, ...]` and terms up to the end of the line
-        for `Tuple[Expr, ...]`. A value the step class refuses with a
-        ValueError is a syntax error at the keyword."""
+        for `Tuple[Expr, ...]`."""
         t = self.expect_ident("proof step")
         cls = STEPS.get(t.value)
         if cls is None:
             raise DerivSyntaxError(f"unknown proof step {t.value!r}", t.line, t.col)
         values = [self.parse_field(t.value, f, cls.__annotations__[f])
                   for f in cls._fields]
-        try:
-            return cls(*values)
-        except ValueError as e:
-            raise DerivSyntaxError(str(e), t.line, t.col) from None
+        return cls(*values)
 
     def parse_field(self, kw: str, field: str, kind: str):
         what = f"the {field} of {kw}"

@@ -13,10 +13,10 @@ from derivkit.expr import (SERIES_CUTOFF, Add, App, Const, Deriv, Div, Expr,
                            Formula, Mul, Neg, Node, Pow, SeriesSum, Sub, Var,
                            children, eval_expr, free_vars, map_children)
 from derivkit.formula import (And, Antideriv, AntiderivConst, ApplyLemma,
-                              DerivRule, DivergesLeftAt, EqF, Exists,
-                              ExistsIntro, FieldNormalize, Forall, Implies,
-                              IndexShift, Intro, LimitDivergenceWitness, Lt,
-                              Ne0, RewriteWith, RingClose, SeriesGeom,
+                              DivergesLeftAt, EqF, Exists, ExistsIntro,
+                              FieldNormalize, Forall, Implies, IndexShift,
+                              Intro, LimitDivergenceWitness, Lt, Ne0,
+                              RewriteWith, RingClose, SeriesGeom,
                               SeriesGeomWeighted, Specialize, Step, Unfold,
                               subst, unfold_lets)
 
@@ -233,7 +233,7 @@ def _one_of_every_kind():
         RewriteWith("h"), RewriteWith("h", reverse=True), Unfold("w"),
         FieldNormalize(), RingClose(), Intro(("h", "t")), Specialize("h", (a, b)),
         ExistsIntro(b), ApplyLemma("lem"), SeriesGeom(), SeriesGeomWeighted(),
-        IndexShift(), DerivRule("pow"), AntiderivConst(), Antideriv(),
+        IndexShift(), AntiderivConst(), Antideriv(),
         LimitDivergenceWitness(8),
     ]
 
@@ -276,7 +276,6 @@ _PINNED_REPRS = [
     "SeriesGeom()",
     "SeriesGeomWeighted()",
     "IndexShift()",
-    "DerivRule(rule='pow')",
     "AntiderivConst()",
     "Antideriv()",
     "LimitDivergenceWitness(depth=8)",

@@ -575,52 +575,6 @@ def test_index_shift_without_zero_based_series():
     assert r.failure == (1, "StepFailed: no zero-based series in the goal")
 
 
-# -- derivative rules ---------------------------------------------------------
-
-
-def deriv_theory(body, rhs, rule):
-    return theory(
-        "  vars t u : Real",
-        f"  let q := {body}",
-        f"  goal deriv(q)(u) = {rhs}",
-        "  proof", f"    deriv_rule {rule}", "  qed")
-
-
-@pytest.mark.parametrize("body,rhs,rule", [
-    ("0 * t + 5", "0", "const"),
-    ("t", "1", "id"),
-    ("t^3", "3 * u^2", "pow"),
-    ("4 * t^2", "8 * u", "scalar"),
-    ("2 * t + 7", "2", "linear"),
-])
-def test_deriv_rule_families(body, rhs, rule):
-    r = run(deriv_theory(body, rhs, rule))
-    assert r.accepted, (body, r.failure)
-
-
-def test_deriv_rule_wrong_label():
-    r = run(deriv_theory("t^3", "3 * u^2", "const"))
-    assert r.failure == (1, "StepFailed: top rule is 'pow', not 'const'")
-
-
-def test_deriv_rule_needs_single_variable():
-    r = run(theory(
-        "  vars t u v : Real",
-        "  let q := t * v",
-        "  goal deriv(q)(u) = v",
-        "  proof", "    deriv_rule linear", "  qed"))
-    assert r.failure == (1, "StepFailed: 'q' must have exactly one free variable")
-
-
-def test_deriv_rule_without_derivative_in_goal():
-    r = run(theory(
-        "  vars t : Real",
-        "  let q := t^2",
-        "  goal t = t",
-        "  proof", "    deriv_rule pow", "  qed"))
-    assert r.failure == (1, "StepFailed: no derivative of a let binding in the goal")
-
-
 # -- antiderivative schemas ----------------------------------------------------
 
 
@@ -776,19 +730,12 @@ REFUSALS = {
     "specialize unquantified hypothesis": (
         "vars x : Real", "hyp h : x = 1", "x = 1", "specialize h x",
         "hypothesis 'h' is not universally quantified"),
-    "deriv_rule not polynomial": (
-        "vars t u : Real\n  let q := 1 / t", "", "deriv(q)(u) = 0",
-        "deriv_rule const", "'q' is not polynomial in 't'"),
-    "deriv_rule no rule": (
-        "vars t u : Real\n  let q := t^2 + t", "", "deriv(q)(u) = 2 * u + 1",
-        "deriv_rule pow", "no derivative rule covers 'q'"),
     **{f"{step} order goal": ("vars x : Real", "hyp hx : 0 < x", "0 < x", step,
                               reason)
        for step, reason in [
            ("ring", "ring needs an equational goal"),
            ("field_normalize", "field_normalize needs an equational goal"),
            ("index_shift", "index_shift needs an equational goal"),
-           ("deriv_rule const", "deriv_rule needs an equational goal"),
            ("series_geom", "series steps need an equational goal"),
            ("series_geom_weighted", "series steps need an equational goal")]},
 }

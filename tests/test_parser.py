@@ -8,7 +8,7 @@ import pytest
 from derivkit.errors import DerivSyntaxError, DuplicateName, UndeclaredSymbol
 from derivkit.expr import (Add, App, Const, Deriv, Div, Mul, Neg, Pow,
                            SeriesSum, Sub, Var)
-from derivkit.formula import (And, ApplyLemma, DerivRule, EqF, ExistsIntro,
+from derivkit.formula import (And, ApplyLemma, EqF, ExistsIntro,
                               FieldNormalize, Forall, Implies, IndexShift,
                               Intro, LimitDivergenceWitness, Lt, Ne0, REAL,
                               RewriteWith, RingClose, SeriesGeom,
@@ -182,12 +182,6 @@ def test_series_start_limited():
         parse_theory(mk("let g := sum[n>=2](x^n)", "goal x = x"))
 
 
-def test_unknown_deriv_rule_rejected():
-    src = "theory t\n  vars x : Real\n  goal x = x\n  proof\n    deriv_rule exp\n  qed\n"
-    with pytest.raises(DerivSyntaxError, match="unknown derivative rule 'exp'"):
-        parse_theory(src)
-
-
 @pytest.mark.parametrize("depth", ["x", "2.5"])
 def test_limit_witness_needs_an_integer_depth(depth):
     src = ("theory t\n  vars x : Real\n  goal x = x\n  proof\n"
@@ -233,7 +227,7 @@ SYNTAX_ERRORS = [
     (mk("3 x", "goal x = x"), "expected a declaration or goal, found '3'", 3, 3),
     (steps("frobnicate"), "unknown proof step 'frobnicate'", 6, 5),
     (steps("limit_witness 2.5"), "limit_witness needs an integer depth", 6, 19),
-    (steps("deriv_rule exp"), "unknown derivative rule 'exp'", 6, 5),
+    (steps("deriv_rule pow"), "unknown proof step 'deriv_rule'", 6, 5),
     (mk("goal x"), "expected a comparison, found '\\n'", 3, 9),
     (mk("hyp h : x != 1", "goal x = x"),
      "only comparisons with zero are supported after !=", 3, 16),
@@ -317,7 +311,6 @@ def _gen_formula(rng, scope):
 def _gen_steps(rng, hyp_names, let_names, scope):
     pool = [RingClose(), FieldNormalize(), SeriesGeom(), SeriesGeomWeighted(),
             IndexShift(),
-            DerivRule(rng.choice(("const", "id", "pow", "linear", "scalar"))),
             LimitDivergenceWitness(rng.randint(1, 9)),
             Intro(("q", "r")),
             ExistsIntro(_gen_expr(rng, scope, 2, frozenset())),
