@@ -24,7 +24,7 @@ Every comparison (rewriting, goal closure, hypothesis matching, the
 antiderivative rate) uses atom-mode canonical form (division and
 applications opaque), which is sound without side conditions. Only
 `_rational_forms` clears denominators, for field_normalize, lemma
-application and the antiderivative schemas; it pays with one
+application and the antiderivative rule; it pays with one
 nonzeroness obligation per distinct denominator crossed.
 
 The one numeric step, limit_witness, is the exception: its verdict is
@@ -413,7 +413,7 @@ def _chase(e: Expr, state: _State, hops: int = 3) -> Expr:
 
 
 def _antideriv_parts(state: _State):
-    """Shared analysis for the antiderivative schemas: the goal must be
+    """The shape check of the antiderivative rule: the goal must be
     forall t, F(t) = rhs with rhs rational over a constant denominator
     and every opaque subterm free of t. Clearing the denominators of rhs
     discharges their `!= 0` obligations."""
@@ -450,33 +450,17 @@ def _deriv_hyp_matches(state: _State, F: str, t: str, R: Normalizer,
     return False
 
 
-def _do_antideriv_const(state: _State, step: AntiderivConst) -> None:
+def _do_antideriv(state: _State, step: Step) -> None:
+    """One rule for `antideriv_const` and `antideriv`: forall t, F(t) = rhs
+    holds when G = rhs - F(0) vanishes at 0 and a hypothesis gives
+    deriv(F) = G'. Sound by the fundamental theorem of calculus: F(0) and
+    the opaque terms of rhs are free of t, so F - G has derivative 0 and
+    is constant, equal to its value F(0) - G(0) = F(0) at zero."""
     t, F, R, rhs_p = _antideriv_parts(state)
-    if rhs_p.degree_in(t) > 1:
-        raise StepFailed("right side must be linear in the bound variable")
-    c1 = rhs_p.coeff_in(t, 1)
-    c0 = rhs_p.coeff_in(t, 0)
-    f0 = R.atom_poly(App(F, Const(Fraction(0))))
-    if c0 != f0:
-        raise StepFailed("constant term must be the function's value at zero")
-    if not _deriv_hyp_matches(state, F, t, R, c1):
-        raise StepFailed(f"no hypothesis gives a constant derivative for {F!r}")
-    state.closed = True
-
-
-def _do_antideriv(state: _State, step: Antideriv) -> None:
-    t, F, R, rhs_p = _antideriv_parts(state)
-    f0 = R.atom_poly(App(F, Const(Fraction(0))))
-    f0_var = next(iter(f0.terms))
-    if rhs_p.terms.get(f0_var) != 1:
-        raise StepFailed("value at zero must appear exactly once on the right")
-    G = rhs_p - f0
-    if f0_var[0][0] in G.vars():
-        raise StepFailed("value at zero must enter linearly")
+    G = rhs_p - R.atom_poly(App(F, Const(Fraction(0))))
     if not G.coeff_in(t, 0).is_zero():
         raise StepFailed("right side must vanish at zero apart from the initial value")
-    dG = derivative(G, t)
-    if not _deriv_hyp_matches(state, F, t, R, dG):
+    if not _deriv_hyp_matches(state, F, t, R, derivative(G, t)):
         raise StepFailed(f"no hypothesis matches the derivative of the right side for {F!r}")
     state.closed = True
 
@@ -535,7 +519,7 @@ _STEPS = {
     Specialize: _do_specialize, ExistsIntro: _do_use, ApplyLemma: _do_apply,
     SeriesGeom: _do_series, SeriesGeomWeighted: _do_series,
     IndexShift: _do_index_shift,
-    AntiderivConst: _do_antideriv_const, Antideriv: _do_antideriv,
+    AntiderivConst: _do_antideriv, Antideriv: _do_antideriv,
     LimitDivergenceWitness: _do_limit_witness,
 }
 

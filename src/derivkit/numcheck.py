@@ -45,13 +45,22 @@ limit_witness step and the oracle sample the names and facts that
 
 from __future__ import annotations
 
-import hashlib
 import itertools
 import math
 import random
 from fractions import Fraction
 from functools import reduce
 from typing import Callable, Collection, Dict, List, Optional, Sequence, Tuple
+
+# the interpreter's built-in sha256 (`_sha2` from 3.12, `_sha256`
+# before); `hashlib` would load OpenSSL on every call of the CLI
+try:
+    from _sha2 import sha256
+except ImportError:
+    try:
+        from _sha256 import sha256
+    except ImportError:
+        from hashlib import sha256
 
 from .errors import DerivkitError, RejectionStarvation, StepFailed
 from .expr import (SERIES_CUTOFF, Add, App, Const, Deriv, Div, Expr, Mul, Neg,
@@ -98,7 +107,7 @@ class NumericReport(Node):
 
 
 def _rng(seed: int, name: str) -> random.Random:
-    digest = hashlib.sha256(f"{seed}:{name}".encode()).digest()
+    digest = sha256(f"{seed}:{name}".encode()).digest()
     return random.Random(int.from_bytes(digest[:8], "big"))
 
 

@@ -174,7 +174,8 @@ def test_antideriv_const_compares_rates_apart_from_declared_names():
             "  hyp hF : forall u, deriv(F)(u) = u",
             "  goal forall t, F(t) = t * u + F(0)",
             "  proof", "    antideriv_const", "  qed")
-    assert r.failure == (1, "StepFailed: no hypothesis gives a constant derivative for 'F'")
+    assert r.failure == (
+        1, "StepFailed: no hypothesis matches the derivative of the right side for 'F'")
 
 
 def test_antideriv_unfolds_a_let_without_capture_by_the_goal_binder():

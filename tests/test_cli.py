@@ -712,7 +712,8 @@ def test_hypothesis_that_overflows_at_a_sample_is_a_rejected_sample(tmp_path, cl
 
 def test_cli_import_loads_no_dataclasses_inspect_or_resources(cli_env):
     code = ("import derivkit.cli, sys; print(' '.join(m for m in "
-            "('dataclasses', 'inspect', 'importlib.resources') if m in sys.modules))")
+            "('dataclasses', 'inspect', 'importlib.resources', '_hashlib') "
+            "if m in sys.modules))")
     r = subprocess.run([sys.executable, "-S", "-c", code],
                        capture_output=True, text=True, env=cli_env, timeout=120)
     assert r.returncode == 0, r.stderr

@@ -1,10 +1,12 @@
 """Checker semantics, one proof step family at a time."""
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from derivkit.errors import UndeclaredSymbol
 from derivkit.kernel import (LemmaEntry, NUMERIC_CERTIFIED, SYMBOLIC,
                              check_theory)
+from derivkit.numcheck import SamplePlan, run_suite
 from derivkit.parser import parse_theory
 from derivkit.ringnorm import Normalizer
 
@@ -598,7 +600,8 @@ def test_antideriv_const_checks_initial_value():
         "  hyp hc : forall u, gd(u) = B",
         "  goal forall t, g(t) = t * B + 1",
         "  proof", "    antideriv_const", "  qed"))
-    assert r.failure == (1, "StepFailed: constant term must be the function's value at zero")
+    assert r.failure == (
+        1, "StepFailed: right side must vanish at zero apart from the initial value")
 
 
 def test_antideriv_matches_polynomial_rate():
@@ -620,7 +623,8 @@ def test_antideriv_requires_initial_value_term():
         "  hyp hc : forall u, gd(u) = B * u",
         "  goal forall t, g(t) = B * t^2 / 2",
         "  proof", "    antideriv", "  qed"))
-    assert r.failure == (1, "StepFailed: value at zero must appear exactly once on the right")
+    assert r.failure == (
+        1, "StepFailed: right side must vanish at zero apart from the initial value")
 
 
 @pytest.mark.parametrize("goal, reason", [
@@ -699,19 +703,66 @@ def test_antideriv_rate_is_matched_without_cancelling(rate, goal, step):
     assert r.failure[1].startswith("StepFailed: no hypothesis")
 
 
-# Refusals of the derivative and antiderivative steps and the goal-shape
-# guards, each with its step and reason. Without the linearity guard of
-# antideriv_const, the first row would be accepted: its right side is
-# quadratic in t while the derivative is 0.
+KEYWORDS = ("antideriv_const", "antideriv")
+RATE_REFUSAL = (1, "StepFailed: no hypothesis matches the derivative of the right side for 'F'")
+
+
+def _antideriv_theory(rate, rhs, step):
+    return theory(
+        "  fns F : State->Real",
+        "  const a : Real",
+        f"  hyp hd : forall u, deriv(F)(u) = {rate}",
+        f"  goal forall t, F(t) = F(0) + {rhs}",
+        "  proof", f"    {step}", "  qed")
+
+
+@pytest.mark.parametrize("step", KEYWORDS)
+def test_antideriv_value_at_zero_may_enter_the_rate(step):
+    # F(0) is a constant in t, so the slope may name it; the oracle has
+    # no polynomial for F and runs no numeric check
+    t = parse_theory(_antideriv_theory("F(0)", "t * F(0)", step))
+    r = check_theory(t)
+    assert r.accepted and r.steps[0].obligations == []
+    assert run_suite(t, SamplePlan()) is None
+
+
+# one coefficient of G: n * a^i * F(0)^j with i, j in {0, 1}
+COEFFS = st.tuples(st.integers(-3, 3), st.booleans(), st.booleans())
+
+
+def _coeff(n, with_a, with_f0):
+    return " * ".join([f"({n})"] + ["a"] * with_a + ["F(0)"] * with_f0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(COEFFS, min_size=3, max_size=3))
+@example([(1, True, False), (-2, False, False), (3, True, False)])
+def test_antideriv_keywords_are_one_rule(coeffs):
+    # G(t) = c1 * t + c2 * t^2 + c3 * t^3, so G(0) = 0 and
+    # G'(u) = c1 + 2 * c2 * u + 3 * c3 * u^2
+    cs = [_coeff(*c) for c in coeffs]
+    rhs = " + ".join(f"{c} * t^{k}" for k, c in enumerate(cs, start=1))
+    rate = " + ".join(f"{k} * {c}" + " * u" * (k - 1) for k, c in enumerate(cs, start=1))
+    good = [check_theory(parse_theory(_antideriv_theory(rate, rhs, kw))) for kw in KEYWORDS]
+    bad = [check_theory(parse_theory(_antideriv_theory(f"{rate} + 1", rhs, kw)))
+           for kw in KEYWORDS]
+    assert all(r.accepted for r in good)
+    for r in bad:
+        assert (r.failure, r.steps) == (RATE_REFUSAL, [])
+    if not any(with_f0 for _, _, with_f0 in coeffs):
+        rep = run_suite(parse_theory(_antideriv_theory(rate, rhs, "antideriv")),
+                        SamplePlan(count=20))
+        assert rep is not None and rep.passed
+
+
+# Refusals of the antiderivative rule and the goal-shape guards, each
+# with its step and reason. The first row's right side is quadratic in t
+# while the derivative is 0, so the rate check refuses it.
 REFUSALS = {
     "antideriv_const nonlinear": (
         "fns F : State->Real", "hyp hd : forall u, deriv(F)(u) = 0",
         "forall t, F(t) = t^2 + F(0)", "antideriv_const",
-        "right side must be linear in the bound variable"),
-    "antideriv initial value not linear": (
-        "fns F : State->Real", "hyp hd : forall u, deriv(F)(u) = F(0)",
-        "forall t, F(t) = F(0) + t * F(0)", "antideriv",
-        "value at zero must enter linearly"),
+        "no hypothesis matches the derivative of the right side for 'F'"),
     "antideriv nonzero at zero": (
         "fns F : State->Real", "hyp hd : forall u, deriv(F)(u) = 1",
         "forall t, F(t) = F(0) + t + 1", "antideriv",

@@ -1,6 +1,8 @@
 """The numeric falsification oracle, exercised directly and per theory."""
 
+import hashlib
 import math
+import random
 import re
 from fractions import Fraction
 
@@ -50,6 +52,14 @@ def test_sampling_is_deterministic_per_name():
     assert a == b
     assert a != c
 
+
+@pytest.mark.parametrize("seed, name", [(0, "const_accel"), (1, "alpha"),
+                                        (42, "limit_witness"), (-3, "")])
+def test_stream_is_seeded_by_the_sha256_of_seed_and_name(seed, name):
+    digest = hashlib.sha256(f"{seed}:{name}".encode()).digest()
+    want = random.Random(int.from_bytes(digest[:8], "big"))
+    got = numcheck._rng(seed, name)
+    assert [got.random() for _ in range(5)] == [want.random() for _ in range(5)]
 
 
 def test_sampling_is_prefix_stable():

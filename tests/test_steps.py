@@ -1,6 +1,7 @@
 """The step table: every reader of `formula.STEPS` agrees with it."""
 
 import importlib
+import re
 from pathlib import Path
 
 import pytest
@@ -35,6 +36,18 @@ def test_samples_cover_every_step():
 
 def test_kernel_has_a_handler_for_every_step():
     assert set(kernel._STEPS) == set(STEPS.values())
+
+
+def test_readme_step_table_lists_every_keyword_once():
+    # a row's first cell names one or more steps, such as `rw h` /
+    # `rw h <-`; a step's keyword is its first word
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text("utf-8")
+    table = readme.split("Proof steps:\n\n")[1].split("\n\n")[0]
+    keywords = []
+    for line in table.splitlines()[2:]:
+        cell = line.split(" | ")[0]
+        keywords += dict.fromkeys(s.split()[0] for s in re.findall(r"`([^`]+)`", cell))
+    assert sorted(keywords) == sorted(STEPS)
 
 
 def test_every_step_is_used_by_a_builtin_script():
