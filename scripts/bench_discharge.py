@@ -30,13 +30,15 @@ working tree and for a `git archive` of REV, the script
   at `--seed` (`builtin --all --json`, one `check --json` per edit_check
   input and one over the 68 single-hyp deletions of the builtins), and
   `builtin --all --seed` in text, the one output that prints the
-  divergence table. Each call's input files are written just before it
-  runs, since the edit_check calls share one path. It records, as
-  `json_identical`, whether exit codes and standard output agree once
-  every `"ms"` value and `[N ms]` is blanked, and per call where they
-  differ: `exit`, then each JSON path of standard output whose value
-  differs (a list item that names a theory shows the name), or each
-  differing line of output that is not JSON. `json_differing_fields`
+  divergence table, and the two calls that load no checker: `list` and
+  a `check` of a file with a syntax error. Each call's input files are
+  written just before it runs, since the edit_check calls share one
+  path. It records, as `json_identical`, whether exit codes, standard
+  output and standard error agree once every `"ms"` value and `[N ms]`
+  is blanked, and per call where they differ: `exit`, then each JSON
+  path of standard output whose value differs (a list item that names a
+  theory shows the name), or each differing line of output that is not
+  JSON, then `stderr`. `json_differing_fields`
   gathers the last part of every path, so a difference in residuals
   alone reads `["worst_residual"]` and a verdict change shows;
 - runs `perfbench/run.py` on all three workloads in `--pairs` pairs of
@@ -142,11 +144,15 @@ def probe(tree: str) -> dict:
 
 def workload_calls(seed: int, workdir: str) -> list:
     """(label, argument list, input files) of each CLI call of the three
-    workloads, after `builtin --all` in text; the files are under workdir."""
+    workloads, after `builtin --all` in text, `list` and a `check` of a
+    syntax error; the files are under workdir."""
     sys.path.insert(0, os.path.join(ROOT, "perfbench"))
     import workloads
     calls = [c for w in WORKLOADS for c in workloads.WORKLOADS[w](seed, workdir)]
-    out = [("builtin --all (text)", ["builtin", "--all", "--seed", str(seed)], {})]
+    broken = os.path.join(workdir, "broken.deriv")
+    out = [("builtin --all (text)", ["builtin", "--all", "--seed", str(seed)], {}),
+           ("list", ["list"], {}),
+           ("check <syntax error>", ["check", broken], {broken: "theory ???\n"})]
     for call in calls:
         n = len(call.files)
         inputs = f" <{call.expect[0].input}>" if n == 1 else f" <{n} files>" if n else ""
@@ -155,8 +161,8 @@ def workload_calls(seed: int, workdir: str) -> list:
 
 
 def cli_output(tree: str, args: list, files: dict) -> tuple:
-    """Exit code and standard output of one CLI call, its input files
-    written first, every `"ms"` and `[N ms]` blanked."""
+    """Exit code, standard output and standard error of one CLI call,
+    its input files written first, every `"ms"` and `[N ms]` blanked."""
     for path, text in files.items():
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -164,7 +170,7 @@ def cli_output(tree: str, args: list, files: dict) -> tuple:
     proc = subprocess.run([sys.executable, "-c", CHILD] + args, cwd=tree, env=env,
                           capture_output=True, text=True)
     out = re.sub(r'"ms": \d+', '"ms": null', proc.stdout)
-    return proc.returncode, re.sub(r"\[\d+ ms\]", "[N ms]", out)
+    return proc.returncode, re.sub(r"\[\d+ ms\]", "[N ms]", out), proc.stderr
 
 
 def json_paths(a, b, path: str = "$") -> list:
@@ -183,14 +189,15 @@ def json_paths(a, b, path: str = "$") -> list:
 def differences(parent: tuple, change: tuple) -> list:
     """Where two blanked CLI outputs differ: `exit`, then the JSON paths
     of standard output, or its differing line numbers when it is not
-    JSON."""
+    JSON, then `stderr`."""
     out = ["exit"] if parent[0] != change[0] else []
     try:
-        return out + json_paths(json.loads(parent[1]), json.loads(change[1]))
+        out += json_paths(json.loads(parent[1]), json.loads(change[1]))
     except ValueError:
         a, b = parent[1].splitlines(), change[1].splitlines()
-        return out + [f"line {i + 1}" for i in range(max(len(a), len(b)))
-                      if a[i:i + 1] != b[i:i + 1]]
+        out += [f"line {i + 1}" for i in range(max(len(a), len(b)))
+                if a[i:i + 1] != b[i:i + 1]]
+    return out + (["stderr"] if parent[2] != change[2] else [])
 
 
 def perfbench(tree: str, workload: str, seed: int, seconds: float) -> dict:

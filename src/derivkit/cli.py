@@ -14,17 +14,29 @@ import math
 import os
 import sys
 import time
-from typing import List, Optional, Tuple
+from typing import TYPE_CHECKING, List, Optional, Tuple
 
+from . import _lazy
 from .errors import DerivkitError, DerivSyntaxError
-from .formula import ApplyLemma, Theory
-from .kernel import (CheckResult, LemmaEntry, LemmaPool, NUMERIC_CERTIFIED,
-                     check_theory)
-from .numcheck import NumericReport, SamplePlan, run_suite
-from .parser import parse_theories
 from .theories import build_pool, load_theory, registry
 
-Outcome = Tuple[Theory, CheckResult, Optional[NumericReport], int]
+if TYPE_CHECKING:
+    from .formula import Theory
+    from .kernel import CheckResult, LemmaPool
+    from .numcheck import NumericReport, SamplePlan
+
+    Outcome = Tuple[Theory, CheckResult, Optional[NumericReport], int]
+
+# The checker loads when a command first needs it, so that `list`,
+# `--help` and input errors never load it. Each name stays a module
+# attribute that the commands call through, for a test or a tracer to
+# replace.
+__getattr__, _load = _lazy(globals(), {
+    ".formula": ("ApplyLemma",),
+    ".kernel": ("LemmaEntry", "NUMERIC_CERTIFIED", "check_theory"),
+    ".numcheck": ("NumericReport", "SamplePlan", "run_suite"),
+    ".parser": ("parse_theories",),
+})
 
 
 def _plan(args) -> SamplePlan:
@@ -110,7 +122,9 @@ def _emit(outcomes: List[Outcome], args) -> int:
 
 def _load_file(path: str) -> List[Theory]:
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_theories(fh.read())
+        text = fh.read()
+    _load("parse_theories")
+    return parse_theories(text)
 
 
 def _check_batch(theories: List[Theory], base_pool: LemmaPool,
@@ -126,7 +140,6 @@ def _check_batch(theories: List[Theory], base_pool: LemmaPool,
 
 
 def cmd_check(args) -> int:
-    plan = _plan(args)
     batches = []
     try:
         for path in args.paths:
@@ -143,6 +156,8 @@ def cmd_check(args) -> int:
     except DerivkitError as e:
         print(f"invalid input: {e}", file=sys.stderr)
         return 2
+    _load()
+    plan = _plan(args)
     # a name a file also defines still counts: an `apply` before that
     # definition resolves to the builtin
     base_pool, _ = build_pool(args.seed, {
@@ -153,11 +168,12 @@ def cmd_check(args) -> int:
 
 
 def cmd_builtin(args) -> int:
-    plan = _plan(args)
     deps = {e.name: e.depends_on for e in registry()}
     if not args.all and args.name not in deps:
         print(f"error: no builtin theory named {args.name!r}", file=sys.stderr)
         return 2
+    _load()
+    plan = _plan(args)
     if args.all:
         # in registry order, each theory sees those before it as lemmas
         names, pool = list(deps), {}

@@ -1,7 +1,7 @@
 """The builtin theory corpus.
 
 Each entry names a .deriv script shipped next to this module, the
-lemmas it applies or presupposes, and a citation into the historical
+lemmas its script applies, and a citation into the historical
 literature the derivation formalizes. Every entry comes after the
 entries it depends on, so the registry order is a dependency order.
 Checking the registry in order is the package's own regression suite:
@@ -12,22 +12,29 @@ brunauer_27 by numeric witness.
 from __future__ import annotations
 
 import os
-from typing import Collection, Dict, List, Optional, Tuple
+from typing import (TYPE_CHECKING, Collection, Dict, List, NamedTuple, Optional,
+                    Tuple)
 
-from ..expr import Node
-from ..formula import Theory
-from ..kernel import CheckResult, LemmaEntry, LemmaPool, check_theory
-from ..parser import parse_theory
+from .. import _lazy
+
+if TYPE_CHECKING:
+    from ..formula import Theory
+    from ..kernel import CheckResult, LemmaPool
+
+# the parser and the kernel load when a theory is first parsed or
+# checked, so that reading the registry loads no syntax tree
+__getattr__, _load = _lazy(globals(), {
+    "..kernel": ("LemmaEntry", "check_theory"),
+    "..parser": ("parse_theory",),
+})
 
 
-class TheoryEntry(Node):
-    __slots__ = ("name", "script", "depends_on", "citation", "reconstructed")
-    _defaults = {"reconstructed": False}
+class TheoryEntry(NamedTuple):
     name: str
     script: str
     depends_on: Tuple[str, ...]
     citation: str
-    reconstructed: bool
+    reconstructed: bool = False
 
 
 _SPECS: List[Tuple[str, Tuple[str, ...], str, bool]] = [
@@ -45,8 +52,9 @@ _SPECS: List[Tuple[str, Tuple[str, ...], str, bool]] = [
      "Brunauer, Emmett and Teller 1938, equation 26", False),
     ("brunauer_27", (),
      "Brunauer, Emmett and Teller 1938, equation 27, saturation divergence", False),
-    ("brunauer_28_from_seq", ("brunauer_26_from_seq", "brunauer_27"),
-     "Brunauer, Emmett and Teller 1938, equation 28", False),
+    ("brunauer_28_from_seq", ("brunauer_26_from_seq",),
+     "Brunauer, Emmett and Teller 1938, equation 28, "
+     "with brunauer_27's premise P_0 = 1/C_L", False),
     ("boyles_law_relation", (),
      "Boyle 1662, pressure-volume reciprocity", False),
     ("boyles_law_relation'", (),
@@ -84,6 +92,7 @@ def registry() -> List[TheoryEntry]:
 
 
 def load_theory(name: str) -> Theory:
+    _load("parse_theory")
     return parse_theory(load_script(name))
 
 
@@ -96,6 +105,7 @@ def build_pool(seed: int = 0, names: Optional[Collection[str]] = None
     their dependencies. Returns the lemma pool (for checking user
     scripts against) and the per-theory results.
     """
+    _load()
     entries = registry()
     if names is not None:
         # one backward pass collects the closure: a dependent comes

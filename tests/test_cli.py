@@ -81,7 +81,8 @@ def test_list_covers_registry(capsys):
     assert lines[0].startswith("langmuir_kinetic_fig1  ")
     assert "Langmuir 1918" in lines[0]
     brunauer = next(l for l in lines if l.startswith("brunauer_28_from_seq"))
-    assert "depends: brunauer_26_from_seq, brunauer_27" in brunauer
+    assert "depends: brunauer_26_from_seq  " in brunauer
+    assert "premise P_0 = 1/C_L" in brunauer
     charles = next(l for l in lines if l.startswith("charles_from_ideal_gas"))
     assert "[reconstructed]" in charles
 
@@ -480,11 +481,12 @@ def test_builtin_ms_covers_the_kernel(monkeypatch, capsys):
 
 def test_depends_on_lists_every_applied_lemma():
     # build_pool checks only a builtin's depends_on closure, so every
-    # lemma its script applies must be listed there
+    # lemma its script applies must be listed there, and nothing else,
+    # or a check of it checks a lemma it never uses
     for e in registry():
         applied = {s.name for s in parse_theory(e.script).steps
                    if isinstance(s, ApplyLemma)}
-        assert applied <= set(e.depends_on), e.name
+        assert applied == set(e.depends_on), e.name
 
 
 # -- closed output pipe -----------------------------------------------------
@@ -722,6 +724,90 @@ def test_cli_import_loads_no_dataclasses_inspect_or_resources(cli_env):
     mentions = [str(p) for p in package.rglob("*") if p.is_file()
                 and "__pycache__" not in p.parts and b"dataclass" in p.read_bytes()]
     assert mentions == []
+
+
+# -- what each command loads ------------------------------------------------
+
+# runs the CLI and prints, even when argparse exits, the modules loaded
+LOADED = ("import sys\nfrom derivkit.cli import main\ntry:\n"
+          "    sys.exit(main(sys.argv[1:]))\nfinally:\n"
+          "    print('loaded:', *sorted(sys.modules), file=sys.stderr)\n")
+CHECKER = {"derivkit." + m
+           for m in ("kernel", "discharge", "ringnorm", "poly", "numcheck")}
+PARSER = {"derivkit.parser", "derivkit.formula", "derivkit.expr"}
+
+
+@pytest.mark.parametrize("argv, code, absent", [
+    (["list"], 0, CHECKER | PARSER),
+    (["--help"], 0, CHECKER | PARSER),
+    ([], 2, CHECKER | PARSER),
+    (["builtin", "--all", "--samples", "0"], 2, CHECKER | PARSER),
+    (["builtin", "nosuch"], 2, CHECKER | PARSER),
+    (["check", "missing.deriv"], 2, CHECKER | PARSER),
+    (["check", "broken.deriv"], 2, CHECKER),
+    (["check", "ok.deriv"], 0, set()),
+], ids=["list", "help", "no-command", "no-samples", "unknown-builtin",
+        "missing-file", "syntax-error", "valid-file"])
+def test_a_command_loads_only_what_it_runs(tmp_path, cli_env, argv, code, absent):
+    write(tmp_path, "broken.deriv", "theory ???\n")
+    write(tmp_path, "ok.deriv", OK_SCRIPT)
+    r = subprocess.run([sys.executable, "-c", LOADED] + argv, cwd=tmp_path,
+                       capture_output=True, text=True, env=cli_env, timeout=120)
+    assert r.returncode == code, r.stderr
+    last = r.stderr.splitlines()[-1].split()
+    assert last[0] == "loaded:"
+    loaded = set(last[1:])
+    assert loaded & absent == set()
+    if code == 0 and argv[0] == "check":
+        assert CHECKER | PARSER <= loaded
+
+
+def test_import_derivkit_loads_a_submodule_on_first_use(cli_env):
+    code = ("import sys, derivkit\n"
+            "before = [m for m in sys.modules if m.startswith('derivkit.')]\n"
+            "from derivkit import *\n"
+            "from derivkit.kernel import check_theory as k\n"
+            "print(before, derivkit.check_theory is k, hasattr(derivkit, 'nosuch'))\n")
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                       text=True, env=cli_env, timeout=120)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.split() == ["[]", "True", "False"]
+
+
+def test_the_tracer_boundaries_are_called_through(tmp_path, capsys, monkeypatch):
+    # perfbench/tracing.py times each layer by replacing these attributes,
+    # so loading the checker must call through them and keep each stand-in
+    calls = {}
+
+    def count(owner, attr):
+        real, key = getattr(owner, attr), f"{owner.__name__}.{attr}"
+        calls[key] = 0
+
+        def counted(*args, **kwargs):
+            calls[key] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(owner, attr, counted)
+
+    for attr in ("parse_theories", "build_pool", "check_theory", "run_suite"):
+        count(cli, attr)
+    for attr in ("parse_theory", "check_theory"):
+        count(theories, attr)
+    code, _, _ = run_cli(["builtin", "--all"], capsys)
+    assert code == 0
+    assert calls["derivkit.cli.check_theory"] == 19
+    assert calls["derivkit.cli.run_suite"] == 19
+    assert calls["derivkit.theories.parse_theory"] == 19
+
+    calls.update(dict.fromkeys(calls, 0))
+    code, _, _ = run_cli(["check", write(tmp_path, "pos.deriv", POSITION_SCRIPT)],
+                         capsys)
+    assert code == 0
+    assert calls["derivkit.cli.parse_theories"] == 1
+    assert calls["derivkit.cli.build_pool"] == 1
+    # the pool checks the closure of the applied lemma
+    assert calls["derivkit.theories.check_theory"] == 2
+    assert calls["derivkit.cli.check_theory"] == 1
 
 
 # 400 terms that the grounder rebuilds because of the application, 400
